@@ -101,14 +101,6 @@ class Colouring:
             classes.setdefault(c, []).append(v)
         return {c: tuple(vs) for c, vs in classes.items()}
 
-    def recolour(self, v: int, c: int) -> Colouring:
-        """A copy with vertex v recoloured to c."""
-        if not 0 <= v < self.n:
-            raise ColouringError(f"vertex {v} out of range for {self.n} vertices")
-        new = list(self.assignment)
-        new[v] = c
-        return Colouring(tuple(new), self.palette)
-
     def is_proper(self, g: Graph) -> bool:
         """True when no edge of g joins two vertices of the same colour."""
         if g.n != self.n:

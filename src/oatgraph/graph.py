@@ -7,13 +7,20 @@ counts and neighbourhood comparisons all become vectorised operations.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from ._util import iter_bits
-from .errors import GraphFormatError
+from .errors import GraphFormatError, SizeBudgetError
+
+# Peak memory of recognising an n-vertex graph, in units of its n*n boolean
+# adjacency plus one n*n int64 A@A.  Building A@A, and each deconstruction
+# move, holds two n*n eight-byte matrices; the rest covers the certificate,
+# whose per-node vertex sets reach the same order on chain-shaped trees.
+_DENSE_FOOTPRINT_FACTOR = 4
 
 
 class Graph:
@@ -81,7 +88,13 @@ class Graph:
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         if self._nbrs is None:
-            self._nbrs = [tuple(np.nonzero(row)[0].tolist()) for row in self.adj]
+            # The matrix's set entries in row-major order: each row's
+            # neighbours are one ascending slice of them.
+            n = self.n
+            flat = np.flatnonzero(self.adj)
+            ends = np.searchsorted(flat, np.arange(1, n + 1) * n).tolist()
+            cols = (flat % n).tolist()
+            self._nbrs = [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
         return self._nbrs[v]
 
     @property
@@ -101,11 +114,6 @@ class Graph:
             raise ValueError(f"vertices {idx} out of range for n={self.n}")
         return Graph._from_validated(self.adj[np.ix_(idx, idx)].copy())
 
-    def complement(self) -> Graph:
-        comp = ~self.adj
-        np.fill_diagonal(comp, False)
-        return Graph._from_validated(comp)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -115,90 +123,43 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _mask_components(masks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """Connected parts of the graph given by per-vertex bitmasks.
+def mask_components(masks: Sequence[int], unseen: int, *, complement: bool = False) -> list[int]:
+    """Connected parts, as bitmasks, of the graph on the vertex set ``unseen``.
 
-    Parts come out ordered by their smallest vertex because seeds are taken
-    ascending; several callers rely on that order.
+    masks[v] is v's neighbourhood and may have bits outside ``unseen``; with
+    complement=True the parts are those of the complement graph.  Parts come
+    out ordered by their smallest vertex because seeds are taken ascending;
+    several callers rely on that order.  Each vertex is expanded at most once
+    and a part stops growing as soon as no vertex is left to reach, which
+    makes co-components of sparse graphs a handful of mask operations.
     """
-    unseen = (1 << n) - 1
     parts = []
     while unseen:
-        seed = unseen & -unseen
-        comp = seed
-        frontier = seed
-        while frontier:
-            grown = 0
-            for v in iter_bits(frontier):
-                grown |= masks[v]
-            frontier = grown & unseen & ~comp
-            comp |= frontier
-        unseen &= ~comp
-        parts.append(tuple(iter_bits(comp)))
-    return tuple(parts)
+        comp = frontier = unseen & -unseen
+        unseen ^= comp
+        while frontier and unseen:
+            low = frontier & -frontier
+            frontier ^= low
+            reach = masks[low.bit_length() - 1]
+            new = unseen & ~reach if complement else unseen & reach
+            if new:
+                unseen ^= new
+                comp |= new
+                frontier |= new
+        parts.append(comp)
+    return parts
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components, ordered by smallest vertex."""
-    return _mask_components(g.neighbour_masks, g.n)
+    parts = mask_components(g.neighbour_masks, (1 << g.n) - 1)
+    return tuple(tuple(iter_bits(p)) for p in parts)
 
 
 def complement_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components of the complement graph, ordered by smallest vertex."""
-    full = (1 << g.n) - 1
-    masks = g.neighbour_masks
-    co = [full ^ masks[v] ^ (1 << v) for v in range(g.n)]
-    return _mask_components(co, g.n)
-
-
-def cut_vertices(g: Graph) -> tuple[int, ...]:
-    """All cut vertices, ascending, via an iterative lowpoint DFS."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    cut = [False] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        stack = [(root, -1, iter(g.neighbours(root)))]
-        while stack:
-            v, parent, it = stack[-1]
-            descended = False
-            for w in it:
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(g.neighbours(w))))
-                    descended = True
-                    break
-                if w != parent:
-                    low[v] = min(low[v], disc[w])
-            if descended:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if pv == root:
-                    root_children += 1
-                elif low[v] >= disc[pv]:
-                    cut[pv] = True
-        if root_children >= 2:
-            cut[root] = True
-    return tuple(v for v in range(n) if cut[v])
-
-
-def is_clique(g: Graph, verts: Iterable[int]) -> bool:
-    """True when the given vertices are pairwise adjacent."""
-    idx = sorted(set(verts))
-    if len(idx) <= 1:
-        return True
-    sub = g.adj[np.ix_(idx, idx)]
-    return bool(sub.sum() == len(idx) * (len(idx) - 1))
+    parts = mask_components(g.neighbour_masks, (1 << g.n) - 1, complement=True)
+    return tuple(tuple(iter_bits(p)) for p in parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,41 +180,51 @@ class AdjSquare:
 def adjacency_square(g: Graph) -> AdjSquare:
     # float64 matmul hits BLAS and stays exact for counts below 2**53.
     a = g.adj.astype(np.float64)
-    m = (a @ a).astype(np.int64)
+    m = a @ a
+    del a  # so that no more than two n x n eight-byte matrices are alive
+    m = m.astype(np.int64)
     m.setflags(write=False)
     return AdjSquare(m)
 
 
-def find_comparable_pair(g: Graph, a2: AdjSquare | None = None) -> tuple[int, int] | None:
-    """Smallest (u, v) with u, v non-adjacent and N(u) a subset of N(v).
+def first_comparable(a2: np.ndarray) -> tuple[int, int] | None:
+    """Smallest (u, v), row-major, with u != v and N(u) a subset of N(v).
 
     |N(u) & N(v)| = (A@A)[u, v], so the subset test is one comparison per
-    pair.  An isolated u qualifies against every other vertex.
+    pair.  It also rules out u adjacent to v: then v is in N(u) but not in
+    N(v), so the count falls short of deg(u).  An isolated u qualifies
+    against every other vertex.
     """
+    cand = a2 == a2.diagonal()[:, None]
+    np.fill_diagonal(cand, False)
+    flat = int(cand.argmax())
+    if not cand.flat[flat]:
+        return None
+    return divmod(flat, a2.shape[0])
+
+
+def find_comparable_pair(g: Graph, a2: AdjSquare | None = None) -> tuple[int, int] | None:
+    """Smallest (u, v) with u, v non-adjacent and N(u) a subset of N(v)."""
     if a2 is None:
         a2 = adjacency_square(g)
-    deg = a2.degrees
-    cand = (a2.matrix == deg[:, None]) & ~g.adj
-    np.fill_diagonal(cand, False)
-    flat = np.flatnonzero(cand)
-    if flat.size == 0:
-        return None
-    u, v = divmod(int(flat[0]), g.n)
-    return u, v
+    return first_comparable(a2.matrix)
 
 
-def clique_attachment(g: Graph) -> tuple[int, tuple[int, ...]] | None:
-    """Smallest (z, Q) such that every q in Q satisfies N[q] = Q + {z}.
+def pendant_clique(
+    masks: Sequence[int], verts: Iterable[int], alive: int
+) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest (z, Q) in the graph induced on ``alive`` such that every q in
+    Q satisfies N[q] = Q + {z}.
 
-    Vertices with the same closed neighbourhood are pairwise adjacent, so
-    grouping by closed-neighbourhood mask finds every candidate Q at once:
-    a group is valid exactly when its shared mask has one extra bit, and
-    that bit is the anchor z.  Ties break on (z, min Q).
+    ``verts`` lists the set bits of ``alive`` ascending.  Vertices with the
+    same closed neighbourhood are pairwise adjacent, so grouping by
+    closed-neighbourhood mask finds every candidate Q at once: a group is
+    valid exactly when its shared mask has one extra bit, and that bit is
+    the anchor z.  Ties break on (z, min Q).
     """
-    masks = g.neighbour_masks
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(masks[v] | (1 << v), []).append(v)
+    for v in verts:
+        groups.setdefault((masks[v] & alive) | (1 << v), []).append(v)
     best: tuple[tuple[int, int], tuple[int, tuple[int, ...]]] | None = None
     for mask, q in groups.items():
         extra = mask
@@ -266,6 +237,31 @@ def clique_attachment(g: Graph) -> tuple[int, tuple[int, ...]] | None:
         if best is None or key < best[0]:
             best = (key, (z, tuple(q)))
     return None if best is None else best[1]
+
+
+def clique_attachment(g: Graph) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest (z, Q) such that every q in Q satisfies N[q] = Q + {z}."""
+    return pendant_clique(g.neighbour_masks, range(g.n), (1 << g.n) - 1)
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_dense_budget(n: int) -> None:
+    """Raise SizeBudgetError, before anything is allocated, when n vertices'
+    dense matrices would not fit in the machine's physical memory."""
+    need = _DENSE_FOOTPRINT_FACTOR * 9 * n * n
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise SizeBudgetError(
+            f"n = {n} needs about {need / 2**30:.1f} GiB for its dense matrices, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory",
+            bound=have,
+        )
 
 
 def parse_graph(text: str) -> Graph:
@@ -285,6 +281,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"vertex count must be positive, got {n}", lineno)
     if m < 0:
         raise GraphFormatError(f"edge count must be non-negative, got {m}", lineno)
+    _check_dense_budget(n)
     body = rows[1:]
     if len(body) != m:
         raise GraphFormatError(f"header promises {m} edges, found {len(body)} edge lines")

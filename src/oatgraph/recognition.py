@@ -6,29 +6,43 @@ components, delete a comparable vertex, detach a pendant clique.  Success
 yields a build tree over the original labels; failure yields the irreducible
 induced subgraph it got stuck on.
 
-The common-neighbour matrix A@A drives the comparable-pair scan.  Recomputing
-it from scratch at every level would cost an extra factor n, so each
-deconstruction move patches it in O(n^2) instead; the four patch rules are
-encoded in a2_after_step.
+It is one loop over an explicit work stack, so its depth is not bounded by
+the interpreter's.  A task is an ascending array of original labels with
+its own common-neighbour matrix A@A.  Comparable and clique moves are tail
+moves: nothing reads the larger graph again, so they shrink the task where
+it stands and leave a pending Comparable or CliqueAttach wrapper, applied
+once the task's subtree is built.  Only union and join splits push work:
+the parts go on in reverse order above a fold marker, so the first part is
+explored first and its tree folded in first.  Memory is one A@A's worth of
+tasks plus the move being made, O(n^2).
+
+Recomputing A@A from scratch at every move would cost an extra factor n, so
+each move patches it in O(n^2) instead; the four patch rules are encoded in
+a2_after_step.  Components, co-components and pendant cliques are read off
+neighbourhood bitmasks over the original labels, intersected with the
+task's vertex set.  Removing a comparable vertex or a pendant clique keeps a
+connected graph connected (a path through u reroutes through v, whose
+neighbourhood contains u's; a pendant clique meets the rest only at its
+anchor), so after a tail move only the co-component scan reruns.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import recursion_room
+from ._util import iter_bits
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
 from .errors import StepConsistencyError
 from .graph import (
     AdjSquare,
     Graph,
     adjacency_square,
-    clique_attachment,
-    complement_components,
-    connected_components,
-    find_comparable_pair,
+    first_comparable,
+    mask_components,
+    pendant_clique,
 )
 
 
@@ -55,7 +69,7 @@ class DeconstructionStep:
             raise StepConsistencyError(f"unknown step op {self.op!r}")
         if not self.keep:
             raise StepConsistencyError("step must keep at least one vertex")
-        if any(b <= a for a, b in zip(self.keep, self.keep[1:])):
+        if any(map(operator.ge, self.keep, self.keep[1:])):
             raise StepConsistencyError(f"kept vertices must be strictly ascending: {self.keep}")
         if not self.removed:
             raise StepConsistencyError("step must remove at least one vertex")
@@ -94,12 +108,15 @@ def a2_after_step(a2: AdjSquare, step: DeconstructionStep) -> AdjSquare:
     only the anchor's degree entry drops, by |Q|.
     """
     n = a2.n
-    if set(step.keep) | set(step.removed) != set(range(n)):
+    # keep and removed are disjoint and duplicate-free, so they partition
+    # 0..n-1 exactly when their sizes add up and both lie inside the range.
+    lo, hi = min(step.keep[0], *step.removed), max(step.keep[-1], *step.removed)
+    if len(step.keep) + len(step.removed) != n or lo < 0 or hi >= n:
         raise StepConsistencyError(
             f"step does not partition 0..{n - 1}: keep={step.keep} removed={step.removed}"
         )
     keep = np.asarray(step.keep, dtype=np.intp)
-    sub = a2.matrix[np.ix_(keep, keep)].copy()
+    sub = _submatrix(a2.matrix, keep, step.removed)
     if step.op == "join":
         sub -= len(step.removed)
     elif step.op == "comparable":
@@ -110,6 +127,28 @@ def a2_after_step(a2: AdjSquare, step: DeconstructionStep) -> AdjSquare:
         sub[z, z] -= len(step.removed)
     sub.setflags(write=False)
     return AdjSquare(sub)
+
+
+def _submatrix(m: np.ndarray, keep: np.ndarray, removed: tuple[int, ...]) -> np.ndarray:
+    """m[np.ix_(keep, keep)], where keep and removed partition m's indices.
+
+    After a tail move only one to three indices go, so keep is a few runs
+    of consecutive indices; copying one block per pair of runs is several
+    times faster than gathering entry by entry.
+    """
+    if len(removed) > 3:
+        return m[np.ix_(keep, keep)]
+    gaps = [-1, *sorted(removed), m.shape[0]]
+    runs, at = [], 0
+    for a, b in zip(gaps, gaps[1:]):
+        if b - a > 1:
+            runs.append((slice(at, at + b - a - 1), slice(a + 1, b)))
+            at += b - a - 1
+    out = np.empty((at, at), dtype=m.dtype)
+    for dst_rows, src_rows in runs:
+        for dst_cols, src_cols in runs:
+            out[dst_rows, dst_cols] = m[src_rows, src_cols]
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,10 +165,28 @@ class RecognitionOutcome:
         return self.tree is not None
 
 
-class _Stuck(Exception):
-    def __init__(self, sub: Graph, labels: tuple[int, ...]):
-        self.sub = sub
-        self.labels = labels
+@dataclass
+class _Task:
+    labels: np.ndarray  # ascending original labels
+    a2: AdjSquare  # A@A of the subgraph induced on labels, in label order
+    alive: int  # labels as a bitmask
+    connected: bool  # known to induce a connected subgraph
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """Fold the top `parts` results with `binary`, then apply `wrappers`."""
+
+    binary: type[Union] | type[Join]
+    parts: int
+    wrappers: list[tuple]
+
+
+def _wrap(tree: BuildTree, wrappers: list[tuple]) -> BuildTree:
+    # The first tail move taken is the outermost node.
+    for node, *args in reversed(wrappers):
+        tree = node(tree, *args)
+    return tree
 
 
 def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
@@ -139,92 +196,96 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     every incremental patch and fails loudly on any drift; the outcome's
     a2_checks counts how many comparisons ran.
     """
-    checks = [0] if verify_a2 else None
-    try:
-        with recursion_room(4 * g.n + 2000):
-            tree = _deconstruct(g, tuple(range(g.n)), adjacency_square(g), checks)
-    except _Stuck as s:
-        return RecognitionOutcome(
-            tree=None,
-            stuck=s.sub,
-            stuck_vertices=s.labels,
-            a2_checks=0 if checks is None else checks[0],
-        )
-    return RecognitionOutcome(
-        tree=tree, stuck=None, stuck_vertices=None, a2_checks=0 if checks is None else checks[0]
-    )
+    masks = g.neighbour_masks
+    checks = 0
 
+    def patch(task: _Task, op: str, keep: np.ndarray, removed: list[int], **kw) -> AdjSquare:
+        """A@A of the subgraph induced on task.labels[keep] (local positions)."""
+        nonlocal checks
+        a2 = a2_after_step(task.a2, DeconstructionStep(op, keep.tolist(), removed, **kw))
+        if verify_a2:
+            labels = task.labels[keep]
+            fresh = adjacency_square(Graph._from_validated(g.adj[np.ix_(labels, labels)]))
+            if not np.array_equal(fresh.matrix, a2.matrix):
+                raise StepConsistencyError(
+                    "incrementally patched A@A drifted from the recomputed matrix"
+                )
+            checks += 1
+        return a2
 
-def _maybe_check(sub: Graph, sub_a2: AdjSquare, checks: list[int] | None):
-    if checks is None:
-        return
-    fresh = adjacency_square(sub)
-    if not np.array_equal(fresh.matrix, sub_a2.matrix):
-        raise StepConsistencyError("incrementally patched A@A drifted from the recomputed matrix")
-    checks[0] += 1
+    def split(task: _Task, op: str, parts: list[int], wrappers: list[tuple]) -> None:
+        # Parts arrive ordered by smallest vertex and are folded
+        # left-associatively, so the first part must come off the stack first.
+        stack.append(_Fold(Union if op == "union" else Join, len(parts), wrappers))
+        children = []
+        for part in parts:
+            keep = np.searchsorted(task.labels, np.fromiter(iter_bits(part), np.intp))
+            others = np.ones(len(task.labels), dtype=bool)
+            others[keep] = False
+            a2 = patch(task, op, keep, np.flatnonzero(others).tolist())
+            children.append(_Task(task.labels[keep], a2, part, op == "union"))
+        stack.extend(reversed(children))
 
-
-def _descend(
-    cur: Graph,
-    labels: tuple[int, ...],
-    a2: AdjSquare,
-    step: DeconstructionStep,
-    checks: list[int] | None,
-) -> BuildTree:
-    sub_a2 = a2_after_step(a2, step)
-    sub = cur.induced(step.keep)
-    _maybe_check(sub, sub_a2, checks)
-    return _deconstruct(sub, tuple(labels[x] for x in step.keep), sub_a2, checks)
-
-
-def _fold(
-    binary,
-    opname: str,
-    cur: Graph,
-    labels: tuple[int, ...],
-    a2: AdjSquare,
-    parts: tuple[tuple[int, ...], ...],
-    checks: list[int] | None,
-) -> BuildTree:
-    # Parts arrive ordered by smallest vertex; fold left-associatively.
-    all_verts = set(range(cur.n))
-    trees = []
-    for part in parts:
-        removed = tuple(sorted(all_verts - set(part)))
-        step = DeconstructionStep(opname, part, removed)
-        trees.append(_descend(cur, labels, a2, step, checks))
-    out = trees[0]
-    for t in trees[1:]:
-        out = binary(out, t)
-    return out
-
-
-def _deconstruct(
-    cur: Graph, labels: tuple[int, ...], a2: AdjSquare, checks: list[int] | None
-) -> BuildTree:
-    n = cur.n
-    if n == 1:
-        return Leaf(labels[0])
-    parts = connected_components(cur)
-    if len(parts) > 1:
-        return _fold(Union, "union", cur, labels, a2, parts, checks)
-    co_parts = complement_components(cur)
-    if len(co_parts) > 1:
-        return _fold(Join, "join", cur, labels, a2, co_parts, checks)
-    pair = find_comparable_pair(cur, a2)
-    if pair is not None:
-        u, v = pair
-        nbrs = cur.neighbours(u)
-        keep = tuple(x for x in range(n) if x != u)
-        step = DeconstructionStep("comparable", keep, (u,), neighbours=nbrs)
-        child = _descend(cur, labels, a2, step, checks)
-        return Comparable(child, labels[u], labels[v], tuple(labels[x] for x in nbrs))
-    found = clique_attachment(cur)
-    if found is not None:
-        z, q = found
-        qset = set(q)
-        keep = tuple(x for x in range(n) if x not in qset)
-        step = DeconstructionStep("clique", keep, q, anchor=z)
-        child = _descend(cur, labels, a2, step, checks)
-        return CliqueAttach(child, labels[z], tuple(labels[x] for x in q))
-    raise _Stuck(cur, labels)
+    stack: list[_Task | _Fold] = [
+        _Task(np.arange(g.n), adjacency_square(g), (1 << g.n) - 1, False)
+    ]
+    done: list[BuildTree] = []
+    while stack:
+        task = stack.pop()
+        if isinstance(task, _Fold):
+            trees = done[-task.parts :]
+            del done[-task.parts :]
+            out = trees[0]
+            for t in trees[1:]:
+                out = task.binary(out, t)
+            done.append(_wrap(out, task.wrappers))
+            continue
+        wrappers = []
+        while True:
+            labels = task.labels
+            k = len(labels)
+            if k == 1:
+                done.append(_wrap(Leaf(int(labels[0])), wrappers))
+                break
+            if not task.connected:
+                parts = mask_components(masks, task.alive)
+                if len(parts) > 1:
+                    split(task, "union", parts, wrappers)
+                    break
+                task.connected = True
+            parts = mask_components(masks, task.alive, complement=True)
+            if len(parts) > 1:
+                split(task, "join", parts, wrappers)
+                break
+            pair = first_comparable(task.a2.matrix)
+            if pair is not None:
+                u, v = pair
+                lu = int(labels[u])
+                # u's row of the input graph's neighbour lists, built once
+                # per graph (verify_sequence reads the same lists later).
+                x = tuple(w for w in g.neighbours(lu) if task.alive >> w & 1)
+                keep = np.delete(np.arange(k), u)
+                nbrs = np.searchsorted(labels, x).tolist()
+                a2 = patch(task, "comparable", keep, [u], neighbours=nbrs)
+                wrappers.append((Comparable, lu, int(labels[v]), x))
+                gone = 1 << lu
+            else:
+                found = pendant_clique(masks, labels.tolist(), task.alive)
+                if found is None:
+                    return RecognitionOutcome(
+                        tree=None,
+                        stuck=g.induced(labels.tolist()),
+                        stuck_vertices=tuple(labels.tolist()),
+                        a2_checks=checks,
+                    )
+                z, q = found
+                pos = np.searchsorted(labels, q)
+                keep = np.delete(np.arange(k), pos)
+                anchor = int(np.searchsorted(labels, z))
+                a2 = patch(task, "clique", keep, pos.tolist(), anchor=anchor)
+                wrappers.append((CliqueAttach, z, q))
+                gone = sum(1 << x for x in q)
+            # A tail move: the smaller task replaces this one, still connected.
+            task = _Task(labels[keep], a2, task.alive ^ gone, True)
+    (tree,) = done
+    return RecognitionOutcome(tree=tree, stuck=None, stuck_vertices=None, a2_checks=checks)

@@ -67,6 +67,15 @@ class TestRecognize:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["recognize", str(tmp_path / "nope.graph")]) == 2
 
+    def test_oversized_vertex_count_exits_2_with_one_line(self, tmp_path, capsys):
+        p = tmp_path / "huge.graph"
+        p.write_text("1000000 0\n")
+        assert main(["recognize", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n = 1000000 needs about")
+        assert captured.err.count("\n") == 1
+
 
 class TestRecolor:
     def test_swap_round_trips_through_verify(self, tmp_path, capsys):

@@ -50,12 +50,6 @@ class TestColouring:
         c = Colouring((2, 1, 2), Palette((1, 2)))
         assert c.colour_classes() == {1: (1,), 2: (0, 2)}
 
-    def test_recolour_returns_new_object(self):
-        c = Colouring((1, 2), Palette((1, 2)))
-        d = c.recolour(0, 2)
-        assert d.assignment == (2, 2)
-        assert c.assignment == (1, 2)
-
     def test_is_proper(self):
         g = Graph(2, [(0, 1)])
         assert Colouring((1, 2), Palette((1, 2))).is_proper(g)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,16 +8,15 @@ from oatgraph import (
     AdjSquare,
     Graph,
     GraphFormatError,
+    SizeBudgetError,
     adjacency_square,
     clique_attachment,
     complement_components,
     connected_components,
-    cut_vertices,
     find_comparable_pair,
     format_graph,
     parse_graph,
 )
-from oatgraph.graph import is_clique
 
 from conftest import random_graph
 
@@ -29,6 +30,10 @@ def graphs(max_n=8):
         return Graph(n, picked)
 
     return build()
+
+
+def is_clique(g, verts):
+    return all(g.has_edge(a, b) for a, b in itertools.combinations(verts, 2))
 
 
 class TestConstruction:
@@ -66,10 +71,6 @@ class TestConstruction:
         assert h.n == 3
         assert h.edges() == [(0, 1), (1, 2)]
 
-    def test_complement(self):
-        g = Graph(3, [(0, 1)])
-        assert g.complement().edges() == [(0, 2), (1, 2)]
-
 
 class TestParsing:
     def test_round_trip(self):
@@ -80,6 +81,10 @@ class TestParsing:
     def test_blank_lines_ignored(self):
         g = parse_graph("\n2 1\n\n0 1\n\n")
         assert g.edges() == [(0, 1)]
+
+    def test_refuses_vertex_count_beyond_memory_before_allocating(self):
+        with pytest.raises(SizeBudgetError, match="physical memory"):
+            parse_graph("1000000 0\n")
 
     def test_header_errors_carry_line_number(self):
         with pytest.raises(GraphFormatError, match="line 1"):
@@ -136,30 +141,6 @@ class TestComponents:
                     assert not any(g.has_edge(u, v) for u in p for v in q)
 
 
-class TestCutVertices:
-    def brute(self, g):
-        out = []
-        for v in range(g.n):
-            rest = [u for u in range(g.n) if u != v]
-            if not rest:
-                continue
-            h = g.induced(rest)
-            if len(connected_components(h)) > len(connected_components(g)):
-                out.append(v)
-        return tuple(out)
-
-    @given(graphs())
-    @settings(max_examples=80)
-    def test_matches_component_count_definition(self, g):
-        if g.n < 2:
-            return
-        assert cut_vertices(g) == self.brute(g)
-
-    def test_path_interior(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert cut_vertices(g) == (1, 2)
-
-
 class TestAdjacencySquare:
     @given(graphs())
     @settings(max_examples=60)
@@ -195,11 +176,16 @@ class TestComparablePair:
 
 class TestCliqueAttachment:
     def brute(self, g):
-        # first cut vertex (ascending) whose removal leaves a qualifying
-        # clique component (components ordered by minimum vertex)
-        for z in cut_vertices(g):
+        # first cut vertex (ascending: its removal adds a component) whose
+        # removal leaves a qualifying clique component (components ordered
+        # by minimum vertex)
+        for z in range(g.n):
             rest = [u for u in range(g.n) if u != z]
+            if not rest:
+                continue
             sub = g.induced(rest)
+            if len(connected_components(sub)) <= len(connected_components(g)):
+                continue
             for comp in connected_components(sub):
                 verts = tuple(rest[i] for i in comp)
                 if is_clique(g, verts) and all(g.has_edge(z, q) for q in verts):

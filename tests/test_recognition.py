@@ -1,4 +1,7 @@
 import itertools
+import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from oatgraph import (
     connected_components,
     find_comparable_pair,
     fixture,
+    p4_sparse_third_op,
     random_oat,
     recognize,
     replay,
@@ -158,3 +162,59 @@ class TestRecognize:
     def test_random_graphs_agree_with_brute(self, n, seed):
         g = random_graph(n, 0.5, seed)
         assert recognize(g).is_oat == brute_is_oat(g)
+
+
+class TestScale:
+    def test_path_memory_is_quadratic(self):
+        # A handful of n x n int64 matrices at most; keeping one induced copy
+        # per level, as a recursive descent does, needs about 160 of them.
+        n = 400
+        g = classic("path", n)
+        tracemalloc.start()
+        try:
+            out = recognize(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.is_oat
+        assert peak < 8 * (8 * n * n)
+
+    def test_needs_no_recursion_room(self, monkeypatch):
+        # 600 levels of moves under a 400-frame limit that cannot be raised.
+        g = classic("path", 600)
+        set_limit, old = sys.setrecursionlimit, sys.getrecursionlimit()
+
+        def refuse(limit):
+            raise AssertionError(f"recognition asked for recursion limit {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        set_limit(400)
+        try:
+            out = recognize(g)
+        finally:
+            set_limit(old)
+        assert out.is_oat
+        assert validate(out.tree, g)
+
+
+def _relabelled(g: Graph, rng: random.Random) -> tuple[Graph, list[int]]:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), perm
+
+
+def test_members_are_accepted_under_every_relabelling():
+    members = [replay(random_oat(n, seed)) for n, seed in ((12, 1), (25, 2), (40, 3), (60, 4))]
+    members += [
+        p4_sparse_third_op(3, classic("path", 3), "pendant"),
+        p4_sparse_third_op(4, classic("path", 3), "anti"),
+    ]
+    rng = random.Random("relabel")
+    for g in members:
+        chi = chi_omega(recognize(g).tree)[0]
+        for _ in range(34):
+            h, perm = _relabelled(g, rng)
+            out = recognize(h)
+            assert out.is_oat, perm
+            assert validate(out.tree, h)
+            assert chi_omega(out.tree)[0] == chi
