@@ -88,13 +88,7 @@ class Graph:
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         if self._nbrs is None:
-            # The matrix's set entries in row-major order: each row's
-            # neighbours are one ascending slice of them.
-            n = self.n
-            flat = np.flatnonzero(self.adj)
-            ends = np.searchsorted(flat, np.arange(1, n + 1) * n).tolist()
-            cols = (flat % n).tolist()
-            self._nbrs = [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
+            self._nbrs = [tuple(np.nonzero(row)[0].tolist()) for row in self.adj]
         return self._nbrs[v]
 
     @property

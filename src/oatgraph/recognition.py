@@ -204,8 +204,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
         nonlocal checks
         a2 = a2_after_step(task.a2, DeconstructionStep(op, keep.tolist(), removed, **kw))
         if verify_a2:
-            labels = task.labels[keep]
-            fresh = adjacency_square(Graph._from_validated(g.adj[np.ix_(labels, labels)]))
+            fresh = adjacency_square(g.induced(task.labels[keep].tolist()))
             if not np.array_equal(fresh.matrix, a2.matrix):
                 raise StepConsistencyError(
                     "incrementally patched A@A drifted from the recomputed matrix"
@@ -284,7 +283,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 anchor = int(np.searchsorted(labels, z))
                 a2 = patch(task, "clique", keep, pos.tolist(), anchor=anchor)
                 wrappers.append((CliqueAttach, z, q))
-                gone = sum(1 << x for x in q)
+                gone = sum(1 << w for w in q)
             # A tail move: the smaller task replaces this one, still connected.
             task = _Task(labels[keep], a2, task.alive ^ gone, True)
     (tree,) = done
