@@ -10,8 +10,12 @@ path is routed through.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from .colouring import Colouring, Palette
 from .errors import MalformedTreeError, PaletteError
@@ -24,6 +28,7 @@ class Leaf:
     verts: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "v", operator.index(self.v))
         if self.v < 0:
             raise MalformedTreeError(f"leaf vertex must be non-negative, got {self.v}")
         object.__setattr__(self, "verts", frozenset((self.v,)))
@@ -66,7 +71,9 @@ class Comparable:
     verts: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X = tuple(self.X)
+        object.__setattr__(self, "u", operator.index(self.u))
+        object.__setattr__(self, "v", operator.index(self.v))
+        X = tuple(map(operator.index, self.X))
         if len(set(X)) != len(X):
             raise MalformedTreeError(f"comparable node ({self.u}, {self.v}): X has duplicates {X}")
         X = tuple(sorted(X))
@@ -100,7 +107,8 @@ class CliqueAttach:
     verts: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Q = tuple(self.Q)
+        object.__setattr__(self, "z", operator.index(self.z))
+        Q = tuple(map(operator.index, self.Q))
         object.__setattr__(self, "Q", Q)
         if not Q:
             raise MalformedTreeError("clique node: Q must be non-empty")
@@ -174,22 +182,17 @@ def replay(t: BuildTree) -> Graph:
     tree's shape.
     """
     adjsets: dict[int, set[int]] = {}
-    edges: list[tuple[int, int]] = []
-
-    def add_edge(a: int, b: int):
-        adjsets[a].add(b)
-        adjsets[b].add(a)
-        edges.append((a, b))
-
     for node in walk_postorder(t):
         if isinstance(node, Leaf):
             adjsets[node.v] = set()
         elif isinstance(node, Union):
             pass
         elif isinstance(node, Join):
-            for a in node.left.verts:
-                for b in node.right.verts:
-                    add_edge(a, b)
+            left, right = node.left.verts, node.right.verts
+            for a in left:
+                adjsets[a] |= right
+            for b in right:
+                adjsets[b] |= left
         elif isinstance(node, Comparable):
             missing = set(node.X) - adjsets[node.v]
             if missing:
@@ -197,21 +200,22 @@ def replay(t: BuildTree) -> Graph:
                     f"comparable node ({node.u}, {node.v}): X must lie in the anchor's"
                     f" neighbourhood, missing {sorted(missing)}"
                 )
-            adjsets[node.u] = set()
+            adjsets[node.u] = set(node.X)
             for x in node.X:
-                add_edge(node.u, x)
+                adjsets[x].add(node.u)
         else:
+            clique = {node.z, *node.Q}
             for q in node.Q:
-                adjsets[q] = set()
-            qs = node.Q
-            for i, a in enumerate(qs):
-                add_edge(a, node.z)
-                for b in qs[i + 1 :]:
-                    add_edge(a, b)
+                adjsets[q] = clique - {q}
+            adjsets[node.z].update(node.Q)
     n = len(adjsets)
     if set(adjsets) != set(range(n)):
         raise MalformedTreeError(f"tree vertices {sorted(adjsets)} are not 0..{n - 1}")
-    return Graph(n, edges)
+    rows = np.repeat(np.arange(n), [len(adjsets[v]) for v in range(n)])
+    cols = np.fromiter(itertools.chain.from_iterable(adjsets[v] for v in range(n)), np.intp)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows, cols] = True
+    return Graph.from_adjacency(adj)
 
 
 def validate(t: BuildTree, g: Graph) -> bool:

@@ -24,7 +24,7 @@ from .generators import (
     p4_sparse_third_op,
     random_oat,
 )
-from .graph import Graph, format_graph, parse_graph
+from .graph import Graph, _check_dense_budget, format_graph, parse_graph
 from .oracle import build_reconfig, reconfig_stats
 from .recognition import recognize
 from .recolouring import find_path, sequence_from_json, sequence_to_json, verify_sequence
@@ -135,6 +135,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if args.param is None:
             print("error: random_oat needs a vertex count", file=sys.stderr)
             return 2
+        # the tree is replayed into a dense graph below; refuse before building it
+        _check_dense_budget(args.param)
         tree = random_oat(args.param, args.seed)
         if args.tree_out:
             Path(args.tree_out).write_text(json.dumps(tree_to_json(tree), indent=2) + "\n")

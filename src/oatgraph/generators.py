@@ -31,23 +31,27 @@ def classic(family: str, param: int) -> Graph:
     """A named classic graph: path(n), cycle(n), complete(n), or
     complete_bipartite_minus_matching(a) with sides 0..a-1 and a..2a-1
     where side vertex i is unmatched to opposite vertex i.
+
+    Edges are generated lazily, so a size over the dense budget fails in
+    Graph before any edge exists.
     """
     if family == "path":
         if param < 1:
             raise ValueError(f"path needs n >= 1, got {param}")
-        return Graph(param, [(i, i + 1) for i in range(param - 1)])
+        return Graph(param, ((i, i + 1) for i in range(param - 1)))
     if family == "cycle":
         if param < 3:
             raise ValueError(f"cycle needs n >= 3, got {param}")
-        return Graph(param, [(i, i + 1) for i in range(param - 1)] + [(0, param - 1)])
+        ring = itertools.chain(((i, i + 1) for i in range(param - 1)), [(0, param - 1)])
+        return Graph(param, ring)
     if family == "complete":
         if param < 1:
             raise ValueError(f"complete needs n >= 1, got {param}")
-        return Graph(param, list(itertools.combinations(range(param), 2)))
+        return Graph(param, itertools.combinations(range(param), 2))
     if family == "complete_bipartite_minus_matching":
         if param < 1:
             raise ValueError(f"complete_bipartite_minus_matching needs a >= 1, got {param}")
-        edges = [(i, param + j) for i in range(param) for j in range(param) if i != j]
+        edges = ((i, param + j) for i in range(param) for j in range(param) if i != j)
         return Graph(2 * param, edges)
     raise ValueError(f"unknown family {family!r}; choose from {', '.join(CLASSIC_FAMILIES)}")
 
@@ -143,14 +147,15 @@ def p4_sparse_third_op(v1_size: int, r: Graph | None, case: str) -> Graph:
     matched = clique[1:]
     offset = 2 * v1_size + 2
     r_n = r.n if r is not None else 0
-    edges = list(itertools.combinations(clique, 2))
+    # Lazy, like classic's edges, so an oversized V1 fails in Graph first.
+    parts = [itertools.combinations(clique, 2)]
     if case == "pendant":
-        edges.append((v, vprime))
-        edges.extend((x, matched[x]) for x in range(v1_size))
+        parts.append([(v, vprime)])
+        parts.append((x, matched[x]) for x in range(v1_size))
     else:
-        edges.extend((v, b) for b in matched)
-        edges.extend((x, z) for x in range(v1_size) for z in clique if z != matched[x])
+        parts.append((v, b) for b in matched)
+        parts.append((x, z) for x in range(v1_size) for z in clique if z != matched[x])
     if r is not None:
-        edges.extend((offset + a, offset + b) for a, b in r.edges())
-        edges.extend((b, offset + i) for b in clique for i in range(r_n))
-    return Graph(offset + r_n, edges)
+        parts.append((offset + a, offset + b) for a, b in r.edges())
+        parts.append((b, offset + i) for b in clique for i in range(r_n))
+    return Graph(offset + r_n, itertools.chain(*parts))

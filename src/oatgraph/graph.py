@@ -31,6 +31,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
+        _check_dense_budget(n)
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -259,11 +260,19 @@ def _check_dense_budget(n: int) -> None:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the plain edge-list format: a header 'n m' then m lines 'u v'."""
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    if not rows:
+    """Parse the plain edge-list format: a header 'n m' then m lines 'u v'.
+
+    Edges are kept as two lists of ints and seen pairs as ints u*n + v, so
+    a parse allocates no container per edge for the cyclic garbage
+    collector to count and traverse.
+    """
+    lines = text.splitlines()
+    for lineno, header in enumerate(lines, 1):
+        header = header.strip()
+        if header:
+            break
+    else:
         raise GraphFormatError("empty input")
-    lineno, header = rows[0]
     fields = header.split()
     if len(fields) != 2:
         raise GraphFormatError(f"header must be 'n m', got {header!r}", lineno)
@@ -276,12 +285,17 @@ def parse_graph(text: str) -> Graph:
     if m < 0:
         raise GraphFormatError(f"edge count must be non-negative, got {m}", lineno)
     _check_dense_budget(n)
-    body = rows[1:]
-    if len(body) != m:
-        raise GraphFormatError(f"header promises {m} edges, found {len(body)} edge lines")
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for lineno, ln in body:
+    body = lines[lineno:]
+    found = sum(1 for ln in body if ln.strip())
+    if found != m:
+        raise GraphFormatError(f"header promises {m} edges, found {found} edge lines")
+    seen: set[int] = set()
+    us: list[int] = []
+    vs: list[int] = []
+    for lineno, ln in enumerate(body, lineno + 1):
+        ln = ln.strip()
+        if not ln:
+            continue
         fields = ln.split()
         if len(fields) != 2:
             raise GraphFormatError(f"edge line must be 'u v', got {ln!r}", lineno)
@@ -293,11 +307,12 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}", lineno)
         if u >= v:
             raise GraphFormatError(f"edge must satisfy u < v, got ({u}, {v})", lineno)
-        if (u, v) in seen:
+        if u * n + v in seen:
             raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+        seen.add(u * n + v)
+        us.append(u)
+        vs.append(v)
+    return Graph(n, zip(us, vs))
 
 
 def format_graph(g: Graph) -> str:

@@ -13,13 +13,19 @@ the twin immediately follows.  A guard shields an attached clique: when the
 anchor is about to take colour c, the one clique vertex holding c is evicted
 to a colour free on its closed neighbourhood first.  Routing everything
 through emit is what keeps nested hooks correct when inner renames touch an
-outer hook's anchor.
+outer hook's anchor.  Hooks are indexed by anchor, each anchor holding a
+stack of its own, so a step pays only for the hooks on the vertex that moves.
+
+Each call replays the certificate once and computes its chi/omega map once;
+find_path shares both between its two halves.  A join's rename maps the
+palettes its two sides were made canonical over onto its own palette, so
+it needs no further pass over the certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ._util import recursion_room
 from .buildtree import (
@@ -29,8 +35,6 @@ from .buildtree import (
     Join,
     Leaf,
     Union,
-    canonical_assignment,
-    chi_omega,
     chi_omega_map,
     replay,
 )
@@ -53,6 +57,14 @@ class RecolouringSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(Step(int(v), int(c)) for v, c in self.steps))
+
+    @classmethod
+    def _from_steps(cls, initial: Colouring, steps: tuple[Step, ...]) -> RecolouringSequence:
+        """Wrap steps that are already `Step`s of plain ints, unchecked."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "initial", initial)
+        object.__setattr__(seq, "steps", steps)
+        return seq
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -83,7 +95,7 @@ def _rename_plan(
     classes: Sequence[Sequence[int]],
     current: Sequence[int],
     target: Sequence[int],
-    palette: Palette,
+    palette: Iterable[int],
     emit: Callable[[int, int], None],
 ):
     """Move class i from colour current[i] to target[i], ≤ 2 moves per vertex.
@@ -162,7 +174,7 @@ def rename(alpha: Colouring, beta: Colouring, S: Palette) -> RecolouringSequence
         S,
         emit,
     )
-    return RecolouringSequence(Colouring(alpha.assignment, S), tuple(steps))
+    return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
 
 
 def to_canonical(
@@ -179,14 +191,9 @@ def to_canonical(
     the colours the canonical rule assigns it.
     """
     g = replay(t)
-    if alpha.n != g.n:
-        raise ColouringError(f"colouring covers {alpha.n} vertices, graph has {g.n}")
-    if not alpha.is_proper(g):
-        raise ColouringError("starting colouring is not proper")
-    for col in set(alpha.assignment):
-        if col not in S:
-            raise PaletteError(f"colour {col} outside working palette {S.colours}")
-    chi, _ = chi_omega(t)
+    _check_start(g, alpha, S)
+    chiom = chi_omega_map(t)
+    chi = chiom[id(t)][0]
     if len(S) < chi + 1:
         raise PaletteTooSmallError(f"need at least {chi + 1} working colours, got {len(S)}")
     cpal = C if isinstance(C, Palette) else Palette(tuple(C))
@@ -195,12 +202,37 @@ def to_canonical(
     stray = [c for c in cpal if c not in S]
     if stray:
         raise PaletteError(f"target colours {stray} outside working palette {S.colours}")
+    steps = _walk(t, chiom, alpha, S, cpal.colours)
+    return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
 
-    chiom = chi_omega_map(t)
+
+def _check_start(g: Graph, alpha: Colouring, S: Palette) -> None:
+    """alpha is a proper colouring of g over the working palette S."""
+    if alpha.n != g.n:
+        raise ColouringError(f"colouring covers {alpha.n} vertices, graph has {g.n}")
+    if not alpha.is_proper(g):
+        raise ColouringError("starting colouring is not proper")
+    for col in set(alpha.assignment):
+        if col not in S:
+            raise PaletteError(f"colour {col} outside working palette {S.colours}")
+
+
+def _walk(
+    t: BuildTree,
+    chiom: dict[int, tuple[int, int]],
+    alpha: Colouring,
+    S: Palette,
+    c_root: tuple[int, ...],
+) -> list[Step]:
+    """The steps of to_canonical, for a start and palettes already checked."""
+    n = alpha.n
     state = list(alpha.assignment)
     steps: list[Step] = []
-    mirrors: list[tuple[int, int]] = []
-    guards: list[tuple[int, tuple[int, ...], Palette]] = []
+    # Per anchor, outermost hook first: the twins that mirror it, and the
+    # guarded cliques with their evasion palettes.
+    mirrors: list[list[int]] = [[] for _ in range(n)]
+    guards: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n)]
+    new_step = tuple.__new__  # Step(v, c) without NamedTuple's Python-level __new__
 
     def emit(v: int, c: int):
         if state[v] == c:
@@ -209,52 +241,55 @@ def to_canonical(
         # the colour its anchor is about to take.  Only neighbours inside
         # the guard's own scope constrain the evasion colour; clashes with
         # enclosing scopes resolve through their own guards and mirrors.
-        for z, q_verts, avail in reversed(guards):
-            if v != z:
-                continue
+        for q_verts, avail in reversed(guards[v]):
             clash = [q for q in q_verts if state[q] == c]
             if clash:
                 q = min(clash)
-                blocked = {state[x] for x in q_verts if x != q} | {state[z], c}
+                blocked = {state[x] for x in q_verts if x != q} | {state[v], c}
                 emit(q, min(x for x in avail if x not in blocked))
         state[v] = c
-        steps.append(Step(v, c))
+        steps.append(new_step(Step, (v, c)))
         # Outermost mirror first: a twin follows its anchor, cascading.
-        for anchor, twin in mirrors:
-            if anchor == v:
-                emit(twin, c)
+        for twin in mirrors[v]:
+            emit(twin, c)
 
-    def join_case(node: Join, s_node: Palette, c_node: tuple[int, ...]):
+    def join_case(node: Join, s_node: tuple[int, ...], c_node: tuple[int, ...]):
         chi_l = chiom[id(node.left)][0]
         chi_r = chiom[id(node.right)][0]
         used_l = {state[v] for v in node.left.verts}
         used_r = {state[v] for v in node.right.verts}
-        sides = [(node.left, chi_l), (node.right, chi_r)]
+        sides = [(node.left, chi_l, used_l), (node.right, chi_r, used_r)]
         if len(used_l) == chi_l and len(used_r) > chi_r:
             sides.reverse()
-        for idx, (side, chi_side) in enumerate(sides):
-            used = sorted({state[v] for v in side.verts})
+        # The colours the join's vertices hold, kept without reading them
+        # again: hooks only move vertices added above their anchor, so a
+        # side's walk moves no vertex of the other side, and it leaves its
+        # own side on exactly the colours of c_side.
+        held = used_l | used_r
+        side_colours = {}
+        for idx, (side, chi_side, used) in enumerate(sides):
+            used = sorted(used)
             s_side = set(used)
             if idx == 1 or len(used) == chi_side:
                 # a colour no vertex of the whole join currently holds
-                s_side.add(min(x for x in s_node if x not in {state[v] for v in node.verts}))
-            walk(side, Palette(tuple(sorted(s_side))), tuple(used[:chi_side]))
+                s_side.add(min(x for x in s_node if x not in held))
+            c_side = side_colours[id(side)] = tuple(used[:chi_side])
+            walk(side, tuple(sorted(s_side)), c_side)
+            held = set(c_side) | sides[1][2]
         # Both sides are canonical over side-local palettes, so the subtree
         # already has the canonical colour classes; one rename fixes names.
-        targets = canonical_assignment(node, c_node)
+        # The canonical rule splits c_node as left palette then right, so
+        # the i-th colour of the two side palettes in that order becomes
+        # c_node[i].
+        rename_to = dict(zip(side_colours[id(node.left)] + side_colours[id(node.right)], c_node))
         by_colour: dict[int, list[int]] = {}
         for v in sorted(node.verts):
-            by_colour.setdefault(targets[v], []).append(v)
+            by_colour.setdefault(state[v], []).append(v)
         classes = sorted(by_colour.values())
-        _rename_plan(
-            classes,
-            [state[members[0]] for members in classes],
-            [targets[members[0]] for members in classes],
-            s_node,
-            emit,
-        )
+        current = [state[members[0]] for members in classes]
+        _rename_plan(classes, current, [rename_to[c] for c in current], s_node, emit)
 
-    def walk(node: BuildTree, s_node: Palette, c_node: tuple[int, ...]):
+    def walk(node: BuildTree, s_node: tuple[int, ...], c_node: tuple[int, ...]):
         if isinstance(node, Leaf):
             emit(node.v, c_node[0])
         elif isinstance(node, Union):
@@ -265,13 +300,13 @@ def to_canonical(
         elif isinstance(node, Comparable):
             if state[node.u] != state[node.v]:
                 emit(node.u, state[node.v])
-            mirrors.append((node.v, node.u))
+            mirrors[node.v].append(node.u)
             walk(node.child, s_node, c_node)
-            mirrors.pop()
+            mirrors[node.v].pop()
         else:
-            guards.append((node.z, node.Q, s_node))
+            guards[node.z].append((node.Q, s_node))
             walk(node.child, s_node, c_node[: chiom[id(node.child)][0]])
-            guards.pop()
+            guards[node.z].pop()
             cstar = state[node.z]
             fill = [c for c in c_node if c != cstar][: len(node.Q)]
             order = sorted(range(len(node.Q)), key=lambda i: node.Q[i])
@@ -279,20 +314,20 @@ def to_canonical(
                 [(node.Q[i],) for i in order],
                 [state[node.Q[i]] for i in order],
                 [fill[i] for i in order],
-                s_node.without(cstar),
+                tuple(x for x in s_node if x != cstar),
                 emit,
             )
 
-    with recursion_room(4 * g.n + 2000):
-        walk(t, S, tuple(cpal.colours))
-    return RecolouringSequence(Colouring(alpha.assignment, S), tuple(steps))
+    with recursion_room(4 * n + 2000):
+        walk(t, S.colours, c_root)
+    return steps
 
 
-def _pre_colours(seq: RecolouringSequence) -> list[int]:
+def _pre_colours(initial: Sequence[int], steps: Sequence[Step]) -> list[int]:
     """The colour each step's vertex held just before that step."""
-    cur = list(seq.initial.assignment)
+    cur = list(initial)
     pres = []
-    for v, c in seq.steps:
+    for v, c in steps:
         pres.append(cur[v])
         cur[v] = c
     return pres
@@ -306,17 +341,22 @@ def find_path(
     Route both endpoints to the canonical colouring over the first chi
     colours of S, then traverse the second sequence backwards, each reversed
     step restoring the colour its vertex held before the original step.
-    Mutually undoing steps at the junction are peeled off.
+    Mutually undoing steps at the junction are peeled off.  Both halves
+    share one replay of the certificate and one chi/omega map.
     """
-    chi, _ = chi_omega(t)
+    chiom = chi_omega_map(t)
+    chi = chiom[id(t)][0]
     if len(S) < chi + 1:
         raise PaletteTooSmallError(f"need at least {chi + 1} working colours, got {len(S)}")
-    c_root = S.prefix(chi)
-    fwd = to_canonical(t, alpha, S, c_root)
-    bwd = to_canonical(t, beta, S, c_root)
-    fsteps = list(fwd.steps)
-    fpre = _pre_colours(fwd)
-    back = [Step(s.v, p) for s, p in zip(bwd.steps, _pre_colours(bwd))]
+    c_root = S.colours[:chi]
+    g = replay(t)
+    _check_start(g, alpha, S)
+    fsteps = _walk(t, chiom, alpha, S, c_root)
+    _check_start(g, beta, S)
+    bsteps = _walk(t, chiom, beta, S, c_root)
+    fpre = _pre_colours(alpha.assignment, fsteps)
+    bpre = _pre_colours(beta.assignment, bsteps)
+    back = [Step(v, p) for (v, _), p in zip(bsteps, bpre)]
     back.reverse()
     cut = 0
     while fsteps and cut < len(back):
@@ -325,7 +365,9 @@ def find_path(
             break
         fsteps.pop()
         cut += 1
-    return RecolouringSequence(Colouring(alpha.assignment, S), tuple(fsteps + back[cut:]))
+    return RecolouringSequence._from_steps(
+        Colouring(alpha.assignment, S), tuple(fsteps + back[cut:])
+    )
 
 
 def verify_sequence(g: Graph, seq: RecolouringSequence) -> SequenceReport:

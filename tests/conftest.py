@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oatgraph import Graph
+from oatgraph import Colouring, Graph, Palette, canonical_colouring, chi_omega
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -15,6 +15,27 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 @pytest.fixture
 def gnp():
     return random_graph
+
+
+def moved_colouring(tree, g: Graph, S: Palette, seed: str, moves: int) -> Colouring:
+    """A proper colouring of a member in polynomial time: `moves` tries of a
+    seeded proper single-vertex move, starting from the canonical colouring
+    over the first chi colours of S."""
+    rng = random.Random(seed)
+    chi = chi_omega(tree)[0]
+    cur = list(canonical_colouring(tree, S.prefix(chi)).assignment)
+    for _ in range(moves):
+        v = rng.randrange(g.n)
+        held = {cur[w] for w in g.neighbours(v)}
+        free = [c for c in S if c != cur[v] and c not in held]
+        if free:
+            cur[v] = rng.choice(free)
+    return Colouring(tuple(cur), S)
+
+
+@pytest.fixture
+def moved():
+    return moved_colouring
 
 
 # Verdict lines recorded by test_acceptance.py, echoed after capture ends.

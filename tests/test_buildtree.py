@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +31,18 @@ P3_TREE = Join(Union(Leaf(0), Leaf(2)), Leaf(1))
 
 
 class TestNodeValidation:
+    def test_labels_become_plain_ints(self):
+        i = np.int64
+        base = CliqueAttach(Join(Leaf(i(0)), Leaf(i(1))), i(0), [i(2)])
+        t = Comparable(base, i(3), i(0), [i(1)])
+        labels = [t.u, t.v, *t.X, base.z, *base.Q, base.child.left.v]
+        assert all(type(x) is int for x in labels)
+        assert tree_from_json(json.loads(json.dumps(tree_to_json(t)))) == t
+
+    def test_rejects_non_integer_label(self):
+        with pytest.raises(TypeError):
+            Leaf(1.5)
+
     def test_union_rejects_overlap(self):
         with pytest.raises(MalformedTreeError):
             Union(Leaf(0), Leaf(0))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -190,6 +191,20 @@ class TestGen:
 
     def test_bad_param_exits_2(self, capsys):
         assert main(["gen", "cycle", "2"]) == 2
+
+    def test_oversized_path_exits_2_with_one_line(self, capsys):
+        tracemalloc.start()
+        try:
+            assert main(["gen", "path", "1000000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n = 1000000 needs about")
+        assert captured.err.count("\n") == 1
+        # refused by the budget check before any edge or matrix exists
+        assert peak < 1 << 20
 
 
 class TestCanonical:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -114,6 +115,24 @@ class TestParsing:
     @settings(max_examples=60)
     def test_format_parse_round_trip(self, g):
         assert parse_graph(format_graph(g)) == g
+
+    def test_allocates_no_container_per_edge(self):
+        # Per-edge tuples would trigger (and lengthen) cyclic-GC passes that
+        # get charged to whatever parses a large graph.
+        text = format_graph(random_graph(150, 0.5, 3))
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            g = parse_graph(text)
+        finally:
+            gc.callbacks.remove(count)
+        assert g.edge_count > 5000
+        assert len(passes) <= 1
 
 
 class TestComponents:

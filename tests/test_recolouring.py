@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from oatgraph import (
     chi_omega,
     classic,
     find_path,
+    p4_sparse_third_op,
     random_colouring,
     random_oat,
     recognize,
@@ -33,6 +35,7 @@ from oatgraph import (
     to_canonical,
     verify_sequence,
 )
+from oatgraph import buildtree, recolouring
 
 S3 = Palette((1, 2, 3))
 S4 = Palette((1, 2, 3, 4))
@@ -203,6 +206,94 @@ class TestFindPath:
             seq = find_path(t, a, b, S)
             assert len(seq) >= r.distance(a, b)
 
+    def test_rejects_improper_end(self):
+        t = recognize(classic("path", 3)).tree
+        with pytest.raises(ColouringError):
+            find_path(t, Colouring((1, 2, 1), S3), Colouring((1, 1, 2), S3), S3)
+
+    def test_rejects_end_outside_working_palette(self):
+        t = recognize(classic("path", 2)).tree
+        with pytest.raises(PaletteError):
+            find_path(t, Colouring((1, 2), S3), Colouring((1, 4), S4), S3)
+
+
+class TestOneCertificatePass:
+    """find_path and to_canonical replay the certificate and compute its
+    chi/omega map once per call, however many joins the walk renames."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"replay": 0, "chi_omega_map": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(recolouring, "replay", counting("replay", buildtree.replay))
+        chi_map = counting("chi_omega_map", buildtree.chi_omega_map)
+        # buildtree's own name too, which chi_omega and canonical_assignment call
+        monkeypatch.setattr(recolouring, "chi_omega_map", chi_map)
+        monkeypatch.setattr(buildtree, "chi_omega_map", chi_map)
+        return calls
+
+    @pytest.fixture
+    def walk_input(self, moved):
+        t = random_oat(40, 3)
+        g = replay(t)
+        S = Palette.default(chi_omega(t)[0] + 1)
+        return t, moved(t, g, S, "one-pass-a", 4 * g.n), moved(t, g, S, "one-pass-b", 4 * g.n), S
+
+    def test_find_path(self, walk_input, counted):
+        t, alpha, beta, S = walk_input
+        assert len(find_path(t, alpha, beta, S)) > 0
+        assert counted == {"replay": 1, "chi_omega_map": 1}
+
+    def test_to_canonical(self, walk_input, counted):
+        t, alpha, _, S = walk_input
+        chi = len(S) - 1
+        assert len(to_canonical(t, alpha, S, S.colours[-chi:])) > 0
+        assert counted == {"replay": 1, "chi_omega_map": 1}
+
+
+def relabelled(g: Graph, seed: str) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestGuaranteesAtScale:
+    """The paper's bounds at n in the hundreds: each to_canonical half moves
+    a vertex at most 2n times, and find_path takes at most 4n^2 steps."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: classic("path", 300),
+            lambda: relabelled(replay(random_oat(250, 0)), "scale-250"),
+            lambda: p4_sparse_third_op(40, classic("path", 10), "anti"),
+        ],
+        ids=["path_300", "relabelled_random_oat_250", "p4_sparse_anti_40"],
+    )
+    def test_bounds(self, build, moved):
+        g = build()
+        t = recognize(g).tree
+        n = g.n
+        chi = chi_omega(t)[0]
+        S = Palette.default(chi + 1)
+        ends = [moved(t, g, S, f"scale-{n}-{k}", 20 * n) for k in range(2)]
+        for end in ends:
+            half = to_canonical(t, end, S, S.prefix(chi))
+            assert max(half.recolour_counts().values(), default=0) <= 2 * n
+            assert half.final().assignment == canonical_colouring(t, S.prefix(chi)).assignment
+        seq = find_path(t, ends[0], ends[1], S)
+        rep = verify_sequence(g, seq)
+        assert rep.valid, (rep.reason, rep.first_invalid_step)
+        assert seq.final() == ends[1]
+        assert len(seq) <= 4 * n * n
+
 
 class TestVerifySequence:
     def g(self):
@@ -242,6 +333,16 @@ class TestVerifySequence:
 
 
 class TestSequenceJson:
+    def test_walk_on_numpy_labelled_tree_serialises(self):
+        t = Join(Leaf(np.int64(0)), Leaf(np.int64(1)))
+        seq = find_path(t, Colouring((1, 2), S3), Colouring((2, 1), S3), S3)
+        assert json.loads(json.dumps(sequence_to_json(seq)))["steps"][0] == {"v": 0, "c": 3}
+
+    def test_user_steps_are_normalised(self):
+        seq = RecolouringSequence(Colouring((1, 2), S3), [(np.int64(0), np.int64(3))])
+        assert seq.steps == (Step(0, 3),)
+        assert type(seq.steps[0]) is Step and type(seq.steps[0].v) is int
+
     def test_round_trip(self):
         seq = RecolouringSequence(Colouring((1, 2), S3), (Step(0, 3), Step(1, 1)))
         doc = sequence_to_json(seq)
