@@ -1,25 +1,6 @@
 """Small shared helpers."""
 
-import sys
 from collections.abc import Iterator
-from contextlib import contextmanager
-
-
-@contextmanager
-def recursion_room(frames: int):
-    """Temporarily make sure at least ``frames`` stack frames are available.
-
-    Tree walks over degenerate (path-shaped) build trees can nest about as
-    deep as the vertex count, which overruns CPython's default limit long
-    before it becomes an actual resource problem.
-    """
-    old = sys.getrecursionlimit()
-    if old < frames:
-        sys.setrecursionlimit(frames)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

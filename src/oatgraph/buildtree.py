@@ -6,6 +6,12 @@ one, and attaching a clique at an anchor.  The tree is a certificate: replay
 reconstructs the graph, chi_omega reads off the chromatic and clique numbers,
 and canonical_colouring produces the reference colouring every recolouring
 path is routed through.
+
+Each node carries its chromatic number chi and its vertex set as an int
+bitmask verts, both computed once when it is made.  Listing the vertices in
+the order the operations add them, children before parents, makes every
+subtree's vertices one contiguous run of that build order, which is how
+replay and the recolouring walk find a join's two sides.
 """
 
 from __future__ import annotations
@@ -17,58 +23,91 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+from ._util import iter_bits
 from .colouring import Colouring, Palette
 from .errors import MalformedTreeError, PaletteError
-from .graph import Graph
+from .graph import Graph, _check_dense_budget
 
 
-@dataclass(frozen=True)
-class Leaf:
+def _has(verts: int, v: int) -> bool:
+    return v >= 0 and verts >> v & 1 == 1
+
+
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """What every node computes once when it is made: its vertex set as an
+    int bitmask (bit v set means vertex v) and its chromatic number.
+
+    Equality and hashing do not recurse, so deep trees compare too: two
+    trees are equal when their postorders agree node by node on type and on
+    each node's own fields.
+    """
+
+    verts: int = field(init=False, repr=False)
+    chi: int = field(init=False, repr=False)
+    _own = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        for a, b in itertools.zip_longest(walk_postorder(self), walk_postorder(other)):
+            if type(a) is not type(b) or any(getattr(a, f) != getattr(b, f) for f in a._own):
+                return False
+        return True
+
+    def __hash__(self):
+        return hash((type(self), self.verts, self.chi))
+
+
+@dataclass(frozen=True, eq=False)
+class Leaf(_Node):
     v: int
-    verts: frozenset[int] = field(init=False, repr=False, compare=False)
+    _own = ("v",)
 
     def __post_init__(self):
         object.__setattr__(self, "v", operator.index(self.v))
         if self.v < 0:
             raise MalformedTreeError(f"leaf vertex must be non-negative, got {self.v}")
-        object.__setattr__(self, "verts", frozenset((self.v,)))
+        _check_dense_budget(self.v + 1)  # before 1 << v
+        object.__setattr__(self, "verts", 1 << self.v)
+        object.__setattr__(self, "chi", 1)
 
 
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, eq=False)
+class Union(_Node):
     left: BuildTree
     right: BuildTree
-    verts: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         overlap = self.left.verts & self.right.verts
         if overlap:
-            raise MalformedTreeError(f"union children share vertices {sorted(overlap)}")
+            raise MalformedTreeError(f"union children share vertices {list(iter_bits(overlap))}")
         object.__setattr__(self, "verts", self.left.verts | self.right.verts)
+        object.__setattr__(self, "chi", max(self.left.chi, self.right.chi))
 
 
-@dataclass(frozen=True)
-class Join:
+@dataclass(frozen=True, eq=False)
+class Join(_Node):
     left: BuildTree
     right: BuildTree
-    verts: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         overlap = self.left.verts & self.right.verts
         if overlap:
-            raise MalformedTreeError(f"join children share vertices {sorted(overlap)}")
+            raise MalformedTreeError(f"join children share vertices {list(iter_bits(overlap))}")
         object.__setattr__(self, "verts", self.left.verts | self.right.verts)
+        object.__setattr__(self, "chi", self.left.chi + self.right.chi)
 
 
-@dataclass(frozen=True)
-class Comparable:
+@dataclass(frozen=True, eq=False)
+class Comparable(_Node):
     """Add vertex u, non-adjacent to anchor v, with neighbours X ⊆ N(v)."""
 
     child: BuildTree
     u: int
     v: int
     X: tuple[int, ...]
-    verts: frozenset[int] = field(init=False, repr=False, compare=False)
+    _own = ("u", "v", "X")
 
     def __post_init__(self):
         object.__setattr__(self, "u", operator.index(self.u))
@@ -81,30 +120,32 @@ class Comparable:
         if self.u < 0:
             raise MalformedTreeError(f"comparable vertex must be non-negative, got {self.u}")
         cverts = self.child.verts
-        if self.u in cverts:
+        if _has(cverts, self.u):
             raise MalformedTreeError(f"comparable node: new vertex {self.u} already in child")
-        if self.v not in cverts:
+        if not _has(cverts, self.v):
             raise MalformedTreeError(f"comparable node: anchor {self.v} not in child")
         if self.v in X:
             raise MalformedTreeError(
                 f"comparable node ({self.u}, {self.v}): anchor cannot appear in X"
             )
-        stray = set(X) - cverts
+        stray = [x for x in X if not _has(cverts, x)]
         if stray:
             raise MalformedTreeError(
-                f"comparable node ({self.u}, {self.v}): X reaches outside child: {sorted(stray)}"
+                f"comparable node ({self.u}, {self.v}): X reaches outside child: {stray}"
             )
-        object.__setattr__(self, "verts", cverts | {self.u})
+        _check_dense_budget(self.u + 1)
+        object.__setattr__(self, "verts", cverts | 1 << self.u)
+        object.__setattr__(self, "chi", self.child.chi)
 
 
-@dataclass(frozen=True)
-class CliqueAttach:
+@dataclass(frozen=True, eq=False)
+class CliqueAttach(_Node):
     """Attach clique Q (in stored order) with every edge to anchor z."""
 
     child: BuildTree
     z: int
     Q: tuple[int, ...]
-    verts: frozenset[int] = field(init=False, repr=False, compare=False)
+    _own = ("z", "Q")
 
     def __post_init__(self):
         object.__setattr__(self, "z", operator.index(self.z))
@@ -117,14 +158,17 @@ class CliqueAttach:
         if min(Q) < 0:
             raise MalformedTreeError(f"clique node at {self.z}: negative vertex in {Q}")
         cverts = self.child.verts
-        if self.z not in cverts:
+        if not _has(cverts, self.z):
             raise MalformedTreeError(f"clique node: anchor {self.z} not in child")
-        overlap = set(Q) & cverts
-        if overlap:
+        _check_dense_budget(max(Q) + 1)
+        qverts = sum(1 << q for q in Q)
+        if qverts & cverts:
             raise MalformedTreeError(
-                f"clique node at {self.z}: Q overlaps child vertices {sorted(overlap)}"
+                f"clique node at {self.z}: Q overlaps child vertices"
+                f" {list(iter_bits(qverts & cverts))}"
             )
-        object.__setattr__(self, "verts", cverts | set(Q))
+        object.__setattr__(self, "verts", cverts | qverts)
+        object.__setattr__(self, "chi", max(self.child.chi, len(Q) + 1))
 
 
 BuildTree = Leaf | Union | Join | Comparable | CliqueAttach
@@ -146,31 +190,23 @@ def walk_postorder(t: BuildTree) -> Iterator[BuildTree]:
             stack.append((node.child, False))
 
 
-def chi_omega_map(t: BuildTree) -> dict[int, tuple[int, int]]:
-    """(chromatic number, clique number) for every node, keyed by id(node)."""
-    out: dict[int, tuple[int, int]] = {}
+def _build_order(t: BuildTree) -> list[int]:
+    """Every vertex in the order the tree adds it, children before parents:
+    a subtree's vertices are one slice, a union's or join's left side first."""
+    order: list[int] = []
     for node in walk_postorder(t):
         if isinstance(node, Leaf):
-            val = (1, 1)
-        elif isinstance(node, Union):
-            l, r = out[id(node.left)], out[id(node.right)]
-            val = (max(l[0], r[0]), max(l[1], r[1]))
-        elif isinstance(node, Join):
-            l, r = out[id(node.left)], out[id(node.right)]
-            val = (l[0] + r[0], l[1] + r[1])
+            order.append(node.v)
         elif isinstance(node, Comparable):
-            val = out[id(node.child)]
-        else:
-            c = out[id(node.child)]
-            k = len(node.Q) + 1
-            val = (max(c[0], k), max(c[1], k))
-        out[id(node)] = val
-    return out
+            order.append(node.u)
+        elif isinstance(node, CliqueAttach):
+            order.extend(node.Q)
+    return order
 
 
 def chi_omega(t: BuildTree) -> tuple[int, int]:
     """Chromatic and clique number of the built graph; these always agree."""
-    return chi_omega_map(t)[id(t)]
+    return t.chi, t.chi
 
 
 def replay(t: BuildTree) -> Graph:
@@ -181,40 +217,42 @@ def replay(t: BuildTree) -> Graph:
     are checked here because they depend on the replayed edges, not just the
     tree's shape.
     """
-    adjsets: dict[int, set[int]] = {}
+    nbrs: dict[int, int] = {}  # each vertex's neighbours as a bitmask, in build order
     for node in walk_postorder(t):
         if isinstance(node, Leaf):
-            adjsets[node.v] = set()
+            nbrs[node.v] = 0
         elif isinstance(node, Union):
             pass
         elif isinstance(node, Join):
-            left, right = node.left.verts, node.right.verts
-            for a in left:
-                adjsets[a] |= right
-            for b in right:
-                adjsets[b] |= left
+            # nbrs ends with the join's right side, and before that its left
+            newest = reversed(nbrs)
+            for b in itertools.islice(newest, node.right.verts.bit_count()):
+                nbrs[b] |= node.left.verts
+            for a in itertools.islice(newest, node.left.verts.bit_count()):
+                nbrs[a] |= node.right.verts
         elif isinstance(node, Comparable):
-            missing = set(node.X) - adjsets[node.v]
+            missing = [x for x in node.X if not nbrs[node.v] >> x & 1]
             if missing:
                 raise MalformedTreeError(
                     f"comparable node ({node.u}, {node.v}): X must lie in the anchor's"
-                    f" neighbourhood, missing {sorted(missing)}"
+                    f" neighbourhood, missing {missing}"
                 )
-            adjsets[node.u] = set(node.X)
+            u_bit, x_bits = 1 << node.u, 0
             for x in node.X:
-                adjsets[x].add(node.u)
+                x_bits |= 1 << x
+                nbrs[x] |= u_bit
+            nbrs[node.u] = x_bits
         else:
-            clique = {node.z, *node.Q}
+            clique = (node.verts & ~node.child.verts) | 1 << node.z  # Q and z
             for q in node.Q:
-                adjsets[q] = clique - {q}
-            adjsets[node.z].update(node.Q)
-    n = len(adjsets)
-    if set(adjsets) != set(range(n)):
-        raise MalformedTreeError(f"tree vertices {sorted(adjsets)} are not 0..{n - 1}")
-    rows = np.repeat(np.arange(n), [len(adjsets[v]) for v in range(n)])
-    cols = np.fromiter(itertools.chain.from_iterable(adjsets[v] for v in range(n)), np.intp)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[rows, cols] = True
+                nbrs[q] = clique & ~(1 << q)
+            nbrs[node.z] |= clique & ~(1 << node.z)
+    n = len(nbrs)
+    if t.verts != (1 << n) - 1:
+        raise MalformedTreeError(f"tree vertices {sorted(nbrs)} are not 0..{n - 1}")
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(nbrs[v].to_bytes(width, "little") for v in range(n)), np.uint8)
+    adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
     return Graph.from_adjacency(adj)
 
 
@@ -235,7 +273,6 @@ def canonical_assignment(t: BuildTree, colours: Sequence[int]) -> dict[int, int]
     comparable vertex copies its anchor, and an attached clique takes the
     first |Q| colours that remain after removing the anchor's colour.
     """
-    chiom = chi_omega_map(t)
     out: dict[int, int] = {}
     work: list[tuple[str, BuildTree, tuple[int, ...]]] = [("colour", t, tuple(colours))]
     while work:
@@ -249,62 +286,61 @@ def canonical_assignment(t: BuildTree, colours: Sequence[int]) -> dict[int, int]
             for q, col in zip(node.Q, avail):
                 out[q] = col
             continue
-        chi = chiom[id(node)][0]
-        if len(c) < chi:
-            raise PaletteError(f"need at least {chi} colours at this node, got {len(c)}")
-        c = c[:chi]
+        if len(c) < node.chi:
+            raise PaletteError(f"need at least {node.chi} colours at this node, got {len(c)}")
+        c = c[: node.chi]
         if isinstance(node, Leaf):
             out[node.v] = c[0]
         elif isinstance(node, Union):
-            work.append(("colour", node.right, c[: chiom[id(node.right)][0]]))
-            work.append(("colour", node.left, c[: chiom[id(node.left)][0]]))
+            work.append(("colour", node.right, c[: node.right.chi]))
+            work.append(("colour", node.left, c[: node.left.chi]))
         elif isinstance(node, Join):
-            split = chiom[id(node.left)][0]
-            work.append(("colour", node.right, c[split:]))
-            work.append(("colour", node.left, c[:split]))
+            work.append(("colour", node.right, c[node.left.chi :]))
+            work.append(("colour", node.left, c[: node.left.chi]))
         elif isinstance(node, Comparable):
             work.append(("echo", node, ()))
             work.append(("colour", node.child, c))
         else:
             work.append(("fill", node, c))
-            work.append(("colour", node.child, c[: chiom[id(node.child)][0]]))
+            work.append(("colour", node.child, c[: node.child.chi]))
     return out
 
 
 def canonical_colouring(t: BuildTree, colours: Palette | Sequence[int]) -> Colouring:
     """The canonical colouring over an ordered palette of exactly chi colours."""
     pal = colours if isinstance(colours, Palette) else Palette(tuple(colours))
-    chi, _ = chi_omega(t)
-    if len(pal) != chi:
-        raise PaletteError(f"canonical colouring needs exactly {chi} colours, got {len(pal)}")
-    n = len(t.verts)
-    if t.verts != frozenset(range(n)):
-        raise MalformedTreeError(f"tree vertices {sorted(t.verts)} are not 0..{n - 1}")
+    if len(pal) != t.chi:
+        raise PaletteError(f"canonical colouring needs exactly {t.chi} colours, got {len(pal)}")
+    n = t.verts.bit_count()
+    if t.verts != (1 << n) - 1:
+        raise MalformedTreeError(f"tree vertices {list(iter_bits(t.verts))} are not 0..{n - 1}")
     assign = canonical_assignment(t, pal.colours)
     return Colouring(tuple(assign[v] for v in range(n)), pal)
 
 
 def tree_to_json(t: BuildTree) -> dict[str, Any]:
-    built: dict[int, dict[str, Any]] = {}
+    built: list[dict[str, Any]] = []  # finished subtrees, the latest last
     for node in walk_postorder(t):
         if isinstance(node, Leaf):
             obj: dict[str, Any] = {"op": "leaf", "v": node.v}
         elif isinstance(node, Union):
-            obj = {"op": "union", "left": built[id(node.left)], "right": built[id(node.right)]}
+            right, left = built.pop(), built.pop()
+            obj = {"op": "union", "left": left, "right": right}
         elif isinstance(node, Join):
-            obj = {"op": "join", "left": built[id(node.left)], "right": built[id(node.right)]}
+            right, left = built.pop(), built.pop()
+            obj = {"op": "join", "left": left, "right": right}
         elif isinstance(node, Comparable):
             obj = {
                 "op": "comparable",
-                "child": built[id(node.child)],
+                "child": built.pop(),
                 "u": node.u,
                 "v": node.v,
                 "X": list(node.X),
             }
         else:
-            obj = {"op": "clique", "child": built[id(node.child)], "z": node.z, "Q": list(node.Q)}
-        built[id(node)] = obj
-    return built[id(t)]
+            obj = {"op": "clique", "child": built.pop(), "z": node.z, "Q": list(node.Q)}
+        built.append(obj)
+    return built.pop()
 
 
 _NODE_FIELDS = {

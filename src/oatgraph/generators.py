@@ -10,7 +10,6 @@ import json
 import random
 from dataclasses import dataclass
 
-from ._util import recursion_room
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
 from .graph import Graph, parse_graph
 
@@ -122,9 +121,7 @@ def random_oat(n: int, seed: int) -> BuildTree:
                 connect(a, b)
         return CliqueAttach(child, z, tuple(q)), verts + q
 
-    with recursion_room(4 * n + 2000):
-        tree, _ = build(n)
-    return tree
+    return build(n)[0]
 
 
 def p4_sparse_third_op(v1_size: int, r: Graph | None, case: str) -> Graph:

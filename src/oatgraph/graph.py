@@ -7,6 +7,7 @@ counts and neighbourhood comparisons all become vectorised operations.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
@@ -18,8 +19,9 @@ from .errors import GraphFormatError, SizeBudgetError
 
 # Peak memory of recognising an n-vertex graph, in units of its n*n boolean
 # adjacency plus one n*n int64 A@A.  Building A@A, and each deconstruction
-# move, holds two n*n eight-byte matrices; the rest covers the certificate,
-# whose per-node vertex sets reach the same order on chain-shaped trees.
+# move, holds two n*n eight-byte matrices; the rest is headroom for the
+# adjacency itself and a dense graph's neighbour lists, which hold one
+# eight-byte reference per edge end.
 _DENSE_FOOTPRINT_FACTOR = 4
 
 
@@ -239,6 +241,7 @@ def clique_attachment(g: Graph) -> tuple[int, tuple[int, ...]] | None:
     return pendant_clique(g.neighbour_masks, range(g.n), (1 << g.n) - 1)
 
 
+@functools.cache
 def _physical_memory() -> int | None:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

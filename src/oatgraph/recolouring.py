@@ -16,18 +16,20 @@ through emit is what keeps nested hooks correct when inner renames touch an
 outer hook's anchor.  Hooks are indexed by anchor, each anchor holding a
 stack of its own, so a step pays only for the hooks on the vertex that moves.
 
-Each call replays the certificate once and computes its chi/omega map once;
-find_path shares both between its two halves.  A join's rename maps the
+Each call replays the certificate once and lists its vertices in build
+order once; find_path shares both between its two halves.  A join reads
+each side's vertices as a slice of that order, and its rename maps the
 palettes its two sides were made canonical over onto its own palette, so
-it needs no further pass over the certificate.
+it needs no further pass over the certificate.  The walk and emit keep
+explicit work stacks, so tree depth never meets the recursion limit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from ._util import recursion_room
 from .buildtree import (
     BuildTree,
     CliqueAttach,
@@ -35,7 +37,7 @@ from .buildtree import (
     Join,
     Leaf,
     Union,
-    chi_omega_map,
+    _build_order,
     replay,
 )
 from .colouring import Colouring, Palette, colouring_from_json, colouring_to_json
@@ -56,7 +58,8 @@ class RecolouringSequence:
     steps: tuple[Step, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(Step(int(v), int(c)) for v, c in self.steps))
+        index = operator.index  # a float step is refused, not truncated
+        object.__setattr__(self, "steps", tuple(Step(index(v), index(c)) for v, c in self.steps))
 
     @classmethod
     def _from_steps(cls, initial: Colouring, steps: tuple[Step, ...]) -> RecolouringSequence:
@@ -192,17 +195,15 @@ def to_canonical(
     """
     g = replay(t)
     _check_start(g, alpha, S)
-    chiom = chi_omega_map(t)
-    chi = chiom[id(t)][0]
-    if len(S) < chi + 1:
-        raise PaletteTooSmallError(f"need at least {chi + 1} working colours, got {len(S)}")
+    if len(S) < t.chi + 1:
+        raise PaletteTooSmallError(f"need at least {t.chi + 1} working colours, got {len(S)}")
     cpal = C if isinstance(C, Palette) else Palette(tuple(C))
-    if len(cpal) != chi:
-        raise PaletteError(f"target palette needs exactly {chi} colours, got {len(cpal)}")
+    if len(cpal) != t.chi:
+        raise PaletteError(f"target palette needs exactly {t.chi} colours, got {len(cpal)}")
     stray = [c for c in cpal if c not in S]
     if stray:
         raise PaletteError(f"target colours {stray} outside working palette {S.colours}")
-    steps = _walk(t, chiom, alpha, S, cpal.colours)
+    steps = _walk(t, _build_order(t), alpha, S, cpal.colours)
     return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
 
 
@@ -219,12 +220,13 @@ def _check_start(g: Graph, alpha: Colouring, S: Palette) -> None:
 
 def _walk(
     t: BuildTree,
-    chiom: dict[int, tuple[int, int]],
+    order: list[int],
     alpha: Colouring,
     S: Palette,
     c_root: tuple[int, ...],
 ) -> list[Step]:
-    """The steps of to_canonical, for a start and palettes already checked."""
+    """The steps of to_canonical, for a start and palettes already checked;
+    order is the tree's build order."""
     n = alpha.n
     state = list(alpha.assignment)
     steps: list[Step] = []
@@ -235,91 +237,111 @@ def _walk(
     new_step = tuple.__new__  # Step(v, c) without NamedTuple's Python-level __new__
 
     def emit(v: int, c: int):
-        if state[v] == c:
-            return
-        # Innermost guard first: evict the clique vertex that clashes with
-        # the colour its anchor is about to take.  Only neighbours inside
-        # the guard's own scope constrain the evasion colour; clashes with
-        # enclosing scopes resolve through their own guards and mirrors.
-        for q_verts, avail in reversed(guards[v]):
-            clash = [q for q in q_verts if state[q] == c]
-            if clash:
-                q = min(clash)
-                blocked = {state[x] for x in q_verts if x != q} | {state[v], c}
-                emit(q, min(x for x in avail if x not in blocked))
-        state[v] = c
-        steps.append(new_step(Step, (v, c)))
-        # Outermost mirror first: a twin follows its anchor, cascading.
-        for twin in mirrors[v]:
-            emit(twin, c)
+        # Moves to make, next one last, as (v, c, hook): hook None moves v
+        # to c, a guard (Q, palette) of v runs before v takes c, and () makes
+        # the step.  Guards and twins go on top, so they finish first.
+        todo: list[tuple[int, int, Any]] = [(v, c, None)]
+        while todo:
+            v, c, hook = todo.pop()
+            if hook is None:
+                if state[v] == c:
+                    continue
+                if guards[v]:
+                    todo.append((v, c, ()))
+                    # innermost guard last, so it runs first
+                    todo.extend([(v, c, guard) for guard in guards[v]])
+                    continue
+            elif hook:
+                # Evict the clique vertex that clashes with the colour its
+                # anchor v is about to take.  Only neighbours inside the
+                # guard's own scope constrain the evasion colour; clashes with
+                # enclosing scopes resolve through their own guards and mirrors.
+                q_verts, avail = hook
+                clash = [q for q in q_verts if state[q] == c]
+                if clash:
+                    q = min(clash)
+                    blocked = {state[x] for x in q_verts if x != q} | {state[v], c}
+                    todo.append((q, min(x for x in avail if x not in blocked), None))
+                continue
+            state[v] = c
+            steps.append(new_step(Step, (v, c)))
+            # A twin follows its anchor, outermost mirror first, cascading.
+            for twin in reversed(mirrors[v]):
+                todo.append((twin, c, None))
 
-    def join_case(node: Join, s_node: tuple[int, ...], c_node: tuple[int, ...]):
-        chi_l = chiom[id(node.left)][0]
-        chi_r = chiom[id(node.right)][0]
-        used_l = {state[v] for v in node.left.verts}
-        used_r = {state[v] for v in node.right.verts}
-        sides = [(node.left, chi_l, used_l), (node.right, chi_r, used_r)]
-        if len(used_l) == chi_l and len(used_r) > chi_r:
-            sides.reverse()
-        # The colours the join's vertices hold, kept without reading them
-        # again: hooks only move vertices added above their anchor, so a
-        # side's walk moves no vertex of the other side, and it leaves its
-        # own side on exactly the colours of c_side.
-        held = used_l | used_r
-        side_colours = {}
-        for idx, (side, chi_side, used) in enumerate(sides):
-            used = sorted(used)
-            s_side = set(used)
-            if idx == 1 or len(used) == chi_side:
-                # a colour no vertex of the whole join currently holds
-                s_side.add(min(x for x in s_node if x not in held))
-            c_side = side_colours[id(side)] = tuple(used[:chi_side])
-            walk(side, tuple(sorted(s_side)), c_side)
-            held = set(c_side) | sides[1][2]
+    def walk(node: BuildTree, lo: int, s_node: tuple[int, ...], c_node: tuple[int, ...]):
+        """Make the subtree at node, whose vertices start at order[lo], canonical."""
+        if isinstance(node, Leaf):
+            emit(node.v, c_node[0])
+        elif isinstance(node, Union):
+            mid = lo + node.left.verts.bit_count()
+            work.append((walk, node.right, mid, s_node, c_node[: node.right.chi]))
+            work.append((walk, node.left, lo, s_node, c_node[: node.left.chi]))
+        elif isinstance(node, Join):
+            left, right = node.left, node.right
+            mid = lo + left.verts.bit_count()
+            hi = mid + right.verts.bit_count()
+            used_l = {state[v] for v in order[lo:mid]}
+            used_r = {state[v] for v in order[mid:hi]}
+            c_left = tuple(sorted(used_l)[: left.chi])
+            c_right = tuple(sorted(used_r)[: right.chi])
+            sides = [(left, lo, used_l, c_left), (right, mid, used_r, c_right)]
+            if len(used_l) == left.chi and len(used_r) > right.chi:
+                sides.reverse()
+            # Hooks only move vertices added above their anchor, so a side's
+            # walk moves no vertex of the other side and leaves its own on
+            # exactly c_side: both palettes follow from the colours held now.
+            held = used_l | used_r
+            walks = []
+            for idx, (side, side_lo, used, c_side) in enumerate(sides):
+                s_side = set(used)
+                if idx == 1 or len(used) == side.chi:
+                    # a colour no vertex of the whole join holds
+                    s_side.add(min(x for x in s_node if x not in held))
+                walks.append((walk, side, side_lo, tuple(sorted(s_side)), c_side))
+                held = set(c_side) | sides[1][2]
+            # The canonical rule splits c_node as left palette then right.
+            work.append((join_done, order[lo:hi], s_node, dict(zip(c_left + c_right, c_node))))
+            work.extend(reversed(walks))
+        elif isinstance(node, Comparable):
+            if state[node.u] != state[node.v]:
+                emit(node.u, state[node.v])
+            mirrors[node.v].append(node.u)
+            work.append((mirrors[node.v].pop,))
+            work.append((walk, node.child, lo, s_node, c_node))
+        else:
+            guards[node.z].append((node.Q, s_node))
+            work.append((clique_done, node, s_node, c_node))
+            work.append((walk, node.child, lo, s_node, c_node[: node.child.chi]))
+
+    def join_done(vertices: list[int], s_node: tuple[int, ...], rename_to: dict[int, int]):
         # Both sides are canonical over side-local palettes, so the subtree
         # already has the canonical colour classes; one rename fixes names.
-        # The canonical rule splits c_node as left palette then right, so
-        # the i-th colour of the two side palettes in that order becomes
-        # c_node[i].
-        rename_to = dict(zip(side_colours[id(node.left)] + side_colours[id(node.right)], c_node))
         by_colour: dict[int, list[int]] = {}
-        for v in sorted(node.verts):
+        for v in sorted(vertices):
             by_colour.setdefault(state[v], []).append(v)
         classes = sorted(by_colour.values())
         current = [state[members[0]] for members in classes]
         _rename_plan(classes, current, [rename_to[c] for c in current], s_node, emit)
 
-    def walk(node: BuildTree, s_node: tuple[int, ...], c_node: tuple[int, ...]):
-        if isinstance(node, Leaf):
-            emit(node.v, c_node[0])
-        elif isinstance(node, Union):
-            walk(node.left, s_node, c_node[: chiom[id(node.left)][0]])
-            walk(node.right, s_node, c_node[: chiom[id(node.right)][0]])
-        elif isinstance(node, Join):
-            join_case(node, s_node, c_node)
-        elif isinstance(node, Comparable):
-            if state[node.u] != state[node.v]:
-                emit(node.u, state[node.v])
-            mirrors[node.v].append(node.u)
-            walk(node.child, s_node, c_node)
-            mirrors[node.v].pop()
-        else:
-            guards[node.z].append((node.Q, s_node))
-            walk(node.child, s_node, c_node[: chiom[id(node.child)][0]])
-            guards[node.z].pop()
-            cstar = state[node.z]
-            fill = [c for c in c_node if c != cstar][: len(node.Q)]
-            order = sorted(range(len(node.Q)), key=lambda i: node.Q[i])
-            _rename_plan(
-                [(node.Q[i],) for i in order],
-                [state[node.Q[i]] for i in order],
-                [fill[i] for i in order],
-                tuple(x for x in s_node if x != cstar),
-                emit,
-            )
+    def clique_done(node: CliqueAttach, s_node: tuple[int, ...], c_node: tuple[int, ...]):
+        guards[node.z].pop()
+        cstar = state[node.z]
+        fill = [c for c in c_node if c != cstar][: len(node.Q)]
+        by_label = sorted(range(len(node.Q)), key=lambda i: node.Q[i])
+        _rename_plan(
+            [(node.Q[i],) for i in by_label],
+            [state[node.Q[i]] for i in by_label],
+            [fill[i] for i in by_label],
+            tuple(x for x in s_node if x != cstar),
+            emit,
+        )
 
-    with recursion_room(4 * n + 2000):
-        walk(t, S.colours, c_root)
+    # Each entry is a function and its arguments, the next one last.
+    work: list[tuple[Any, ...]] = [(walk, t, 0, S.colours, c_root)]
+    while work:
+        fn, *args = work.pop()
+        fn(*args)
     return steps
 
 
@@ -342,18 +364,17 @@ def find_path(
     colours of S, then traverse the second sequence backwards, each reversed
     step restoring the colour its vertex held before the original step.
     Mutually undoing steps at the junction are peeled off.  Both halves
-    share one replay of the certificate and one chi/omega map.
+    share one replay of the certificate and one build order.
     """
-    chiom = chi_omega_map(t)
-    chi = chiom[id(t)][0]
-    if len(S) < chi + 1:
-        raise PaletteTooSmallError(f"need at least {chi + 1} working colours, got {len(S)}")
-    c_root = S.colours[:chi]
+    if len(S) < t.chi + 1:
+        raise PaletteTooSmallError(f"need at least {t.chi + 1} working colours, got {len(S)}")
+    c_root = S.colours[: t.chi]
     g = replay(t)
+    order = _build_order(t)
     _check_start(g, alpha, S)
-    fsteps = _walk(t, chiom, alpha, S, c_root)
+    fsteps = _walk(t, order, alpha, S, c_root)
     _check_start(g, beta, S)
-    bsteps = _walk(t, chiom, beta, S, c_root)
+    bsteps = _walk(t, order, beta, S, c_root)
     fpre = _pre_colours(alpha.assignment, fsteps)
     bpre = _pre_colours(beta.assignment, bsteps)
     back = [Step(v, p) for (v, _), p in zip(bsteps, bpre)]
@@ -428,7 +449,8 @@ def sequence_from_json(obj: Any) -> RecolouringSequence:
         if not isinstance(item, dict) or set(item) != {"v", "c"}:
             raise ColouringError(f"step {i} must be an object with keys 'v' and 'c'")
         v, c = item["v"], item["c"]
-        if not isinstance(v, int) or not isinstance(c, int):
+        # bool is an int subclass; JSON true/false are not vertices or colours
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (v, c)):
             raise ColouringError(f"step {i} fields must be integers")
         steps.append(Step(v, c))
     return RecolouringSequence(initial, tuple(steps))

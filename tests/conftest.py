@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
-from oatgraph import Colouring, Graph, Palette, canonical_colouring, chi_omega
+from oatgraph import Colouring, Comparable, Graph, Join, Leaf, Palette, Union
+from oatgraph import canonical_colouring, chi_omega
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -36,6 +38,34 @@ def moved_colouring(tree, g: Graph, S: Palette, seed: str, moves: int) -> Colour
 @pytest.fixture
 def moved():
     return moved_colouring
+
+
+def path_tree(n: int):
+    """The build tree recognize returns for the path 0-1-...-(n-1), n >= 3,
+    made by hand: a comparable chain n - 3 nodes deep over P_3."""
+    t = Join(Union(Leaf(n - 3), Leaf(n - 1)), Leaf(n - 2))
+    for u in range(n - 4, -1, -1):
+        t = Comparable(t, u, u + 2, (u + 1,))
+    return t
+
+
+@pytest.fixture
+def path_chain():
+    return path_tree
+
+
+@pytest.fixture
+def shallow_stack(monkeypatch):
+    """A 400-frame recursion limit that the code under test cannot raise."""
+    set_limit, old = sys.setrecursionlimit, sys.getrecursionlimit()
+
+    def refuse(limit):
+        raise AssertionError(f"asked for recursion limit {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    set_limit(400)
+    yield
+    set_limit(old)
 
 
 # Verdict lines recorded by test_acceptance.py, echoed after capture ends.

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oatgraph import (
     Join,
     Leaf,
     MalformedTreeError,
+    OatGraphError,
     Palette,
     PaletteError,
     Union,
@@ -78,6 +80,65 @@ class TestNodeValidation:
     def test_clique_keeps_stored_order(self):
         t = CliqueAttach(Leaf(0), 0, (2, 1))
         assert t.Q == (2, 1)
+
+
+class TestNodeData:
+    def test_verts_bitmask_and_chi(self):
+        assert P3_TREE.verts == 0b111 and P3_TREE.chi == 2
+        assert P3_TREE.left.verts == 0b101 and P3_TREE.left.chi == 1
+        t = CliqueAttach(Comparable(P3_TREE, 3, 1, (0,)), 3, (5, 4))
+        assert t.child.verts == 0b1111 and t.child.chi == 2
+        assert t.verts == 0b111111 and t.chi == 3
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Leaf(10**12),
+            lambda: Comparable(Leaf(0), 10**12, 0, ()),
+            lambda: CliqueAttach(Leaf(0), 0, (1, 10**12)),
+            lambda: tree_from_json({"op": "leaf", "v": 10**12}),
+            lambda: tree_from_json(
+                {"op": "clique", "child": {"op": "leaf", "v": 0}, "z": 0, "Q": [10**12]}
+            ),
+        ],
+    )
+    def test_refuses_label_beyond_dense_budget_before_allocating(self, make):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OatGraphError):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestDeepTrees:
+    N = 3000
+
+    def test_equal_chains_compare_and_hash_equal(self, path_chain):
+        a, b = path_chain(self.N), path_chain(self.N)
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_one_changed_label_compares_unequal(self, path_chain):
+        n = self.N
+        t = Join(Union(Leaf(n - 3), Leaf(n - 1)), Leaf(n - 2))
+        for u in range(n - 4, -1, -1):
+            # same vertices and chi, one X label moved deep in the chain
+            t = Comparable(t, u, u + 2, (u + 3,) if u == 5 else (u + 1,))
+        assert t != path_chain(n)
+        assert path_chain(n) != t
+
+    def test_path_chain_holds_under_2_mib(self, path_chain):
+        tracemalloc.start()
+        try:
+            t = path_chain(2000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert t.verts == (1 << 2000) - 1
+        assert held < 2 * 2**20
 
 
 class TestReplay:

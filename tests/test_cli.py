@@ -235,6 +235,20 @@ class TestVerify:
         assert out["valid"] is False
         assert out["first_invalid_step"] == 1
 
+    def test_boolean_step_exits_2_with_one_line(self, tmp_path, capsys):
+        gp = write_graph(tmp_path, classic("path", 2))
+        doc = {
+            "initial": {"palette": [1, 2, 3], "assignment": [1, 2]},
+            "steps": [{"v": True, "c": 3}],
+        }
+        sp = tmp_path / "seq.json"
+        sp.write_text(json.dumps(doc))
+        assert main(["verify", gp, str(sp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         gp = write_graph(tmp_path, classic("path", 2))
         sp = tmp_path / "seq.json"

@@ -156,3 +156,8 @@ class TestP4Sparse:
                 for r in (None, classic("complete", 3), replay(random_oat(5, 2))):
                     g = p4_sparse_third_op(v1, r, case)
                     assert recognize(g).is_oat, (case, v1)
+
+
+def test_random_oat_needs_no_recursion_room(shallow_stack):
+    for seed in range(3):
+        assert random_oat(1000, seed).verts == (1 << 1000) - 1

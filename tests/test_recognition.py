@@ -164,6 +164,12 @@ class TestRecognize:
         assert recognize(g).is_oat == brute_is_oat(g)
 
 
+def test_3000_random_graphs_n7_to_9_agree_with_brute(gnp):
+    for seed in range(3000):
+        g = gnp(7 + seed % 3, 0.5, seed)
+        assert recognize(g).is_oat == brute_is_oat(g), (g.n, seed)
+
+
 class TestScale:
     def test_path_memory_is_quadratic(self):
         # A handful of n x n int64 matrices at most; keeping one induced copy

@@ -218,25 +218,18 @@ class TestFindPath:
 
 
 class TestOneCertificatePass:
-    """find_path and to_canonical replay the certificate and compute its
-    chi/omega map once per call, however many joins the walk renames."""
+    """find_path and to_canonical replay the certificate once per call,
+    however many joins the walk renames."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"replay": 0, "chi_omega_map": 0}
+        calls = {"replay": 0}
 
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def counting(*args):
+            calls["replay"] += 1
+            return buildtree.replay(*args)
 
-            return wrapper
-
-        monkeypatch.setattr(recolouring, "replay", counting("replay", buildtree.replay))
-        chi_map = counting("chi_omega_map", buildtree.chi_omega_map)
-        # buildtree's own name too, which chi_omega and canonical_assignment call
-        monkeypatch.setattr(recolouring, "chi_omega_map", chi_map)
-        monkeypatch.setattr(buildtree, "chi_omega_map", chi_map)
+        monkeypatch.setattr(recolouring, "replay", counting)
         return calls
 
     @pytest.fixture
@@ -249,13 +242,41 @@ class TestOneCertificatePass:
     def test_find_path(self, walk_input, counted):
         t, alpha, beta, S = walk_input
         assert len(find_path(t, alpha, beta, S)) > 0
-        assert counted == {"replay": 1, "chi_omega_map": 1}
+        assert counted == {"replay": 1}
 
     def test_to_canonical(self, walk_input, counted):
         t, alpha, _, S = walk_input
         chi = len(S) - 1
         assert len(to_canonical(t, alpha, S, S.colours[-chi:])) > 0
-        assert counted == {"replay": 1, "chi_omega_map": 1}
+        assert counted == {"replay": 1}
+
+
+class TestDeepCertificate:
+    """A 600-deep comparable chain, the tree recognize gives P_600, walked
+    under a 400-frame recursion limit that cannot be raised."""
+
+    N = 600
+
+    @pytest.fixture
+    def walk_input(self, path_chain, moved):
+        t = path_chain(self.N)
+        g = replay(t)
+        S = Palette.default(3)
+        return t, g, S, moved(t, g, S, "deep-a", 20 * g.n), moved(t, g, S, "deep-b", 20 * g.n)
+
+    def test_to_canonical(self, walk_input, shallow_stack):
+        t, g, S, alpha, _ = walk_input
+        seq = to_canonical(t, alpha, S, S.colours[:2])
+        assert verify_sequence(g, seq).valid
+        assert seq.final().assignment == canonical_colouring(t, S.prefix(2)).assignment
+        assert len(seq) <= 4 * self.N**2
+
+    def test_find_path(self, walk_input, shallow_stack):
+        t, g, S, alpha, beta = walk_input
+        seq = find_path(t, alpha, beta, S)
+        assert verify_sequence(g, seq).valid
+        assert seq.final() == beta
+        assert len(seq) <= 4 * self.N**2
 
 
 def relabelled(g: Graph, seed: str) -> Graph:
@@ -353,6 +374,16 @@ class TestSequenceJson:
         back = sequence_from_json(json.loads(json.dumps(doc)))
         assert back.initial == seq.initial
         assert back.steps == seq.steps
+
+    def test_rejects_boolean_step_fields(self):
+        initial = {"palette": [1, 2, 3], "assignment": [1, 2]}
+        for step in ({"v": True, "c": 3}, {"v": 0, "c": False}):
+            with pytest.raises(ColouringError):
+                sequence_from_json({"initial": initial, "steps": [step]})
+
+    def test_refuses_float_step(self):
+        with pytest.raises(TypeError):
+            RecolouringSequence(Colouring((1, 2), S3), [(0, 3.0)])
 
     def test_rejects_missing_steps(self):
         with pytest.raises(ColouringError):
