@@ -7,11 +7,19 @@ reconstructs the graph, chi_omega reads off the chromatic and clique numbers,
 and canonical_colouring produces the reference colouring every recolouring
 path is routed through.
 
-Each node carries its chromatic number chi and its vertex set as an int
-bitmask verts, both computed once when it is made.  Listing the vertices in
-the order the operations add them, children before parents, makes every
-subtree's vertices one contiguous run of that build order, which is how
-replay and the recolouring walk find a join's two sides.
+Each operation is declared once, on its node class: its name in the tree
+JSON, its child fields and its own label fields.  Equality, repr,
+tree_to_json and tree_from_json all read that table, and none of them
+recurses, so trees of any depth compare, print and serialise.  Each node
+carries its chromatic number chi and its vertex set as an int bitmask verts,
+both computed once when it is made.
+
+The edges each operation adds are written once too, as one update of the
+vertices' neighbour bitmasks that replay applies node by node and
+random_oat applies as it builds.  Those bitmasks are kept in the order the
+operations add the vertices, children before parents, so every subtree's
+vertices are one contiguous run of that build order: replay finds a join's
+two sides as the newest runs, and hands the order to the recolouring walk.
 """
 
 from __future__ import annotations
@@ -33,19 +41,26 @@ def _has(verts: int, v: int) -> bool:
     return v >= 0 and verts >> v & 1 == 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Node:
     """What every node computes once when it is made: its vertex set as an
     int bitmask (bit v set means vertex v) and its chromatic number.
 
-    Equality and hashing do not recurse, so deep trees compare too: two
+    Each subclass declares its operation: _op, its name in the tree JSON;
+    _kids, its child fields; _own, its label fields, each with the JSON type
+    it takes (int, or list for a list of ints).  The constructor and the
+    JSON object both list the children, then the labels.
+
+    Equality, hashing and repr do not recurse, so deep trees work too: two
     trees are equal when their postorders agree node by node on type and on
     each node's own fields.
     """
 
     verts: int = field(init=False, repr=False)
     chi: int = field(init=False, repr=False)
-    _own = ()
+    _op = ""
+    _kids = ()
+    _own = {}
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -58,11 +73,30 @@ class _Node:
     def __hash__(self):
         return hash((type(self), self.verts, self.chi))
 
+    def __repr__(self):
+        # The dataclass repr, e.g. Comparable(child=Leaf(v=0), u=1, v=0, X=()),
+        # written from a stack of pending text and nodes.
+        out: list[str] = []
+        todo: list[Any] = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__name__}("]
+            for i, f in enumerate((*item._kids, *item._own)):
+                val = getattr(item, f)
+                parts += [f"{', ' if i else ''}{f}=", val if f in item._kids else repr(val)]
+            parts.append(")")
+            todo.extend(reversed(parts))
+        return "".join(out)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Leaf(_Node):
     v: int
-    _own = ("v",)
+    _op = "leaf"
+    _own = {"v": int}
 
     def __post_init__(self):
         object.__setattr__(self, "v", operator.index(self.v))
@@ -73,10 +107,12 @@ class Leaf(_Node):
         object.__setattr__(self, "chi", 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Union(_Node):
     left: BuildTree
     right: BuildTree
+    _op = "union"
+    _kids = ("left", "right")
 
     def __post_init__(self):
         overlap = self.left.verts & self.right.verts
@@ -86,10 +122,12 @@ class Union(_Node):
         object.__setattr__(self, "chi", max(self.left.chi, self.right.chi))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Join(_Node):
     left: BuildTree
     right: BuildTree
+    _op = "join"
+    _kids = ("left", "right")
 
     def __post_init__(self):
         overlap = self.left.verts & self.right.verts
@@ -99,7 +137,7 @@ class Join(_Node):
         object.__setattr__(self, "chi", self.left.chi + self.right.chi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Comparable(_Node):
     """Add vertex u, non-adjacent to anchor v, with neighbours X ⊆ N(v)."""
 
@@ -107,7 +145,9 @@ class Comparable(_Node):
     u: int
     v: int
     X: tuple[int, ...]
-    _own = ("u", "v", "X")
+    _op = "comparable"
+    _kids = ("child",)
+    _own = {"u": int, "v": int, "X": list}
 
     def __post_init__(self):
         object.__setattr__(self, "u", operator.index(self.u))
@@ -138,14 +178,16 @@ class Comparable(_Node):
         object.__setattr__(self, "chi", self.child.chi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CliqueAttach(_Node):
     """Attach clique Q (in stored order) with every edge to anchor z."""
 
     child: BuildTree
     z: int
     Q: tuple[int, ...]
-    _own = ("z", "Q")
+    _op = "clique"
+    _kids = ("child",)
+    _own = {"z": int, "Q": list}
 
     def __post_init__(self):
         object.__setattr__(self, "z", operator.index(self.z))
@@ -190,23 +232,56 @@ def walk_postorder(t: BuildTree) -> Iterator[BuildTree]:
             stack.append((node.child, False))
 
 
-def _build_order(t: BuildTree) -> list[int]:
-    """Every vertex in the order the tree adds it, children before parents:
-    a subtree's vertices are one slice, a union's or join's left side first."""
-    order: list[int] = []
-    for node in walk_postorder(t):
-        if isinstance(node, Leaf):
-            order.append(node.v)
-        elif isinstance(node, Comparable):
-            order.append(node.u)
-        elif isinstance(node, CliqueAttach):
-            order.extend(node.Q)
-    return order
-
-
 def chi_omega(t: BuildTree) -> tuple[int, int]:
     """Chromatic and clique number of the built graph; these always agree."""
     return t.chi, t.chi
+
+
+def _add_op(nbrs: dict[int, int], node: BuildTree) -> None:
+    """Apply node's operation to nbrs, each vertex's neighbours as a bitmask,
+    whose keys are the vertices so far in build order; node's children are
+    already applied."""
+    if isinstance(node, Leaf):
+        nbrs[node.v] = 0
+    elif isinstance(node, Join):
+        # nbrs ends with the join's right side, and before that its left
+        newest = reversed(nbrs)
+        for b in itertools.islice(newest, node.right.verts.bit_count()):
+            nbrs[b] |= node.left.verts
+        for a in itertools.islice(newest, node.left.verts.bit_count()):
+            nbrs[a] |= node.right.verts
+    elif isinstance(node, Comparable):
+        missing = [x for x in node.X if not nbrs[node.v] >> x & 1]
+        if missing:
+            raise MalformedTreeError(
+                f"comparable node ({node.u}, {node.v}): X must lie in the anchor's"
+                f" neighbourhood, missing {missing}"
+            )
+        u_bit, x_bits = 1 << node.u, 0
+        for x in node.X:
+            x_bits |= 1 << x
+            nbrs[x] |= u_bit
+        nbrs[node.u] = x_bits
+    elif isinstance(node, CliqueAttach):
+        clique = (node.verts & ~node.child.verts) | 1 << node.z  # Q and z
+        for q in node.Q:
+            nbrs[q] = clique & ~(1 << q)
+        nbrs[node.z] |= clique & ~(1 << node.z)
+
+
+def _replay(t: BuildTree) -> tuple[Graph, list[int]]:
+    """replay's graph, and every vertex in the order the tree adds it: a
+    subtree's vertices are one slice, a union's or join's left side first."""
+    nbrs: dict[int, int] = {}
+    for node in walk_postorder(t):
+        _add_op(nbrs, node)
+    n = len(nbrs)
+    if t.verts != (1 << n) - 1:
+        raise MalformedTreeError(f"tree vertices {sorted(nbrs)} are not 0..{n - 1}")
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(nbrs[v].to_bytes(width, "little") for v in range(n)), np.uint8)
+    adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
+    return Graph.from_adjacency(adj), list(nbrs)
 
 
 def replay(t: BuildTree) -> Graph:
@@ -217,43 +292,7 @@ def replay(t: BuildTree) -> Graph:
     are checked here because they depend on the replayed edges, not just the
     tree's shape.
     """
-    nbrs: dict[int, int] = {}  # each vertex's neighbours as a bitmask, in build order
-    for node in walk_postorder(t):
-        if isinstance(node, Leaf):
-            nbrs[node.v] = 0
-        elif isinstance(node, Union):
-            pass
-        elif isinstance(node, Join):
-            # nbrs ends with the join's right side, and before that its left
-            newest = reversed(nbrs)
-            for b in itertools.islice(newest, node.right.verts.bit_count()):
-                nbrs[b] |= node.left.verts
-            for a in itertools.islice(newest, node.left.verts.bit_count()):
-                nbrs[a] |= node.right.verts
-        elif isinstance(node, Comparable):
-            missing = [x for x in node.X if not nbrs[node.v] >> x & 1]
-            if missing:
-                raise MalformedTreeError(
-                    f"comparable node ({node.u}, {node.v}): X must lie in the anchor's"
-                    f" neighbourhood, missing {missing}"
-                )
-            u_bit, x_bits = 1 << node.u, 0
-            for x in node.X:
-                x_bits |= 1 << x
-                nbrs[x] |= u_bit
-            nbrs[node.u] = x_bits
-        else:
-            clique = (node.verts & ~node.child.verts) | 1 << node.z  # Q and z
-            for q in node.Q:
-                nbrs[q] = clique & ~(1 << q)
-            nbrs[node.z] |= clique & ~(1 << node.z)
-    n = len(nbrs)
-    if t.verts != (1 << n) - 1:
-        raise MalformedTreeError(f"tree vertices {sorted(nbrs)} are not 0..{n - 1}")
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(nbrs[v].to_bytes(width, "little") for v in range(n)), np.uint8)
-    adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
-    return Graph.from_adjacency(adj)
+    return _replay(t)[0]
 
 
 def validate(t: BuildTree, g: Graph) -> bool:
@@ -321,94 +360,63 @@ def canonical_colouring(t: BuildTree, colours: Palette | Sequence[int]) -> Colou
 def tree_to_json(t: BuildTree) -> dict[str, Any]:
     built: list[dict[str, Any]] = []  # finished subtrees, the latest last
     for node in walk_postorder(t):
-        if isinstance(node, Leaf):
-            obj: dict[str, Any] = {"op": "leaf", "v": node.v}
-        elif isinstance(node, Union):
-            right, left = built.pop(), built.pop()
-            obj = {"op": "union", "left": left, "right": right}
-        elif isinstance(node, Join):
-            right, left = built.pop(), built.pop()
-            obj = {"op": "join", "left": left, "right": right}
-        elif isinstance(node, Comparable):
-            obj = {
-                "op": "comparable",
-                "child": built.pop(),
-                "u": node.u,
-                "v": node.v,
-                "X": list(node.X),
-            }
-        else:
-            obj = {"op": "clique", "child": built.pop(), "z": node.z, "Q": list(node.Q)}
+        obj: dict[str, Any] = {"op": node._op}
+        for f in node._kids:
+            obj[f] = None  # the children come off built last first; keep their key order
+        for f in reversed(node._kids):
+            obj[f] = built.pop()
+        for f, kind in node._own.items():
+            val = getattr(node, f)
+            obj[f] = val if kind is int else list(val)
         built.append(obj)
     return built.pop()
 
 
-_NODE_FIELDS = {
-    "leaf": {"op", "v"},
-    "union": {"op", "left", "right"},
-    "join": {"op", "left", "right"},
-    "comparable": {"op", "child", "u", "v", "X"},
-    "clique": {"op", "child", "z", "Q"},
+# Each JSON op name, with its node class and the fields its object holds.
+_OPS = {
+    cls._op: (cls, frozenset({"op", *cls._kids, *cls._own}))
+    for cls in (Leaf, Union, Join, Comparable, CliqueAttach)
 }
 
 
-def _json_int(d: dict[str, Any], key: str, op: str) -> int:
-    val = d[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise MalformedTreeError(f"{op} node field {key!r} must be an integer, got {val!r}")
-    return val
-
-
-def _json_int_list(d: dict[str, Any], key: str, op: str) -> tuple[int, ...]:
-    val = d[key]
-    if not isinstance(val, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in val):
-        raise MalformedTreeError(f"{op} node field {key!r} must be a list of integers, got {val!r}")
-    return tuple(val)
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is no label
 
 
 def tree_from_json(obj: Any) -> BuildTree:
     done: list[BuildTree] = []
-    work: list[tuple[Any, bool]] = [(obj, False)]
+    work: list[tuple[Any, Any]] = [(obj, None)]  # an object, and its class once expanded
     while work:
-        d, expanded = work.pop()
-        if not expanded:
+        d, cls = work.pop()
+        if cls is None:
             if not isinstance(d, dict):
                 raise MalformedTreeError(f"tree node must be an object, got {type(d).__name__}")
             op = d.get("op")
-            if op not in _NODE_FIELDS:
+            if not isinstance(op, str) or op not in _OPS:
                 raise MalformedTreeError(f"unknown tree op {op!r}")
-            fields = _NODE_FIELDS[op]
-            missing = fields - set(d)
+            cls, fields = _OPS[op]
+            missing = fields - d.keys()
             if missing:
                 raise MalformedTreeError(f"{op} node missing fields {sorted(missing)}")
-            extra = set(d) - fields
+            extra = d.keys() - fields
             if extra:
                 raise MalformedTreeError(f"{op} node has unexpected fields {sorted(extra)}")
-            work.append((d, True))
-            if op in ("union", "join"):
-                work.append((d["right"], False))
-                work.append((d["left"], False))
-            elif op in ("comparable", "clique"):
-                work.append((d["child"], False))
+            work.append((d, cls))
+            for f in reversed(cls._kids):
+                work.append((d[f], None))
             continue
-        op = d["op"]
-        if op == "leaf":
-            done.append(Leaf(_json_int(d, "v", op)))
-        elif op in ("union", "join"):
-            right = done.pop()
-            left = done.pop()
-            done.append((Union if op == "union" else Join)(left, right))
-        elif op == "comparable":
-            child = done.pop()
-            done.append(
-                Comparable(
-                    child,
-                    _json_int(d, "u", op),
-                    _json_int(d, "v", op),
-                    _json_int_list(d, "X", op),
+        args = []
+        if cls._kids:
+            args = done[-len(cls._kids) :]
+            del done[-len(cls._kids) :]
+        for f, kind in cls._own.items():
+            val = d[f]
+            if kind is int and not _is_int(val):
+                raise MalformedTreeError(f"{cls._op} node field {f!r} must be an integer, got {val!r}")
+            if kind is list and not (isinstance(val, list) and all(map(_is_int, val))):
+                raise MalformedTreeError(
+                    f"{cls._op} node field {f!r} must be a list of integers, got {val!r}"
                 )
-            )
-        else:
-            child = done.pop()
-            done.append(CliqueAttach(child, _json_int(d, "z", op), _json_int_list(d, "Q", op)))
+            args.append(val)
+        done.append(cls(*args))
     return done[0]

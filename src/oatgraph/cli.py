@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any
 
 from .buildtree import canonical_colouring, chi_omega, replay, tree_to_json
 from .colouring import Colouring, Palette, colouring_from_json, colouring_to_json
@@ -47,9 +48,38 @@ def _read_colouring(path: str, palette: Palette) -> Colouring:
     return Colouring(loaded.assignment, palette)
 
 
+def _json_text(doc: dict, indent: int | None = None) -> str:
+    """json.dumps(doc, indent=indent), byte for byte, without recursing per
+    level of nested objects, so a build tree of any depth can be written.
+    Objects are walked on an explicit stack; every other value, lists
+    included, goes to the json encoder whole."""
+    encode = json.JSONEncoder(indent=indent).encode
+    parts: list[str] = []
+    todo: list[tuple[Any, int | None]] = [(doc, 0)]  # (value, depth), or (text, None)
+    while todo:
+        val, depth = todo.pop()
+        if depth is None:
+            parts.append(val)
+        elif not isinstance(val, dict) or not val:
+            text = encode(val)
+            parts.append(text if indent is None else text.replace("\n", "\n" + " " * indent * depth))
+        else:
+            if indent is None:
+                first, sep, close = "{", ", ", "}"
+            else:
+                pad = "\n" + " " * indent * (depth + 1)
+                first, sep, close = "{" + pad, "," + pad, "\n" + " " * indent * depth + "}"
+            items: list[tuple[Any, int | None]] = []
+            for i, (key, sub) in enumerate(val.items()):
+                items.append((f"{sep if i else first}{encode(key)}: ", None))
+                items.append((sub, depth + 1))
+            items.append((close, None))
+            todo.extend(reversed(items))
+    return "".join(parts)
+
+
 def _emit(doc: dict) -> None:
-    json.dump({"format_version": 1, **doc}, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text({"format_version": 1, **doc}) + "\n")
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
@@ -74,7 +104,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     chi, omega = chi_omega(out.tree)
     doc = tree_to_json(out.tree)
     if args.tree_out:
-        Path(args.tree_out).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(args.tree_out).write_text(_json_text(doc, indent=2) + "\n")
     if args.json:
         _emit({"oat": True, "chi": chi, "omega": omega, "tree": doc})
     else:
@@ -139,7 +169,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _check_dense_budget(args.param)
         tree = random_oat(args.param, args.seed)
         if args.tree_out:
-            Path(args.tree_out).write_text(json.dumps(tree_to_json(tree), indent=2) + "\n")
+            Path(args.tree_out).write_text(_json_text(tree_to_json(tree), indent=2) + "\n")
         g = replay(tree)
     elif family == "p4_sparse":
         if args.param is None:

@@ -10,7 +10,8 @@ import json
 import random
 from dataclasses import dataclass
 
-from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
+from ._util import iter_bits
+from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union, _add_op
 from .graph import Graph, parse_graph
 
 FIXTURE_NAMES = ("domino", "house", "gem", "fig2_imperfect", "fig4_dh_not_oat")
@@ -77,49 +78,34 @@ def random_oat(n: int, seed: int) -> BuildTree:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = random.Random(f"random-oat-{n}-{seed}")
-    counter = itertools.count()
-    adjsets: dict[int, set[int]] = {}
-
-    def fresh() -> int:
-        v = next(counter)
-        adjsets[v] = set()
-        return v
-
-    def connect(a: int, b: int):
-        adjsets[a].add(b)
-        adjsets[b].add(a)
+    nbrs: dict[int, int] = {}  # neighbour bitmasks in build order, as replay keeps them
 
     def build(size: int) -> tuple[BuildTree, list[int]]:
+        # Labels are handed out in build order, so the next one is len(nbrs).
         if size == 1:
-            v = fresh()
-            return Leaf(v), [v]
-        op = rng.choices(("union", "join", "comparable", "clique"), (0.2, 0.3, 0.3, 0.2))[0]
-        if op in ("union", "join"):
-            left, lverts = build(rng.randint(1, size - 1))
-            right, rverts = build(size - len(lverts))
-            if op == "join":
-                for a in lverts:
-                    for b in rverts:
-                        connect(a, b)
-                return Join(left, right), lverts + rverts
-            return Union(left, right), lverts + rverts
-        if op == "comparable":
-            child, verts = build(size - 1)
-            v = rng.choice(verts)
-            x = tuple(w for w in sorted(adjsets[v]) if rng.random() < 0.5)
-            u = fresh()
-            for w in x:
-                connect(u, w)
-            return Comparable(child, u, v, x), verts + [u]
-        q_size = rng.randint(1, size - 1)
-        child, verts = build(size - q_size)
-        z = rng.choice(verts)
-        q = [fresh() for _ in range(q_size)]
-        for i, a in enumerate(q):
-            connect(a, z)
-            for b in q[i + 1 :]:
-                connect(a, b)
-        return CliqueAttach(child, z, tuple(q)), verts + q
+            node = Leaf(len(nbrs))
+            verts = [node.v]
+        else:
+            op = rng.choices((Union, Join, Comparable, CliqueAttach), (0.2, 0.3, 0.3, 0.2))[0]
+            if op is Union or op is Join:
+                left, lverts = build(rng.randint(1, size - 1))
+                right, rverts = build(size - len(lverts))
+                node = op(left, right)
+                verts = lverts + rverts
+            elif op is Comparable:
+                child, verts = build(size - 1)
+                v = rng.choice(verts)
+                x = tuple(w for w in iter_bits(nbrs[v]) if rng.random() < 0.5)
+                node = Comparable(child, len(nbrs), v, x)
+                verts = verts + [node.u]
+            else:
+                q_size = rng.randint(1, size - 1)
+                child, verts = build(size - q_size)
+                z = rng.choice(verts)
+                node = CliqueAttach(child, z, tuple(range(len(nbrs), len(nbrs) + q_size)))
+                verts = verts + list(node.Q)
+        _add_op(nbrs, node)
+        return node, verts
 
     return build(n)[0]
 

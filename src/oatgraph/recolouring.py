@@ -16,8 +16,8 @@ through emit is what keeps nested hooks correct when inner renames touch an
 outer hook's anchor.  Hooks are indexed by anchor, each anchor holding a
 stack of its own, so a step pays only for the hooks on the vertex that moves.
 
-Each call replays the certificate once and lists its vertices in build
-order once; find_path shares both between its two halves.  A join reads
+Each call replays the certificate once, which also lists its vertices in
+build order; find_path shares both between its two halves.  A join reads
 each side's vertices as a slice of that order, and its rename maps the
 palettes its two sides were made canonical over onto its own palette, so
 it needs no further pass over the certificate.  The walk and emit keep
@@ -37,8 +37,7 @@ from .buildtree import (
     Join,
     Leaf,
     Union,
-    _build_order,
-    replay,
+    _replay,
 )
 from .colouring import Colouring, Palette, colouring_from_json, colouring_to_json
 from .errors import ColouringError, PaletteError, PaletteTooSmallError, PartitionError
@@ -193,7 +192,7 @@ def to_canonical(
     attached clique is guarded while the rest is processed, then renamed onto
     the colours the canonical rule assigns it.
     """
-    g = replay(t)
+    g, order = _replay(t)
     _check_start(g, alpha, S)
     if len(S) < t.chi + 1:
         raise PaletteTooSmallError(f"need at least {t.chi + 1} working colours, got {len(S)}")
@@ -203,7 +202,7 @@ def to_canonical(
     stray = [c for c in cpal if c not in S]
     if stray:
         raise PaletteError(f"target colours {stray} outside working palette {S.colours}")
-    steps = _walk(t, _build_order(t), alpha, S, cpal.colours)
+    steps = _walk(t, order, alpha, S, cpal.colours)
     return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
 
 
@@ -369,8 +368,7 @@ def find_path(
     if len(S) < t.chi + 1:
         raise PaletteTooSmallError(f"need at least {t.chi + 1} working colours, got {len(S)}")
     c_root = S.colours[: t.chi]
-    g = replay(t)
-    order = _build_order(t)
+    g, order = _replay(t)
     _check_start(g, alpha, S)
     fsteps = _walk(t, order, alpha, S, c_root)
     _check_start(g, beta, S)

@@ -31,6 +31,13 @@ from oatgraph import (
 
 P3_TREE = Join(Union(Leaf(0), Leaf(2)), Leaf(1))
 
+# Well-formed tree JSON nodes, one per operation.
+L0, L1 = {"op": "leaf", "v": 0}, {"op": "leaf", "v": 1}
+UNION = {"op": "union", "left": L0, "right": L1}
+JOIN = {"op": "join", "left": L0, "right": L1}
+COMPARABLE = {"op": "comparable", "child": JOIN, "u": 2, "v": 0, "X": [1]}
+CLIQUE = {"op": "clique", "child": L0, "z": 0, "Q": [1, 2]}
+
 
 class TestNodeValidation:
     def test_labels_become_plain_ints(self):
@@ -130,6 +137,12 @@ class TestDeepTrees:
         assert t != path_chain(n)
         assert path_chain(n) != t
 
+    def test_chain_repr_under_shallow_stack(self, path_chain, shallow_stack):
+        text = repr(path_chain(self.N))
+        assert text.startswith("Comparable(child=Comparable(child=")
+        assert text.endswith(", u=1, v=3, X=(2,)), u=0, v=2, X=(1,))")
+        assert text.count("Comparable(") == self.N - 3
+
     def test_path_chain_holds_under_2_mib(self, path_chain):
         tracemalloc.start()
         try:
@@ -139,6 +152,13 @@ class TestDeepTrees:
             tracemalloc.stop()
         assert t.verts == (1 << 2000) - 1
         assert held < 2 * 2**20
+
+
+class TestRepr:
+    def test_reads_like_the_constructor_call(self):
+        assert repr(Comparable(Leaf(0), 1, 0, ())) == "Comparable(child=Leaf(v=0), u=1, v=0, X=())"
+        assert repr(P3_TREE) == "Join(left=Union(left=Leaf(v=0), right=Leaf(v=2)), right=Leaf(v=1))"
+        assert repr(CliqueAttach(Leaf(0), 0, (2, 1))) == "CliqueAttach(child=Leaf(v=0), z=0, Q=(2, 1))"
 
 
 class TestReplay:
@@ -251,6 +271,13 @@ class TestJson:
             "X": [1, 2],
         }
 
+    def test_text_fixes_key_order(self):
+        t = Comparable(CliqueAttach(Leaf(0), 0, (2, 1)), 3, 0, (1, 2))
+        assert json.dumps(tree_to_json(t)) == (
+            '{"op": "comparable", "child": {"op": "clique", "child": {"op": "leaf", "v": 0},'
+            ' "z": 0, "Q": [2, 1]}, "u": 3, "v": 0, "X": [1, 2]}'
+        )
+
     @given(st.integers(1, 12), st.integers(0, 300))
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, n, seed):
@@ -277,3 +304,41 @@ class TestJson:
     def test_rejects_non_object(self):
         with pytest.raises(MalformedTreeError):
             tree_from_json([1, 2])
+
+    def test_rejects_unhashable_op(self):
+        with pytest.raises(MalformedTreeError, match=r"unknown tree op \[\]"):
+            tree_from_json({"op": []})
+
+    def test_accepts_one_node_of_each_op(self):
+        for doc in (UNION, JOIN, COMPARABLE, CLIQUE):
+            assert tree_to_json(tree_from_json(doc)) == doc
+
+    # The exact wording of each message is pinned, not only its type.
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"op": "union", "left": L0}, "union node missing fields ['right']"),
+            ({**UNION, "w": 1}, "union node has unexpected fields ['w']"),
+            ({**UNION, "right": 3}, "tree node must be an object, got int"),
+            ({"op": "join", "right": L1}, "join node missing fields ['left']"),
+            ({**JOIN, "w": 1}, "join node has unexpected fields ['w']"),
+            ({**JOIN, "left": [L0]}, "tree node must be an object, got list"),
+            ({"op": "comparable", "child": JOIN, "u": 2, "v": 0}, "comparable node missing fields ['X']"),
+            ({**COMPARABLE, "w": 1}, "comparable node has unexpected fields ['w']"),
+            (
+                {**COMPARABLE, "X": 1},
+                "comparable node field 'X' must be a list of integers, got 1",
+            ),
+            ({**COMPARABLE, "u": "2"}, "comparable node field 'u' must be an integer, got '2'"),
+            ({"op": "clique", "child": L0, "Q": [1, 2]}, "clique node missing fields ['z']"),
+            ({**CLIQUE, "w": 1}, "clique node has unexpected fields ['w']"),
+            (
+                {**CLIQUE, "Q": [1, True]},
+                "clique node field 'Q' must be a list of integers, got [1, True]",
+            ),
+        ],
+    )
+    def test_rejects_malformed_node_with_message(self, doc, message):
+        with pytest.raises(MalformedTreeError) as err:
+            tree_from_json(doc)
+        assert str(err.value) == message

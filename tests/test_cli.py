@@ -51,6 +51,25 @@ class TestRecognize:
         assert replay(tree_from_json(json.loads(out.read_text()))) == g
         assert "chi = omega = 2" in capsys.readouterr().out
 
+    def test_tree_outputs_match_json_dumps(self, tmp_path, capsys):
+        g = fixture("fig2_imperfect").graph
+        out = tmp_path / "tree.json"
+        assert main(["recognize", write_graph(tmp_path, g), "--json", "--tree-out", str(out)]) == 0
+        line = capsys.readouterr().out
+        doc = json.loads(line)
+        assert line == json.dumps(doc) + "\n"
+        assert out.read_text() == json.dumps(doc["tree"], indent=2) + "\n"
+
+    def test_deep_tree_outputs_under_shallow_stack(self, tmp_path, capsys, shallow_stack):
+        # P_600's certificate is a comparable chain 597 nodes deep
+        path = write_graph(tmp_path, classic("path", 600))
+        out = tmp_path / "tree.json"
+        assert main(["recognize", path, "--json", "--tree-out", str(out)]) == 0
+        line = capsys.readouterr().out
+        assert line.startswith('{"format_version": 1, "oat": true, "chi": 2, "omega": 2, "tree": ')
+        assert line.count('"op": "comparable"') == 597
+        assert out.read_text().count('"op": "comparable"') == 597
+
     def test_rejects_fig4_with_stuck_edges(self, tmp_path, capsys):
         g = fixture("fig4_dh_not_oat").graph
         assert main(["recognize", write_graph(tmp_path, g), "--json"]) == 1

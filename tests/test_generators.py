@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,7 @@ from oatgraph import (
     random_oat,
     recognize,
     replay,
+    tree_to_json,
     validate,
 )
 
@@ -161,3 +165,13 @@ class TestP4Sparse:
 def test_random_oat_needs_no_recursion_room(shallow_stack):
     for seed in range(3):
         assert random_oat(1000, seed).verts == (1 << 1000) - 1
+
+
+def test_random_oat_trees_are_pinned():
+    # SHA-256 over the JSON text of each tree: every existing seed keeps its
+    # tree, so the rng draws and the labels they pick must not move.
+    digest = hashlib.sha256()
+    for n in (*range(1, 60), 325, 1000):
+        for seed in range(3):
+            digest.update(json.dumps(tree_to_json(random_oat(n, seed))).encode())
+    assert digest.hexdigest() == "362c1a43401b61ee1f943ec7901810a888b6002e314fab772171ab187ab31179"

@@ -227,9 +227,9 @@ class TestOneCertificatePass:
 
         def counting(*args):
             calls["replay"] += 1
-            return buildtree.replay(*args)
+            return buildtree._replay(*args)
 
-        monkeypatch.setattr(recolouring, "replay", counting)
+        monkeypatch.setattr(recolouring, "_replay", counting)
         return calls
 
     @pytest.fixture
