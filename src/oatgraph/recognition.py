@@ -40,7 +40,6 @@ from .graph import (
     AdjSquare,
     Graph,
     adjacency_square,
-    first_comparable,
     mask_components,
     pendant_clique,
 )
@@ -97,16 +96,8 @@ class DeconstructionStep:
 
 
 def a2_after_step(a2: AdjSquare, step: DeconstructionStep) -> AdjSquare:
-    """Patch the common-neighbour matrix across one deconstruction move.
-
-    Union: removed vertices see nothing in the kept part, plain submatrix.
-    Join: every removed vertex was adjacent to every kept one, so every
-    entry loses exactly |removed| common neighbours.
-    Comparable: only pairs inside the removed vertex's neighbourhood lose
-    it as a common neighbour (diagonal included: those degrees drop by 1).
-    Clique: each clique vertex touched only the clique and the anchor, so
-    only the anchor's degree entry drops, by |Q|.
-    """
+    """Patch the common-neighbour matrix across one deconstruction move,
+    returning A@A of the subgraph induced on step.keep (see _patch)."""
     n = a2.n
     # keep and removed are disjoint and duplicate-free, so they partition
     # 0..n-1 exactly when their sizes add up and both lie inside the range.
@@ -115,40 +106,36 @@ def a2_after_step(a2: AdjSquare, step: DeconstructionStep) -> AdjSquare:
         raise StepConsistencyError(
             f"step does not partition 0..{n - 1}: keep={step.keep} removed={step.removed}"
         )
-    keep = np.asarray(step.keep, dtype=np.intp)
-    sub = _submatrix(a2.matrix, keep, step.removed)
-    if step.op == "join":
-        sub -= len(step.removed)
-    elif step.op == "comparable":
-        pos = np.searchsorted(keep, np.asarray(step.neighbours, dtype=np.intp))
-        sub[np.ix_(pos, pos)] -= 1
-    elif step.op == "clique":
-        z = int(np.searchsorted(keep, step.anchor))
-        sub[z, z] -= len(step.removed)
+    m = a2.matrix.copy()
+    _patch(m, step.op, step.keep, len(step.removed), step.anchor, step.neighbours)
+    sub = m[np.ix_(step.keep, step.keep)]
     sub.setflags(write=False)
     return AdjSquare(sub)
 
 
-def _submatrix(m: np.ndarray, keep: np.ndarray, removed: tuple[int, ...]) -> np.ndarray:
-    """m[np.ix_(keep, keep)], where keep and removed partition m's indices.
+def _patch(m: np.ndarray, op: str, keep, removed: int, anchor=None, neighbours=()):
+    """Patch A@A in place across one move that takes `removed` vertices
+    away; afterwards only its keep x keep block is meaningful.  Returns the
+    rows whose entries changed.
 
-    After a tail move only one to three indices go, so keep is a few runs
-    of consecutive indices; copying one block per pair of runs is several
-    times faster than gathering entry by entry.
+    Union: removed vertices see nothing in the kept part, so nothing changes.
+    Join: every removed vertex was adjacent to every kept one, so every
+    entry loses exactly `removed` common neighbours.
+    Comparable: only pairs inside the removed vertex's neighbourhood lose
+    it as a common neighbour (diagonal included: those degrees drop by 1).
+    Clique: each clique vertex touched only the clique and the anchor, so
+    only the anchor's degree entry drops, by |Q|.
     """
-    if len(removed) > 3:
-        return m[np.ix_(keep, keep)]
-    gaps = [-1, *sorted(removed), m.shape[0]]
-    runs, at = [], 0
-    for a, b in zip(gaps, gaps[1:]):
-        if b - a > 1:
-            runs.append((slice(at, at + b - a - 1), slice(a + 1, b)))
-            at += b - a - 1
-    out = np.empty((at, at), dtype=m.dtype)
-    for dst_rows, src_rows in runs:
-        for dst_cols, src_cols in runs:
-            out[dst_rows, dst_cols] = m[src_rows, src_cols]
-    return out
+    if op == "join":
+        block, by = keep, removed
+    elif op == "comparable":
+        block, by = neighbours, 1
+    elif op == "clique":
+        block, by = (anchor,), removed
+    else:
+        return ()
+    m[np.ix_(block, block)] -= by
+    return block
 
 
 @dataclass(frozen=True)
@@ -168,7 +155,6 @@ class RecognitionOutcome:
 @dataclass
 class _Task:
     labels: np.ndarray  # ascending original labels
-    a2: AdjSquare  # A@A of the subgraph induced on labels, in label order
     alive: int  # labels as a bitmask
     connected: bool  # known to induce a connected subgraph
 
@@ -198,19 +184,31 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     """
     masks = g.neighbour_masks
     checks = 0
+    m = adjacency_square(g).matrix
+    m.setflags(write=True)  # a fresh array nothing else holds: the shared buffer
+    gone = np.zeros(g.n, dtype=bool)  # labels taken away by tail moves
 
-    def patch(task: _Task, op: str, keep: np.ndarray, removed: list[int], **kw) -> AdjSquare:
-        """A@A of the subgraph induced on task.labels[keep] (local positions)."""
+    def dominators(block: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """For each row u, the smallest label v != u with N(u) a subset of
+        N(v), or -1; block is m[np.ix_(rows, labels)]."""
+        cand = block == m[rows, rows][:, None]
+        cand &= labels != rows[:, None]
+        return np.where(cand.any(axis=1), labels[cand.argmax(axis=1)], -1)
+
+    everyone = np.arange(g.n)
+    dom = dominators(m, everyone, everyone)
+
+    def patch(op: str, labels: np.ndarray, removed: int, **kw):
         nonlocal checks
-        a2 = a2_after_step(task.a2, DeconstructionStep(op, keep.tolist(), removed, **kw))
+        rows = _patch(m, op, labels, removed, **kw)
         if verify_a2:
-            fresh = adjacency_square(g.induced(task.labels[keep].tolist()))
-            if not np.array_equal(fresh.matrix, a2.matrix):
+            fresh = adjacency_square(g.induced(labels.tolist()))
+            if not np.array_equal(fresh.matrix, m[np.ix_(labels, labels)]):
                 raise StepConsistencyError(
                     "incrementally patched A@A drifted from the recomputed matrix"
                 )
             checks += 1
-        return a2
+        return rows
 
     def split(task: _Task, op: str, parts: list[int], wrappers: list[tuple]) -> None:
         # Parts arrive ordered by smallest vertex and are folded
@@ -218,16 +216,12 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
         stack.append(_Fold(Union if op == "union" else Join, len(parts), wrappers))
         children = []
         for part in parts:
-            keep = np.searchsorted(task.labels, np.fromiter(iter_bits(part), np.intp))
-            others = np.ones(len(task.labels), dtype=bool)
-            others[keep] = False
-            a2 = patch(task, op, keep, np.flatnonzero(others).tolist())
-            children.append(_Task(task.labels[keep], a2, part, op == "union"))
+            labels = np.fromiter(iter_bits(part), np.intp)
+            patch(op, labels, len(task.labels) - len(labels))
+            children.append(_Task(labels, part, op == "union"))
         stack.extend(reversed(children))
 
-    stack: list[_Task | _Fold] = [
-        _Task(np.arange(g.n), adjacency_square(g), (1 << g.n) - 1, False)
-    ]
+    stack: list[_Task | _Fold] = [_Task(everyone, (1 << g.n) - 1, False)]
     done: list[BuildTree] = []
     while stack:
         task = stack.pop()
@@ -242,8 +236,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
         wrappers = []
         while True:
             labels = task.labels
-            k = len(labels)
-            if k == 1:
+            if len(labels) == 1:
                 done.append(_wrap(Leaf(int(labels[0])), wrappers))
                 break
             if not task.connected:
@@ -256,18 +249,16 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             if len(parts) > 1:
                 split(task, "join", parts, wrappers)
                 break
-            pair = first_comparable(task.a2.matrix)
+            has = dom[labels] >= 0
+            i = int(has.argmax())
+            pair = (int(labels[i]), int(dom[labels[i]])) if has[i] else None
             if pair is not None:
                 u, v = pair
-                lu = int(labels[u])
                 # u's row of the input graph's neighbour lists, built once
                 # per graph (verify_sequence reads the same lists later).
-                x = tuple(w for w in g.neighbours(lu) if task.alive >> w & 1)
-                keep = np.delete(np.arange(k), u)
-                nbrs = np.searchsorted(labels, x).tolist()
-                a2 = patch(task, "comparable", keep, [u], neighbours=nbrs)
-                wrappers.append((Comparable, lu, int(labels[v]), x))
-                gone = 1 << lu
+                x = tuple(w for w in g.neighbours(u) if task.alive >> w & 1)
+                wrappers.append((Comparable, u, v, x))
+                op, removed, kw = "comparable", (u,), {"neighbours": x}
             else:
                 found = pendant_clique(masks, labels.tolist(), task.alive)
                 if found is None:
@@ -277,14 +268,18 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                         stuck_vertices=tuple(labels.tolist()),
                         a2_checks=checks,
                     )
-                z, q = found
-                pos = np.searchsorted(labels, q)
-                keep = np.delete(np.arange(k), pos)
-                anchor = int(np.searchsorted(labels, z))
-                a2 = patch(task, "clique", keep, pos.tolist(), anchor=anchor)
-                wrappers.append((CliqueAttach, z, q))
-                gone = sum(1 << w for w in q)
+                z, removed = found
+                wrappers.append((CliqueAttach, z, removed))
+                op, kw = "clique", {"anchor": z}
             # A tail move: the smaller task replaces this one, still connected.
-            task = _Task(labels[keep], a2, task.alive ^ gone, True)
+            # Splits keep every vertex's dominator, but here the rows the
+            # patch changed, and those whose dominator left, are stale.
+            gone[list(removed)] = True
+            labels = labels[~gone[labels]]
+            rows = patch(op, labels, len(removed), **kw)
+            d = dom[labels]
+            rows = np.concatenate((np.asarray(rows, np.intp), labels[(d >= 0) & gone[d]]))
+            dom[rows] = dominators(m[np.ix_(rows, labels)], rows, labels)
+            task = _Task(labels, task.alive ^ sum(1 << w for w in removed), True)
     (tree,) = done
     return RecognitionOutcome(tree=tree, stuck=None, stuck_vertices=None, a2_checks=checks)
