@@ -42,8 +42,19 @@ def _read_graph(path: str) -> Graph:
     return parse_graph(_read_text(path))
 
 
+def _read_json(path: str) -> Any:
+    """A JSON document as this CLI writes it, its format_version (1, or
+    absent) taken off."""
+    loaded = json.loads(_read_text(path))
+    if isinstance(loaded, dict):
+        version = loaded.pop("format_version", 1)
+        if version != 1:
+            raise ValueError(f"unsupported format version {version!r}")
+    return loaded
+
+
 def _read_colouring(path: str, palette: Palette) -> Colouring:
-    loaded = colouring_from_json(json.loads(_read_text(path)))
+    loaded = colouring_from_json(_read_json(path))
     # rebind onto the command's working palette; off-palette colours fail here
     return Colouring(loaded.assignment, palette)
 
@@ -199,13 +210,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    loaded = json.loads(_read_text(args.sequence))
-    if isinstance(loaded, dict):
-        version = loaded.pop("format_version", 1)
-        if version != 1:
-            print(f"error: unsupported format version {version!r}", file=sys.stderr)
-            return 2
-    seq = sequence_from_json(loaded)
+    seq = sequence_from_json(_read_json(args.sequence))
     report = verify_sequence(g, seq)
     doc = {
         "valid": report.valid,

@@ -18,10 +18,11 @@ from ._util import iter_bits
 from .errors import GraphFormatError, SizeBudgetError
 
 # Peak memory of recognising an n-vertex graph, in units of its n*n boolean
-# adjacency plus one n*n int64 A@A.  Building A@A, and each deconstruction
-# move, holds two n*n eight-byte matrices; the rest is headroom for the
-# adjacency itself and a dense graph's neighbour lists, which hold one
-# eight-byte reference per edge end.
+# adjacency plus one n*n int64 A@A.  Building A@A holds two n*n eight-byte
+# matrices, the float64 product and its int64 copy; the moves then patch
+# that one copy in place.  The rest is headroom for the adjacency itself
+# and a dense graph's neighbour lists, which hold one eight-byte reference
+# per edge end.
 _DENSE_FOOTPRINT_FACTOR = 4
 
 

@@ -7,23 +7,34 @@ yields a build tree over the original labels; failure yields the irreducible
 induced subgraph it got stuck on.
 
 It is one loop over an explicit work stack, so its depth is not bounded by
-the interpreter's.  A task is an ascending array of original labels with
-its own common-neighbour matrix A@A.  Comparable and clique moves are tail
-moves: nothing reads the larger graph again, so they shrink the task where
-it stands and leave a pending Comparable or CliqueAttach wrapper, applied
-once the task's subtree is built.  Only union and join splits push work:
-the parts go on in reverse order above a fold marker, so the first part is
-explored first and its tree folded in first.  Memory is one A@A's worth of
-tasks plus the move being made, O(n^2).
+the interpreter's.  A task is an ascending array of original labels.
+Comparable and clique moves are tail moves: nothing reads the larger graph
+again, so they shrink the task where it stands and leave a pending
+Comparable or CliqueAttach wrapper, applied once the task's subtree is
+built.  Only union and join splits push work: the parts go on in reverse
+order above a fold marker, so the first part is explored first and its tree
+folded in first.
 
-Recomputing A@A from scratch at every move would cost an extra factor n, so
-each move patches it in O(n^2) instead; the four patch rules are encoded in
-a2_after_step.  Components, co-components and pendant cliques are read off
-neighbourhood bitmasks over the original labels, intersected with the
-task's vertex set.  Removing a comparable vertex or a pendant clique keeps a
-connected graph connected (a path through u reroutes through v, whose
-neighbourhood contains u's; a pendant clique meets the rest only at its
-anchor), so after a tail move only the co-component scan reruns.
+Common neighbours are counted in one n x n A@A for the whole run, indexed
+by original label.  Tasks on the stack have disjoint vertex sets, so each
+owns the block of its labels, and each move patches that block in place
+(the rules are in _patch) instead of paying an extra factor n to recompute
+it.  dom[u] indexes the comparable moves: the smallest v != u in u's task
+with N(u) a subset of N(v), or -1.  A task's next comparable move removes
+its smallest u with dom[u] >= 0, the pair first_comparable would pick from
+the task's block.  Splits leave the index valid, since a vertex and its
+dominator share a co-component, and a component too unless the vertex is
+isolated and so becomes a leaf; a join shifts all of a part's entries by
+the same amount.  A tail move refreshes only the rows it patched and the
+rows whose dominator it removed.  Memory is that one A@A, the index and
+the rows refreshed by one move, O(n^2).
+
+Components, co-components and pendant cliques are read off neighbourhood
+bitmasks over the original labels, intersected with the task's vertex set.
+Removing a comparable vertex or a pendant clique keeps a connected graph
+connected (a path through u reroutes through v, whose neighbourhood
+contains u's; a pendant clique meets the rest only at its anchor), so after
+a tail move only the co-component scan reruns.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from .graph import (
     AdjSquare,
     Graph,
     adjacency_square,
+    first_comparable,
     mask_components,
     pendant_clique,
 )
@@ -134,6 +146,7 @@ def _patch(m: np.ndarray, op: str, keep, removed: int, anchor=None, neighbours=(
         block, by = (anchor,), removed
     else:
         return ()
+    block = np.asarray(block, dtype=np.intp)
     m[np.ix_(block, block)] -= by
     return block
 
@@ -179,8 +192,9 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     """Decide membership; the positive answer carries a replayable tree.
 
     verify_a2 recomputes the common-neighbour matrix from scratch after
-    every incremental patch and fails loudly on any drift; the outcome's
-    a2_checks counts how many comparisons ran.
+    every incremental patch, and the comparable pair from it at every scan,
+    and fails loudly on any drift; the outcome's a2_checks counts how many
+    comparisons ran.
     """
     masks = g.neighbour_masks
     checks = 0
@@ -190,7 +204,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
 
     def dominators(block: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """For each row u, the smallest label v != u with N(u) a subset of
-        N(v), or -1; block is m[np.ix_(rows, labels)]."""
+        N(v), or -1; block is m[rows][:, labels]."""
         cand = block == m[rows, rows][:, None]
         cand &= labels != rows[:, None]
         return np.where(cand.any(axis=1), labels[cand.argmax(axis=1)], -1)
@@ -252,6 +266,13 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             has = dom[labels] >= 0
             i = int(has.argmax())
             pair = (int(labels[i]), int(dom[labels[i]])) if has[i] else None
+            if verify_a2:
+                fresh = first_comparable(adjacency_square(g.induced(labels.tolist())).matrix)
+                if pair != (None if fresh is None else tuple(labels[list(fresh)].tolist())):
+                    raise StepConsistencyError(
+                        f"comparable index picked {pair}, a fresh scan picks {fresh}"
+                    )
+                checks += 1
             if pair is not None:
                 u, v = pair
                 # u's row of the input graph's neighbour lists, built once
@@ -278,8 +299,8 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             labels = labels[~gone[labels]]
             rows = patch(op, labels, len(removed), **kw)
             d = dom[labels]
-            rows = np.concatenate((np.asarray(rows, np.intp), labels[(d >= 0) & gone[d]]))
-            dom[rows] = dominators(m[np.ix_(rows, labels)], rows, labels)
+            rows = np.concatenate((rows, labels[(d >= 0) & gone[d]]))
+            dom[rows] = dominators(m[rows][:, labels], rows, labels)
             task = _Task(labels, task.alive ^ sum(1 << w for w in removed), True)
     (tree,) = done
     return RecognitionOutcome(tree=tree, stuck=None, stuck_vertices=None, a2_checks=checks)

@@ -133,6 +133,23 @@ class TestRecolor:
         doc = json.loads(capsys.readouterr().out)
         assert doc["steps"] == []
 
+    def test_reads_canonical_output(self, tmp_path, capsys):
+        gp = write_graph(tmp_path, fixture("domino").graph)
+        assert main(["canonical", gp]) == 0
+        cp = tmp_path / "c.json"
+        cp.write_text(capsys.readouterr().out)
+        assert main(["recolor", gp, "--from", str(cp), "--to", str(cp)]) == 0
+        assert json.loads(capsys.readouterr().out)["steps"] == []
+
+    def test_unsupported_colouring_version_exits_2_with_one_line(self, tmp_path, capsys):
+        gp = write_graph(tmp_path, classic("path", 2))
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({"format_version": 2, "palette": [1, 2, 3], "assignment": [1, 2]}))
+        assert main(["recolor", gp, "--from", str(a), "--to", str(a)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unsupported format version 2\n"
+
     def test_palette_too_small_exits_2(self, tmp_path, capsys):
         g = classic("complete", 2)
         gp = write_graph(tmp_path, g)

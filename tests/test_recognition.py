@@ -23,6 +23,7 @@ from oatgraph import (
     fixture,
     p4_sparse_third_op,
     random_oat,
+    recognition,
     recognize,
     replay,
     validate,
@@ -95,13 +96,21 @@ class TestA2AfterStep:
         with pytest.raises(StepConsistencyError):
             a2_after_step(adjacency_square(g), step)
 
-    @given(st.integers(2, 40), st.integers(0, 500))
+    @given(st.integers(2, 40), st.integers(0, 500), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_agrees_with_scratch_recomputation_along_recognition(self, n, seed):
-        t = random_oat(n, seed)
-        out = recognize(replay(t), verify_a2=True)
+    def test_agrees_with_scratch_recomputation_along_recognition(self, n, seed, relabelled):
+        g = replay(random_oat(n, seed))
+        if relabelled:
+            g, _ = _relabelled(g, random.Random(seed))
+        out = recognize(g, verify_a2=True)
         assert out.is_oat
         assert out.a2_checks > 0
+
+    def test_verify_checks_the_comparable_index(self, monkeypatch):
+        # The index's pick is compared with a fresh scan, the reference.
+        monkeypatch.setattr(recognition, "first_comparable", lambda a2: None)
+        with pytest.raises(StepConsistencyError):
+            recognize(replay(random_oat(30, 1)), verify_a2=True)
 
 
 class TestRecognize:

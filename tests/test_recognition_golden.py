@@ -3,7 +3,9 @@
 Each case's digest is the SHA-256 of the sorted-key `tree_to_json` document
 for a member, or of the stuck vertices and stuck edges for a non-member.
 The digests were recorded from the recursive recogniser that the work-stack
-loop replaced, so any change to a tree's shape, its tie-breaking or the
+loop replaced, and those of the three deep relabelled cases from the
+recogniser with one A@A copy per task that the shared, label-indexed A@A
+replaced.  So any change to a tree's shape, its tie-breaking or the
 reported stuck subgraph shows up here.
 """
 
@@ -68,6 +70,13 @@ CASES = {
     "permuted_random_oat_90_5": lambda: relabel(replay(random_oat(90, 5)), "golden-90"),
     "permuted_path_64": lambda: relabel(classic("path", 64), "golden-path"),
     "permuted_p4_sparse_anti_7": lambda: relabel(p4_sparse_third_op(7, None, "anti"), "golden-p4"),
+    # Deep or wide and relabelled, so that labels and build order disagree
+    # all the way down; trees stay within json.dumps's nesting limit.
+    "permuted_path_300": lambda: relabel(classic("path", 300), "golden-path-300"),
+    "permuted_random_oat_325_0": lambda: relabel(replay(random_oat(325, 0)), "golden-325"),
+    "permuted_p4_sparse_anti_40_r": lambda: relabel(
+        p4_sparse_third_op(40, classic("path", 10), "anti"), "golden-p4-40"
+    ),
     "c5_with_tail_6": lambda: c5_with_tail(6),
     "permuted_c5_with_tail_20": lambda: relabel(c5_with_tail(20), "golden-c5"),
     "member_then_two_c5": lambda: disjoint(
@@ -115,6 +124,9 @@ GOLDEN = {
     "path_57": "f2bb4982023bfccc34d9",
     "permuted_c5_with_tail_20": "2fa6631504fd327eaafe",
     "permuted_p4_sparse_anti_7": "7d441509565dc3ea7587",
+    "permuted_p4_sparse_anti_40_r": "20245bf68a126d3cb4d6",
+    "permuted_path_300": "d07e74f0553363f1d5b6",
+    "permuted_random_oat_325_0": "20f9fe2f45f24bc3ef2a",
     "permuted_path_64": "992d2e351a35d49aac76",
     "permuted_random_oat_90_5": "c8143037fa16599f7f36",
     "random_oat_120_11": "3e179fda9049bf29be5f",
