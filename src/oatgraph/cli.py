@@ -48,7 +48,7 @@ def _read_json(path: str) -> Any:
     loaded = json.loads(_read_text(path))
     if isinstance(loaded, dict):
         version = loaded.pop("format_version", 1)
-        if version != 1:
+        if type(version) is not int or version != 1:  # JSON true and 1.0 are not 1
             raise ValueError(f"unsupported format version {version!r}")
     return loaded
 

@@ -141,14 +141,15 @@ class TestRecolor:
         assert main(["recolor", gp, "--from", str(cp), "--to", str(cp)]) == 0
         assert json.loads(capsys.readouterr().out)["steps"] == []
 
-    def test_unsupported_colouring_version_exits_2_with_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [2, True, 1.0])
+    def test_unsupported_colouring_version_exits_2_with_one_line(self, tmp_path, capsys, version):
         gp = write_graph(tmp_path, classic("path", 2))
         a = tmp_path / "a.json"
-        a.write_text(json.dumps({"format_version": 2, "palette": [1, 2, 3], "assignment": [1, 2]}))
+        a.write_text(json.dumps({"format_version": version, "palette": [1, 2, 3], "assignment": [1, 2]}))
         assert main(["recolor", gp, "--from", str(a), "--to", str(a)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: unsupported format version 2\n"
+        assert captured.err == f"error: unsupported format version {version!r}\n"
 
     def test_palette_too_small_exits_2(self, tmp_path, capsys):
         g = classic("complete", 2)
