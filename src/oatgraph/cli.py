@@ -26,7 +26,7 @@ from .generators import (
     random_oat,
 )
 from .graph import Graph, _check_dense_budget, format_graph, parse_graph
-from .oracle import build_reconfig, reconfig_stats
+from .oracle import _check_node_budget, build_reconfig, reconfig_stats
 from .recognition import recognize
 from .recolouring import find_path, sequence_from_json, sequence_to_json, verify_sequence
 
@@ -45,7 +45,11 @@ def _read_graph(path: str) -> Graph:
 def _read_json(path: str) -> Any:
     """A JSON document as this CLI writes it, its format_version (1, or
     absent) taken off."""
-    loaded = json.loads(_read_text(path))
+    text = _read_text(path)
+    try:
+        loaded = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if isinstance(loaded, dict):
         version = loaded.pop("format_version", 1)
         if type(version) is not int or version != 1:  # JSON true and 1.0 are not 1
@@ -154,6 +158,7 @@ def cmd_recolor(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
+    _check_node_budget(g.n, args.k)  # before a k-colour palette is built
     r = build_reconfig(g, Palette.default(args.k))
     stats = reconfig_stats(r)
     if args.frozen:

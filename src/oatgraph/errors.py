@@ -42,4 +42,4 @@ class SizeBudgetError(OatGraphError):
 
 
 class StepConsistencyError(OatGraphError):
-    """An incremental update descriptor is internally inconsistent."""
+    """Under recognize(verify_a2=True): the patched A@A or index drifted."""

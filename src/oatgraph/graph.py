@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -160,29 +159,15 @@ def complement_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(iter_bits(p)) for p in parts)
 
 
-@dataclass(frozen=True, eq=False)
-class AdjSquare:
-    """The matrix A@A of a graph; entry (u, v) counts common neighbours."""
-
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
-
-def adjacency_square(g: Graph) -> AdjSquare:
+def adjacency_square(g: Graph) -> np.ndarray:
+    """A@A, read-only int64: entry (u, v) counts common neighbours."""
     # float64 matmul hits BLAS and stays exact for counts below 2**53.
     a = g.adj.astype(np.float64)
     m = a @ a
     del a  # so that no more than two n x n eight-byte matrices are alive
     m = m.astype(np.int64)
     m.setflags(write=False)
-    return AdjSquare(m)
+    return m
 
 
 def first_comparable(a2: np.ndarray) -> tuple[int, int] | None:
@@ -201,11 +186,11 @@ def first_comparable(a2: np.ndarray) -> tuple[int, int] | None:
     return divmod(flat, a2.shape[0])
 
 
-def find_comparable_pair(g: Graph, a2: AdjSquare | None = None) -> tuple[int, int] | None:
+def find_comparable_pair(g: Graph, a2: np.ndarray | None = None) -> tuple[int, int] | None:
     """Smallest (u, v) with u, v non-adjacent and N(u) a subset of N(v)."""
     if a2 is None:
         a2 = adjacency_square(g)
-    return first_comparable(a2.matrix)
+    return first_comparable(a2)
 
 
 def pendant_clique(

@@ -71,14 +71,23 @@ class ReconfigGraph:
         return None if d < 0 else d
 
 
-def build_reconfig(g: Graph, S: Palette, *, node_budget: int = 2_000_000) -> ReconfigGraph:
-    """Materialise the full reconfiguration graph; refuses oversized inputs."""
-    bound = len(S) ** g.n
+_NODE_BUDGET = 2_000_000
+
+
+def _check_node_budget(n: int, k: int, node_budget: int = _NODE_BUDGET) -> None:
+    """Raise SizeBudgetError when the k^n assignments build_reconfig would
+    enumerate exceed node_budget; callable before any palette exists."""
+    bound = k**n
     if bound > node_budget:
         raise SizeBudgetError(
-            f"{len(S)}^{g.n} = {bound} assignments exceed the budget of {node_budget}",
+            f"{k}^{n} = {bound} assignments exceed the budget of {node_budget}",
             bound=bound,
         )
+
+
+def build_reconfig(g: Graph, S: Palette, *, node_budget: int = _NODE_BUDGET) -> ReconfigGraph:
+    """Materialise the full reconfiguration graph; refuses oversized inputs."""
+    _check_node_budget(g.n, len(S), node_budget)
     colours = sorted(S.colours)
     edges = g.edges()
     nodes = tuple(

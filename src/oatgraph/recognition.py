@@ -27,7 +27,8 @@ dominator share a co-component, and a component too unless the vertex is
 isolated and so becomes a leaf; a join shifts all of a part's entries by
 the same amount.  A tail move refreshes only the rows it patched and the
 rows whose dominator it removed.  Memory is that one A@A, the index and
-the rows refreshed by one move, O(n^2).
+the rows refreshed by one move, O(n^2).  verify_a2 checks every patch and
+every index pick against a fresh recomputation, the reference.
 
 Components, co-components and pendant cliques are read off neighbourhood
 bitmasks over the original labels, intersected with the task's vertex set.
@@ -39,7 +40,6 @@ a tail move only the co-component scan reruns.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,82 +47,7 @@ import numpy as np
 from ._util import iter_bits
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
 from .errors import StepConsistencyError
-from .graph import (
-    AdjSquare,
-    Graph,
-    adjacency_square,
-    first_comparable,
-    mask_components,
-    pendant_clique,
-)
-
-
-@dataclass(frozen=True)
-class DeconstructionStep:
-    """One deconstruction move, in the current graph's labelling.
-
-    keep/removed partition the current vertex set.  For a comparable move,
-    neighbours is the removed vertex's neighbourhood; for a clique move,
-    anchor is the vertex the clique was attached to.
-    """
-
-    op: str
-    keep: tuple[int, ...]
-    removed: tuple[int, ...]
-    anchor: int | None = None
-    neighbours: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "keep", tuple(self.keep))
-        object.__setattr__(self, "removed", tuple(self.removed))
-        object.__setattr__(self, "neighbours", tuple(self.neighbours))
-        if self.op not in ("union", "join", "comparable", "clique"):
-            raise StepConsistencyError(f"unknown step op {self.op!r}")
-        if not self.keep:
-            raise StepConsistencyError("step must keep at least one vertex")
-        if any(map(operator.ge, self.keep, self.keep[1:])):
-            raise StepConsistencyError(f"kept vertices must be strictly ascending: {self.keep}")
-        if not self.removed:
-            raise StepConsistencyError("step must remove at least one vertex")
-        if len(set(self.removed)) != len(self.removed):
-            raise StepConsistencyError(f"removed vertices have duplicates: {self.removed}")
-        if set(self.keep) & set(self.removed):
-            raise StepConsistencyError("kept and removed vertices overlap")
-        if self.op == "comparable":
-            if len(self.removed) != 1:
-                raise StepConsistencyError("comparable step removes exactly one vertex")
-            if len(set(self.neighbours)) != len(self.neighbours):
-                raise StepConsistencyError("comparable neighbours have duplicates")
-            if not set(self.neighbours) <= set(self.keep):
-                raise StepConsistencyError("comparable neighbours must all be kept")
-        else:
-            if self.neighbours:
-                raise StepConsistencyError(f"{self.op} step takes no neighbour list")
-        if self.op == "clique":
-            if self.anchor is None:
-                raise StepConsistencyError("clique step needs an anchor")
-            if self.anchor not in self.keep:
-                raise StepConsistencyError(f"clique anchor {self.anchor} must be kept")
-        elif self.anchor is not None:
-            raise StepConsistencyError(f"{self.op} step takes no anchor")
-
-
-def a2_after_step(a2: AdjSquare, step: DeconstructionStep) -> AdjSquare:
-    """Patch the common-neighbour matrix across one deconstruction move,
-    returning A@A of the subgraph induced on step.keep (see _patch)."""
-    n = a2.n
-    # keep and removed are disjoint and duplicate-free, so they partition
-    # 0..n-1 exactly when their sizes add up and both lie inside the range.
-    lo, hi = min(step.keep[0], *step.removed), max(step.keep[-1], *step.removed)
-    if len(step.keep) + len(step.removed) != n or lo < 0 or hi >= n:
-        raise StepConsistencyError(
-            f"step does not partition 0..{n - 1}: keep={step.keep} removed={step.removed}"
-        )
-    m = a2.matrix.copy()
-    _patch(m, step.op, step.keep, len(step.removed), step.anchor, step.neighbours)
-    sub = m[np.ix_(step.keep, step.keep)]
-    sub.setflags(write=False)
-    return AdjSquare(sub)
+from .graph import Graph, adjacency_square, first_comparable, mask_components, pendant_clique
 
 
 def _patch(m: np.ndarray, op: str, keep, removed: int, anchor=None, neighbours=()):
@@ -198,7 +123,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     """
     masks = g.neighbour_masks
     checks = 0
-    m = adjacency_square(g).matrix
+    m = adjacency_square(g)
     m.setflags(write=True)  # a fresh array nothing else holds: the shared buffer
     gone = np.zeros(g.n, dtype=bool)  # labels taken away by tail moves
 
@@ -217,7 +142,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
         rows = _patch(m, op, labels, removed, **kw)
         if verify_a2:
             fresh = adjacency_square(g.induced(labels.tolist()))
-            if not np.array_equal(fresh.matrix, m[np.ix_(labels, labels)]):
+            if not np.array_equal(fresh, m[np.ix_(labels, labels)]):
                 raise StepConsistencyError(
                     "incrementally patched A@A drifted from the recomputed matrix"
                 )
@@ -267,7 +192,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             i = int(has.argmax())
             pair = (int(labels[i]), int(dom[labels[i]])) if has[i] else None
             if verify_a2:
-                fresh = first_comparable(adjacency_square(g.induced(labels.tolist())).matrix)
+                fresh = first_comparable(adjacency_square(g.induced(labels.tolist())))
                 if pair != (None if fresh is None else tuple(labels[list(fresh)].tolist())):
                     raise StepConsistencyError(
                         f"comparable index picked {pair}, a fresh scan picks {fresh}"

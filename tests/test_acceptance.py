@@ -225,7 +225,7 @@ def test_criterion_6_chi_equals_omega():
 
 
 def test_criterion_7_incremental_a2():
-    name = "criterion 7 (a2_after_step == scratch recomputation at every step)"
+    name = "criterion 7 (recognize(verify_a2=True): patched A@A == recomputed at every step)"
     graphs = 0
     for seed in range(100):
         n = 2 + (seed * 17) % 49

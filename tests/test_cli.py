@@ -196,6 +196,21 @@ class TestOracle:
         assert main(["oracle", gp, "--k", "4"]) == 2
         assert str(4**30) in capsys.readouterr().err
 
+    def test_huge_k_exits_2_before_building_the_palette(self, tmp_path, capsys):
+        gp = write_graph(tmp_path, classic("path", 6))
+        tracemalloc.start()
+        try:
+            assert main(["oracle", gp, "--k", "1000000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 1000000^6 = ")
+        assert captured.err.count("\n") == 1
+        # a million-colour palette alone would take tens of MiB
+        assert peak < 1 << 20
+
 
 class TestGen:
     def test_path(self, capsys):
@@ -291,6 +306,23 @@ class TestVerify:
         sp = tmp_path / "seq.json"
         sp.write_text("{not json")
         assert main(["verify", gp, str(sp)]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "recolor"])
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, command):
+    gp = write_graph(tmp_path, classic("path", 2))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    if command == "verify":
+        argv = ["verify", gp, str(deep)]
+    else:
+        a = write_colouring(tmp_path, (1, 2), Palette.default(3), "a.json")
+        argv = ["recolor", gp, "--from", str(deep), "--to", a]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_console_script_smoke(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oatgraph import (
-    AdjSquare,
     Graph,
     GraphFormatError,
     SizeBudgetError,
@@ -166,8 +165,9 @@ class TestAdjacencySquare:
     def test_equals_matrix_square(self, g):
         a2 = adjacency_square(g)
         want = g.adj.astype(np.int64) @ g.adj.astype(np.int64)
-        assert np.array_equal(a2.matrix, want)
-        assert np.array_equal(a2.degrees, g.degrees)
+        assert np.array_equal(a2, want)
+        assert np.array_equal(a2.diagonal(), g.degrees)
+        assert a2.dtype == np.int64 and not a2.flags.writeable
 
 
 class TestComparablePair:
@@ -183,6 +183,7 @@ class TestComparablePair:
     @settings(max_examples=100)
     def test_matches_direct_scan(self, g):
         assert find_comparable_pair(g) == self.brute(g)
+        assert find_comparable_pair(g, adjacency_square(g)) == self.brute(g)
 
     def test_isolated_vertex_is_comparable(self):
         g = Graph(3, [(1, 2)])

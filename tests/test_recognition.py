@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oatgraph import (
-    DeconstructionStep,
     Graph,
     StepConsistencyError,
-    a2_after_step,
     adjacency_square,
     brute_is_oat,
     chi_omega,
@@ -32,69 +30,44 @@ from oatgraph import (
 from conftest import random_graph
 
 
-class TestStepValidation:
-    def test_rejects_unknown_op(self):
-        with pytest.raises(StepConsistencyError):
-            DeconstructionStep("shrink", (0,), (1,))
-
-    def test_rejects_unsorted_keep(self):
-        with pytest.raises(StepConsistencyError):
-            DeconstructionStep("union", (1, 0), (2,))
-
-    def test_rejects_overlap(self):
-        with pytest.raises(StepConsistencyError):
-            DeconstructionStep("union", (0, 1), (1,))
-
-    def test_comparable_needs_single_removed_vertex(self):
-        with pytest.raises(StepConsistencyError):
-            DeconstructionStep("comparable", (0,), (1, 2), neighbours=(0,))
-
-    def test_comparable_neighbours_must_be_kept(self):
-        with pytest.raises(StepConsistencyError):
-            DeconstructionStep("comparable", (0,), (1,), neighbours=(1,))
-
-    def test_clique_needs_kept_anchor(self):
-        with pytest.raises(StepConsistencyError):
-            DeconstructionStep("clique", (0,), (1,), anchor=1)
-
-    def test_union_takes_no_anchor(self):
-        with pytest.raises(StepConsistencyError):
-            DeconstructionStep("union", (0,), (1,), anchor=0)
+def _patched(g, op, keep, removed, **kw):
+    """Patch a copy of g's A@A across one move; return its keep x keep
+    block and the rows _patch reports as changed."""
+    m = adjacency_square(g).copy()
+    rows = recognition._patch(m, op, keep, removed, **kw)
+    return m[np.ix_(keep, keep)], rows
 
 
 class TestA2AfterStep:
+    """A@A after one move: each patch rule by hand, then recognize's
+    patches against the recomputation verify_a2 runs."""
+
     def test_comparable_on_path(self):
         g = classic("path", 3)
-        step = DeconstructionStep("comparable", (1, 2), (0,), neighbours=(1,))
-        got = a2_after_step(adjacency_square(g), step)
-        want = adjacency_square(classic("path", 2))
-        assert np.array_equal(got.matrix, want.matrix)
+        got, rows = _patched(g, "comparable", [1, 2], 1, neighbours=(1,))
+        assert np.array_equal(got, adjacency_square(g.induced([1, 2])))
         # the surviving middle vertex lost its one common-neighbour count
-        assert got.matrix[0, 0] == 1
+        assert got[0, 0] == 1
+        assert list(rows) == [1]
 
     def test_join_side_on_edge(self):
         g = classic("complete", 2)
-        step = DeconstructionStep("join", (0,), (1,))
-        got = a2_after_step(adjacency_square(g), step)
-        assert got.matrix.tolist() == [[0]]
+        got, _ = _patched(g, "join", [0], 1)
+        assert np.array_equal(got, adjacency_square(g.induced([0])))
+        assert got.tolist() == [[0]]
 
     def test_clique_removal_on_triangle(self):
         g = classic("complete", 3)
-        step = DeconstructionStep("clique", (0,), (1, 2), anchor=0)
-        got = a2_after_step(adjacency_square(g), step)
-        assert got.matrix.tolist() == [[0]]
+        got, rows = _patched(g, "clique", [0], 2, anchor=0)
+        assert np.array_equal(got, adjacency_square(g.induced([0])))
+        assert got.tolist() == [[0]]
+        assert list(rows) == [0]
 
     def test_union_is_plain_submatrix(self):
         g = Graph(3, [(0, 1)])
-        step = DeconstructionStep("union", (0, 1), (2,))
-        got = a2_after_step(adjacency_square(g), step)
-        assert np.array_equal(got.matrix, adjacency_square(Graph(2, [(0, 1)])).matrix)
-
-    def test_rejects_bad_partition(self):
-        g = classic("path", 3)
-        step = DeconstructionStep("union", (0, 1), (5,))
-        with pytest.raises(StepConsistencyError):
-            a2_after_step(adjacency_square(g), step)
+        got, rows = _patched(g, "union", [0, 1], 1)
+        assert np.array_equal(got, adjacency_square(g.induced([0, 1])))
+        assert len(rows) == 0
 
     @given(st.integers(2, 40), st.integers(0, 500), st.booleans())
     @settings(max_examples=60, deadline=None)
