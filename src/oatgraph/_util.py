@@ -9,3 +9,8 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def is_int(x: object) -> bool:
+    """True for an int that is not a bool: JSON true and false are no numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)

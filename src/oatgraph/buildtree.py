@@ -31,7 +31,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from ._util import iter_bits
+from ._util import is_int, iter_bits
 from .colouring import Colouring, Palette
 from .errors import MalformedTreeError, PaletteError
 from .graph import Graph, _check_dense_budget
@@ -304,31 +304,32 @@ def validate(t: BuildTree, g: Graph) -> bool:
     return built == g
 
 
-def canonical_assignment(t: BuildTree, colours: Sequence[int]) -> dict[int, int]:
-    """The canonical colouring as a vertex → colour map.
+def canonical_colouring(t: BuildTree, colours: Palette | Sequence[int]) -> Colouring:
+    """The canonical colouring over an ordered palette of exactly chi colours.
 
-    Each node uses the first chi(node) colours of the palette handed to it:
+    Each node colours with exactly chi(node) colours handed down to it:
     union children take prefixes, join children split the palette, a
     comparable vertex copies its anchor, and an attached clique takes the
     first |Q| colours that remain after removing the anchor's colour.
     """
-    out: dict[int, int] = {}
-    work: list[tuple[str, BuildTree, tuple[int, ...]]] = [("colour", t, tuple(colours))]
+    pal = colours if isinstance(colours, Palette) else Palette(tuple(colours))
+    if len(pal) != t.chi:
+        raise PaletteError(f"canonical colouring needs exactly {t.chi} colours, got {len(pal)}")
+    n = t.verts.bit_count()
+    if t.verts != (1 << n) - 1:
+        raise MalformedTreeError(f"tree vertices {list(iter_bits(t.verts))} are not 0..{n - 1}")
+    out = [0] * n
+    work: list[tuple[str, BuildTree, tuple[int, ...]]] = [("colour", t, pal.colours)]
     while work:
         kind, node, c = work.pop()
         if kind == "echo":
             out[node.u] = out[node.v]
-            continue
-        if kind == "fill":
+        elif kind == "fill":
             cstar = out[node.z]
             avail = [x for x in c if x != cstar]
             for q, col in zip(node.Q, avail):
                 out[q] = col
-            continue
-        if len(c) < node.chi:
-            raise PaletteError(f"need at least {node.chi} colours at this node, got {len(c)}")
-        c = c[: node.chi]
-        if isinstance(node, Leaf):
+        elif isinstance(node, Leaf):
             out[node.v] = c[0]
         elif isinstance(node, Union):
             work.append(("colour", node.right, c[: node.right.chi]))
@@ -342,19 +343,7 @@ def canonical_assignment(t: BuildTree, colours: Sequence[int]) -> dict[int, int]
         else:
             work.append(("fill", node, c))
             work.append(("colour", node.child, c[: node.child.chi]))
-    return out
-
-
-def canonical_colouring(t: BuildTree, colours: Palette | Sequence[int]) -> Colouring:
-    """The canonical colouring over an ordered palette of exactly chi colours."""
-    pal = colours if isinstance(colours, Palette) else Palette(tuple(colours))
-    if len(pal) != t.chi:
-        raise PaletteError(f"canonical colouring needs exactly {t.chi} colours, got {len(pal)}")
-    n = t.verts.bit_count()
-    if t.verts != (1 << n) - 1:
-        raise MalformedTreeError(f"tree vertices {list(iter_bits(t.verts))} are not 0..{n - 1}")
-    assign = canonical_assignment(t, pal.colours)
-    return Colouring(tuple(assign[v] for v in range(n)), pal)
+    return Colouring(tuple(out), pal)
 
 
 def tree_to_json(t: BuildTree) -> dict[str, Any]:
@@ -377,10 +366,6 @@ _OPS = {
     cls._op: (cls, frozenset({"op", *cls._kids, *cls._own}))
     for cls in (Leaf, Union, Join, Comparable, CliqueAttach)
 }
-
-
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is no label
 
 
 def tree_from_json(obj: Any) -> BuildTree:
@@ -411,9 +396,9 @@ def tree_from_json(obj: Any) -> BuildTree:
             del done[-len(cls._kids) :]
         for f, kind in cls._own.items():
             val = d[f]
-            if kind is int and not _is_int(val):
+            if kind is int and not is_int(val):
                 raise MalformedTreeError(f"{cls._op} node field {f!r} must be an integer, got {val!r}")
-            if kind is list and not (isinstance(val, list) and all(map(_is_int, val))):
+            if kind is list and not (isinstance(val, list) and all(map(is_int, val))):
                 raise MalformedTreeError(
                     f"{cls._op} node field {f!r} must be a list of integers, got {val!r}"
                 )

@@ -14,9 +14,10 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from ._util import is_int
 from .buildtree import canonical_colouring, chi_omega, replay, tree_to_json
 from .colouring import Colouring, Palette, colouring_from_json, colouring_to_json
-from .errors import GraphFormatError, OatGraphError
+from .errors import GraphFormatError, OatGraphError, SizeBudgetError
 from .generators import (
     CLASSIC_FAMILIES,
     FIXTURE_NAMES,
@@ -52,7 +53,7 @@ def _read_json(path: str) -> Any:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if isinstance(loaded, dict):
         version = loaded.pop("format_version", 1)
-        if type(version) is not int or version != 1:  # JSON true and 1.0 are not 1
+        if not is_int(version) or version != 1:  # JSON true and 1.0 are not 1
             raise ValueError(f"unsupported format version {version!r}")
     return loaded
 
@@ -63,32 +64,26 @@ def _read_colouring(path: str, palette: Palette) -> Colouring:
     return Colouring(loaded.assignment, palette)
 
 
-def _json_text(doc: dict, indent: int | None = None) -> str:
-    """json.dumps(doc, indent=indent), byte for byte, without recursing per
-    level of nested objects, so a build tree of any depth can be written.
-    Objects are walked on an explicit stack; every other value, lists
-    included, goes to the json encoder whole."""
-    encode = json.JSONEncoder(indent=indent).encode
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc), byte for byte, without recursing per level of nested
+    objects, so a build tree of any depth can be written.  Objects are
+    walked on an explicit stack; every other value, lists included, goes to
+    the json encoder whole."""
+    encode = json.JSONEncoder().encode
     parts: list[str] = []
-    todo: list[tuple[Any, int | None]] = [(doc, 0)]  # (value, depth), or (text, None)
+    todo: list[tuple[Any, bool]] = [(doc, False)]  # (value, False), or (text, True)
     while todo:
-        val, depth = todo.pop()
-        if depth is None:
+        val, is_text = todo.pop()
+        if is_text:
             parts.append(val)
         elif not isinstance(val, dict) or not val:
-            text = encode(val)
-            parts.append(text if indent is None else text.replace("\n", "\n" + " " * indent * depth))
+            parts.append(encode(val))
         else:
-            if indent is None:
-                first, sep, close = "{", ", ", "}"
-            else:
-                pad = "\n" + " " * indent * (depth + 1)
-                first, sep, close = "{" + pad, "," + pad, "\n" + " " * indent * depth + "}"
-            items: list[tuple[Any, int | None]] = []
+            items: list[tuple[Any, bool]] = []
             for i, (key, sub) in enumerate(val.items()):
-                items.append((f"{sep if i else first}{encode(key)}: ", None))
-                items.append((sub, depth + 1))
-            items.append((close, None))
+                items.append((f"{', ' if i else '{'}{encode(key)}: ", True))
+                items.append((sub, False))
+            items.append(("}", True))
             todo.extend(reversed(items))
     return "".join(parts)
 
@@ -119,7 +114,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     chi, omega = chi_omega(out.tree)
     doc = tree_to_json(out.tree)
     if args.tree_out:
-        Path(args.tree_out).write_text(_json_text(doc, indent=2) + "\n")
+        Path(args.tree_out).write_text(_json_text(doc) + "\n")
     if args.json:
         _emit({"oat": True, "chi": chi, "omega": omega, "tree": doc})
     else:
@@ -139,6 +134,14 @@ def cmd_recolor(args: argparse.Namespace) -> int:
     k = args.k if args.k is not None else chi
     if k < chi:
         print(f"error: k = {k} is below the chromatic number {chi}", file=sys.stderr)
+        return 2
+    try:
+        _check_dense_budget(k + 1)  # no palette longer than the largest graph accepted
+    except SizeBudgetError:
+        print(
+            f"error: k = {k} asks for more colours than any graph this machine can hold",
+            file=sys.stderr,
+        )
         return 2
     palette = Palette.default(k + 1)
     alpha = _read_colouring(args.from_file, palette)
@@ -185,7 +188,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _check_dense_budget(args.param)
         tree = random_oat(args.param, args.seed)
         if args.tree_out:
-            Path(args.tree_out).write_text(_json_text(tree_to_json(tree), indent=2) + "\n")
+            Path(args.tree_out).write_text(_json_text(tree_to_json(tree)) + "\n")
         g = replay(tree)
     elif family == "p4_sparse":
         if args.param is None:
@@ -249,9 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="census of the full reconfiguration graph")
     p.add_argument("graph")
     p.add_argument("--k", type=int, required=True, help="palette is 1..k")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--stats", action="store_true", help="connectivity stats (default)")
-    group.add_argument("--frozen", action="store_true", help="list frozen colourings")
+    p.add_argument("--frozen", action="store_true", help="list frozen colourings, not stats")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="emit a generated graph in the edge-list format")
@@ -279,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OatGraphError, ValueError, json.JSONDecodeError) as exc:
+    except (OatGraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

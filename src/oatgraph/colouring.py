@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ._util import is_int
 from .errors import ColouringError, PaletteError
 
 if TYPE_CHECKING:
@@ -46,12 +47,6 @@ class Palette:
         if not 1 <= k <= len(self.colours):
             raise PaletteError(f"cannot take prefix of length {k} from {self.colours}")
         return Palette(self.colours[:k])
-
-    def without(self, c: int) -> Palette:
-        """This palette with colour c removed, order preserved."""
-        if c not in self._set:
-            raise PaletteError(f"colour {c} not in palette {self.colours}")
-        return Palette(tuple(x for x in self.colours if x != c))
 
     def __len__(self) -> int:
         return len(self.colours)
@@ -88,11 +83,6 @@ class Colouring:
     @property
     def n(self) -> int:
         return len(self.assignment)
-
-    def used_colours(self) -> tuple[int, ...]:
-        """Distinct colours actually present, in palette order."""
-        present = set(self.assignment)
-        return tuple(c for c in self.palette if c in present)
 
     def colour_classes(self) -> dict[int, tuple[int, ...]]:
         """Map each used colour to its vertices, ascending."""
@@ -131,14 +121,8 @@ def colouring_from_json(obj: Any) -> Colouring:
         assignment = obj["assignment"]
     except KeyError as e:
         raise ColouringError(f"colouring JSON missing key {e.args[0]!r}") from None
-    def ints_only(value: Any) -> bool:
-        # bool is an int subclass; JSON true/false are not colours
-        return isinstance(value, list) and all(
-            isinstance(c, int) and not isinstance(c, bool) for c in value
-        )
-
-    if not ints_only(palette):
+    if not (isinstance(palette, list) and all(map(is_int, palette))):
         raise ColouringError("palette must be a list of integers")
-    if not ints_only(assignment):
+    if not (isinstance(assignment, list) and all(map(is_int, assignment))):
         raise ColouringError("assignment must be a list of integers")
     return Colouring(tuple(assignment), Palette(tuple(palette)))

@@ -82,10 +82,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.adj[v].sum())
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1, dtype=np.int64)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
 

@@ -74,20 +74,21 @@ class ReconfigGraph:
 _NODE_BUDGET = 2_000_000
 
 
-def _check_node_budget(n: int, k: int, node_budget: int = _NODE_BUDGET) -> None:
+def _check_node_budget(n: int, k: int) -> None:
     """Raise SizeBudgetError when the k^n assignments build_reconfig would
-    enumerate exceed node_budget; callable before any palette exists."""
+    enumerate exceed _NODE_BUDGET; callable before any palette exists."""
     bound = k**n
-    if bound > node_budget:
+    if bound > _NODE_BUDGET:
+        # a count of thousands of digits says no more than k^n, and str() refuses it
+        shown = f" = {bound}" if bound < 10**40 else ""
         raise SizeBudgetError(
-            f"{k}^{n} = {bound} assignments exceed the budget of {node_budget}",
-            bound=bound,
+            f"{k}^{n}{shown} assignments exceed the budget of {_NODE_BUDGET}", bound=bound
         )
 
 
-def build_reconfig(g: Graph, S: Palette, *, node_budget: int = _NODE_BUDGET) -> ReconfigGraph:
+def build_reconfig(g: Graph, S: Palette) -> ReconfigGraph:
     """Materialise the full reconfiguration graph; refuses oversized inputs."""
-    _check_node_budget(g.n, len(S), node_budget)
+    _check_node_budget(g.n, len(S))
     colours = sorted(S.colours)
     edges = g.edges()
     nodes = tuple(
@@ -183,15 +184,15 @@ def is_frozen(g: Graph, colouring: Colouring) -> bool:
     return True
 
 
-def brute_chi(g: Graph, *, max_n: int = 16) -> int:
+def brute_chi(g: Graph) -> int:
     """Exact chromatic number by backtracking.
 
     Vertices are tried in descending-degree order and each vertex may only
     use a colour index at most one above the largest used so far, which
     kills the colour-permutation symmetry.
     """
-    if g.n > max_n:
-        raise SizeBudgetError(f"chromatic search capped at n = {max_n}, got {g.n}", bound=max_n)
+    if g.n > 16:
+        raise SizeBudgetError(f"chromatic search capped at n = 16, got {g.n}", bound=16)
     n = g.n
     order = sorted(range(n), key=lambda v: -g.degree(v))
     pos = {v: i for i, v in enumerate(order)}
@@ -218,10 +219,10 @@ def brute_chi(g: Graph, *, max_n: int = 16) -> int:
     return n
 
 
-def brute_omega(g: Graph, *, max_n: int = 16) -> int:
+def brute_omega(g: Graph) -> int:
     """Exact clique number by bitmask branch and bound."""
-    if g.n > max_n:
-        raise SizeBudgetError(f"clique search capped at n = {max_n}, got {g.n}", bound=max_n)
+    if g.n > 16:
+        raise SizeBudgetError(f"clique search capped at n = 16, got {g.n}", bound=16)
     masks = g.neighbour_masks
     best = 0
 
@@ -240,7 +241,7 @@ def brute_omega(g: Graph, *, max_n: int = 16) -> int:
     return best
 
 
-def brute_is_oat(g: Graph, *, max_n: int = 10) -> bool:
+def brute_is_oat(g: Graph) -> bool:
     """Membership by exhaustive deconstruction, independent of the recogniser.
 
     Works on vertex subsets with plain set arithmetic: split components,
@@ -248,8 +249,8 @@ def brute_is_oat(g: Graph, *, max_n: int = 10) -> bool:
     clique hanging off a single vertex.  Removal order does not affect the
     answer, so the first applicable move is always taken.
     """
-    if g.n > max_n:
-        raise SizeBudgetError(f"exhaustive membership capped at n = {max_n}, got {g.n}", bound=max_n)
+    if g.n > 10:
+        raise SizeBudgetError(f"exhaustive membership capped at n = 10, got {g.n}", bound=10)
     adj = [set(g.neighbours(v)) for v in range(g.n)]
     memo: dict[frozenset[int], bool] = {}
 
@@ -312,17 +313,20 @@ def random_colouring(g: Graph, S: Palette, seed: int) -> Colouring:
     colours = list(S.colours)
     orders = [rng.sample(colours, len(colours)) for _ in range(g.n)]
     assign = [0] * g.n
-
-    def bt(i: int) -> bool:
-        if i == g.n:
-            return True
-        for c in orders[i]:
-            if all(assign[j] != c for j in g.neighbours(i) if j < i):
-                assign[i] = c
-                if bt(i + 1):
-                    return True
-        return False
-
-    if not bt(0):
+    tried = [0] * g.n  # how many of orders[i] vertex i has been through
+    i = 0
+    while 0 <= i < g.n:
+        order = orders[i]
+        j = tried[i]
+        while j < len(order) and any(assign[w] == order[j] for w in g.neighbours(i) if w < i):
+            j += 1
+        if j == len(order):  # no colour left for i: back up to i - 1
+            tried[i] = 0
+            i -= 1
+        else:
+            assign[i] = order[j]
+            tried[i] = j + 1
+            i += 1
+    if i < 0:
         raise ColouringError(f"graph has no proper colouring over {len(S)} colours")
     return Colouring(tuple(assign), S)

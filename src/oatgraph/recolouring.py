@@ -30,6 +30,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
+from ._util import is_int
 from .buildtree import (
     BuildTree,
     CliqueAttach,
@@ -447,8 +448,7 @@ def sequence_from_json(obj: Any) -> RecolouringSequence:
         if not isinstance(item, dict) or set(item) != {"v", "c"}:
             raise ColouringError(f"step {i} must be an object with keys 'v' and 'c'")
         v, c = item["v"], item["c"]
-        # bool is an int subclass; JSON true/false are not vertices or colours
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in (v, c)):
+        if not (is_int(v) and is_int(c)):
             raise ColouringError(f"step {i} fields must be integers")
         steps.append(Step(v, c))
     return RecolouringSequence(initial, tuple(steps))

@@ -17,6 +17,7 @@ from oatgraph import (
     replay,
     sequence_from_json,
     tree_from_json,
+    tree_to_json,
     verify_sequence,
 )
 from oatgraph.cli import main
@@ -58,7 +59,7 @@ class TestRecognize:
         line = capsys.readouterr().out
         doc = json.loads(line)
         assert line == json.dumps(doc) + "\n"
-        assert out.read_text() == json.dumps(doc["tree"], indent=2) + "\n"
+        assert out.read_text() == json.dumps(doc["tree"]) + "\n"
 
     def test_deep_tree_outputs_under_shallow_stack(self, tmp_path, capsys, shallow_stack):
         # P_600's certificate is a comparable chain 597 nodes deep
@@ -68,7 +69,11 @@ class TestRecognize:
         line = capsys.readouterr().out
         assert line.startswith('{"format_version": 1, "oat": true, "chi": 2, "omega": 2, "tree": ')
         assert line.count('"op": "comparable"') == 597
-        assert out.read_text().count('"op": "comparable"') == 597
+        text = out.read_text()
+        assert text.count('"op": "comparable"') == 597
+        # the file holds the line's tree verbatim, in size linear in the depth
+        assert text.endswith("\n") and line.endswith(', "tree": ' + text[:-1] + "}\n")
+        assert len(text.encode()) < 50_000
 
     def test_rejects_fig4_with_stuck_edges(self, tmp_path, capsys):
         g = fixture("fig4_dh_not_oat").graph
@@ -151,6 +156,22 @@ class TestRecolor:
         assert captured.out == ""
         assert captured.err == f"error: unsupported format version {version!r}\n"
 
+    def test_huge_k_exits_2_before_building_the_palette(self, tmp_path, capsys):
+        gp = write_graph(tmp_path, classic("path", 2))
+        a = write_colouring(tmp_path, (1, 2), Palette.default(3), "a.json")
+        tracemalloc.start()
+        try:
+            assert main(["recolor", gp, "--from", a, "--to", a, "--k", "1000000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: k = 1000000 ")
+        assert captured.err.count("\n") == 1
+        # no graph this machine holds has a million vertices, so no palette that long
+        assert peak < 1 << 20
+
     def test_palette_too_small_exits_2(self, tmp_path, capsys):
         g = classic("complete", 2)
         gp = write_graph(tmp_path, g)
@@ -211,6 +232,16 @@ class TestOracle:
         # a million-colour palette alone would take tens of MiB
         assert peak < 1 << 20
 
+    def test_budget_message_names_a_huge_count_by_its_power(self, tmp_path, capsys):
+        # 4^8000 has 4,817 digits, more than str() of an int will write
+        gp = tmp_path / "p8000.graph"
+        gp.write_text("8000 7999\n" + "".join(f"{i} {i + 1}\n" for i in range(7999)))
+        assert main(["oracle", str(gp), "--k", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 4^8000 assignments exceed the budget")
+        assert captured.err.count("\n") == 1
+
 
 class TestGen:
     def test_path(self, capsys):
@@ -229,6 +260,7 @@ class TestGen:
         g = parse_graph(text)
         assert g == replay(random_oat(8, 42))
         assert replay(tree_from_json(json.loads(tree_file.read_text()))) == g
+        assert tree_file.read_text() == json.dumps(tree_to_json(random_oat(8, 42))) + "\n"
 
     def test_p4_sparse(self, capsys):
         assert main(["gen", "p4_sparse", "1", "--case", "anti"]) == 0

@@ -26,7 +26,6 @@ class TestPalette:
     def test_prefix_and_without(self):
         s = Palette((1, 2, 3))
         assert s.prefix(2).colours == (1, 2)
-        assert s.without(2).colours == (1, 3)
         assert 2 in s and 5 not in s
         assert len(s) == 3
         assert list(s) == [1, 2, 3]
@@ -41,10 +40,6 @@ class TestColouring:
     def test_rejects_empty_assignment(self):
         with pytest.raises(ColouringError):
             Colouring((), Palette((1,)))
-
-    def test_used_colours_in_palette_order(self):
-        c = Colouring((3, 1, 3), Palette((1, 2, 3)))
-        assert c.used_colours() == (1, 3)
 
     def test_colour_classes(self):
         c = Colouring((2, 1, 2), Palette((1, 2)))

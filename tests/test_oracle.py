@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -15,7 +16,9 @@ from oatgraph import (
     classic,
     is_frozen,
     random_colouring,
+    random_oat,
     reconfig_stats,
+    replay,
 )
 from oatgraph.colouring import Colouring
 
@@ -144,3 +147,22 @@ class TestRandomColouring:
     def test_impossible_palette_raises(self):
         with pytest.raises(ColouringError):
             random_colouring(classic("complete", 3), Palette.default(2), 0)
+
+    def test_deep_path_under_shallow_stack(self, shallow_stack):
+        g = classic("path", 1500)
+        assert random_colouring(g, Palette.default(3), 1).is_proper(g)
+
+    def test_same_colourings_as_the_recursive_search(self):
+        # SHA-256 of the colourings the one-frame-per-vertex backtrack gave;
+        # chi + 1 colours up to n = 16 makes 14 of those searches back up
+        digest = hashlib.sha256()
+        for n in range(5, 31):
+            for s in range(5):
+                t = random_oat(n, s)
+                g = replay(t)
+                for k in [2 * t.chi] + ([t.chi + 1] if n <= 16 else []):
+                    col = random_colouring(g, Palette.default(k), s)
+                    digest.update(repr(col.assignment).encode())
+        assert digest.hexdigest() == (
+            "09ed2f000ba5444669f924f3b478f755993f9d93f89e0e6014ab1498856cf469"
+        )
