@@ -201,7 +201,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             if pair is not None:
                 u, v = pair
                 # u's row of the input graph's neighbour lists, built once
-                # per graph (verify_sequence reads the same lists later).
+                # per graph; the recogniser reads them only for this move.
                 x = tuple(w for w in g.neighbours(u) if task.alive >> w & 1)
                 wrappers.append((Comparable, u, v, x))
                 op, removed, kw = "comparable", (u,), {"neighbours": x}

@@ -397,30 +397,42 @@ def verify_sequence(g: Graph, seq: RecolouringSequence) -> SequenceReport:
     one vertex to a different palette colour, and properness holds after
     every step.  The report carries the first offending step index (None if
     the initial colouring itself is at fault).
+
+    Each palette colour keeps a bitmask of the vertices holding it, so a
+    step costs one AND of two n-bit masks: the moving vertex's neighbours
+    and the holders of its new colour.
     """
-    counts: dict[int, int] = {}
+    n = g.n
+    counts = [0] * n
 
     def report(valid: bool, idx: int | None = None, reason: str | None = None) -> SequenceReport:
-        worst = max(counts.values(), default=0)
-        return SequenceReport(valid, len(seq.steps), worst, idx, reason)
+        return SequenceReport(valid, len(seq.steps), max(counts), idx, reason)
 
-    if seq.initial.n != g.n:
-        return report(False, None, f"initial covers {seq.initial.n} vertices, graph has {g.n}")
+    if seq.initial.n != n:
+        return report(False, None, f"initial covers {seq.initial.n} vertices, graph has {n}")
     if not seq.initial.is_proper(g):
         return report(False, None, "initial colouring is not proper")
     pal = seq.initial.palette
     cur = list(seq.initial.assignment)
+    held = dict.fromkeys(pal.colours, 0)
+    for v, c in enumerate(cur):
+        held[c] |= 1 << v
+    masks = g.neighbour_masks
     for idx, (v, c) in enumerate(seq.steps):
-        if not 0 <= v < g.n:
+        if not 0 <= v < n:
             return report(False, idx, f"vertex {v} out of range")
-        if c not in pal:
+        if c not in held:
             return report(False, idx, f"colour {c} outside palette {pal.colours}")
-        if cur[v] == c:
+        old = cur[v]
+        if old == c:
             return report(False, idx, f"step does not change vertex {v}")
         cur[v] = c
-        counts[v] = counts.get(v, 0) + 1
-        if any(cur[w] == c for w in g.neighbours(v)):
+        counts[v] += 1
+        if masks[v] & held[c]:
             return report(False, idx, f"recolouring vertex {v} to {c} breaks properness")
+        bit = 1 << v
+        held[old] ^= bit
+        held[c] |= bit
     return report(True)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import random
 
@@ -17,6 +19,7 @@ from oatgraph import (
     PaletteTooSmallError,
     PartitionError,
     RecolouringSequence,
+    SequenceReport,
     Step,
     Union,
     build_reconfig,
@@ -285,20 +288,50 @@ def relabelled(g: Graph, seed: str) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def tampered(g: Graph, seq: RecolouringSequence, i: int) -> list[RecolouringSequence]:
+    """seq with step i replaced, once by each fault in turn: a neighbour's
+    colour, the vertex's own colour, a colour off the palette, and a vertex
+    out of range."""
+    cur = list(seq.initial.assignment)
+    for v, c in seq.steps[:i]:
+        cur[v] = c
+    v = seq.steps[i].v
+    w = g.neighbours(v)[0]
+    faults = [
+        Step(v, cur[w]),
+        Step(v, cur[v]),
+        Step(v, max(seq.initial.palette) + 1),
+        Step(g.n, cur[v]),
+    ]
+    head, tail = seq.steps[:i], seq.steps[i + 1 :]
+    return [RecolouringSequence(seq.initial, head + (f,) + tail) for f in faults]
+
+
 class TestGuaranteesAtScale:
     """The paper's bounds at n in the hundreds: each to_canonical half moves
     a vertex at most 2n times, and find_path takes at most 4n^2 steps."""
 
     @pytest.mark.parametrize(
-        "build",
+        "build, digest",
         [
-            lambda: classic("path", 300),
-            lambda: relabelled(replay(random_oat(250, 0)), "scale-250"),
-            lambda: p4_sparse_third_op(40, classic("path", 10), "anti"),
+            pytest.param(
+                lambda: classic("path", 300),
+                "508d5e34ea8c96a606054ce5d33d4cf03fd4709cae87e2fd48b4ee36a4633134",
+                id="path_300",
+            ),
+            pytest.param(
+                lambda: relabelled(replay(random_oat(250, 0)), "scale-250"),
+                "8c05b8bb3ce254b88c6a1c32e81b6d3dbdb8abe024fd7a11b10abb530f6a432f",
+                id="relabelled_random_oat_250",
+            ),
+            pytest.param(
+                lambda: p4_sparse_third_op(40, classic("path", 10), "anti"),
+                "a66ee3b45b82cf11994cdd406d296284a0cb0b16b4f2d80cbf3a94d46a973160",
+                id="p4_sparse_anti_40",
+            ),
         ],
-        ids=["path_300", "relabelled_random_oat_250", "p4_sparse_anti_40"],
     )
-    def test_bounds(self, build, moved):
+    def test_bounds(self, build, digest, moved):
         g = build()
         t = recognize(g).tree
         n = g.n
@@ -314,43 +347,138 @@ class TestGuaranteesAtScale:
         assert rep.valid, (rep.reason, rep.first_invalid_step)
         assert seq.final() == ends[1]
         assert len(seq) <= 4 * n * n
+        # The reports of the walk and of its tampered copies, pinned
+        # field for field.
+        reports = [rep] + [verify_sequence(g, bad) for bad in tampered(g, seq, len(seq) // 2)]
+        h = hashlib.sha256(repr([dataclasses.astuple(r) for r in reports]).encode())
+        assert h.hexdigest() == digest
+
+
+FAULTS = (None, "off_palette", "no_op", "out_of_range", "clash")
+
+
+def random_walk(n: int, seed: int, fault: str | None) -> tuple[Graph, RecolouringSequence]:
+    """A seeded random graph on n vertices and a walk of proper single-vertex
+    moves over a palette of 1-5 colours, from a greedy (possibly improper)
+    start.  Unless fault is None, or is a clash and the drawn vertex has no
+    neighbour, the step at a random index (possibly one past the end) is
+    replaced by that fault."""
+    rng = random.Random(f"walk-{n}-{seed}")
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+    pal = Palette(tuple(rng.sample(range(-3, 10), rng.randint(1, 5))))
+    cur = []
+    for v in range(n):
+        taken = {cur[w] for w in g.neighbours(v) if w < v}
+        free = [c for c in pal if c not in taken]
+        cur.append(rng.choice(free or pal.colours))
+    initial = Colouring(tuple(cur), pal)
+    steps = []
+    for _ in range(rng.randint(0, 12)):
+        v = rng.randrange(n)
+        taken = {cur[w] for w in g.neighbours(v)}
+        free = [c for c in pal if c != cur[v] and c not in taken]
+        if free:
+            cur[v] = rng.choice(free)
+            steps.append(Step(v, cur[v]))
+    i = rng.randint(0, len(steps))
+    cur = list(initial.assignment)
+    for v, c in steps[:i]:
+        cur[v] = c
+    v = rng.randrange(n)
+    if fault == "off_palette":
+        bad = Step(v, rng.choice([c for c in range(-5, 12) if c not in pal]))
+    elif fault == "no_op":
+        bad = Step(v, cur[v])
+    elif fault == "out_of_range":
+        bad = Step(rng.choice([-2, -1, n, n + 3]), rng.choice(pal.colours + (99,)))
+    elif fault == "clash" and g.neighbours(v):
+        bad = Step(v, cur[rng.choice(g.neighbours(v))])
+    else:
+        return g, RecolouringSequence(initial, tuple(steps))
+    return g, RecolouringSequence(initial, tuple(steps[:i] + [bad] + steps[i + 1 :]))
+
+
+def reference_report(g: Graph, seq: RecolouringSequence) -> SequenceReport:
+    """verify_sequence's verdict, got by applying each step and testing the
+    whole colouring for properness."""
+    counts = [0] * g.n
+
+    def report(valid, idx=None, reason=None):
+        return SequenceReport(valid, len(seq.steps), max(counts), idx, reason)
+
+    if seq.initial.n != g.n:
+        return report(False, None, f"initial covers {seq.initial.n} vertices, graph has {g.n}")
+    if not seq.initial.is_proper(g):
+        return report(False, None, "initial colouring is not proper")
+    pal = seq.initial.palette
+    cur = list(seq.initial.assignment)
+    for idx, (v, c) in enumerate(seq.steps):
+        if v not in range(g.n):
+            return report(False, idx, f"vertex {v} out of range")
+        if c not in pal.colours:
+            return report(False, idx, f"colour {c} outside palette {pal.colours}")
+        if cur[v] == c:
+            return report(False, idx, f"step does not change vertex {v}")
+        cur[v] = c
+        counts[v] += 1
+        if not Colouring(tuple(cur), pal).is_proper(g):
+            return report(False, idx, f"recolouring vertex {v} to {c} breaks properness")
+    return report(True)
 
 
 class TestVerifySequence:
     def g(self):
         return classic("path", 2)
 
+    def report(self, steps, initial=(1, 2)):
+        return verify_sequence(self.g(), RecolouringSequence(Colouring(initial, S3), steps))
+
     def test_accepts_valid(self):
-        seq = RecolouringSequence(Colouring((1, 2), S3), (Step(0, 3),))
-        rep = verify_sequence(self.g(), seq)
-        assert rep.valid and rep.length == 1 and rep.max_recolourings == 1
+        rep = self.report((Step(0, 3),))
+        assert rep == SequenceReport(True, 1, 1)
 
     def test_rejects_improper_initial(self):
-        seq = RecolouringSequence(Colouring((1, 1), S3), ())
-        rep = verify_sequence(self.g(), seq)
-        assert not rep.valid and rep.first_invalid_step is None
+        rep = self.report((), initial=(1, 1))
+        assert rep == SequenceReport(False, 0, 0, None, "initial colouring is not proper")
 
     def test_rejects_wrong_vertex_count(self):
-        seq = RecolouringSequence(Colouring((1,), S3), ())
-        assert not verify_sequence(self.g(), seq).valid
+        rep = self.report((Step(0, 3),), initial=(1,))
+        assert rep == SequenceReport(False, 1, 0, None, "initial covers 1 vertices, graph has 2")
 
     def test_rejects_clash_with_step_index(self):
-        seq = RecolouringSequence(Colouring((1, 2), S3), (Step(0, 3), Step(1, 3)))
-        rep = verify_sequence(self.g(), seq)
-        assert not rep.valid and rep.first_invalid_step == 1
+        rep = self.report((Step(0, 3), Step(1, 3)))
+        assert rep == SequenceReport(False, 2, 1, 1, "recolouring vertex 1 to 3 breaks properness")
+
+    def test_clashing_step_is_counted(self):
+        rep = self.report((Step(1, 3), Step(1, 1), Step(0, 2)))
+        assert rep == SequenceReport(False, 3, 2, 1, "recolouring vertex 1 to 1 breaks properness")
 
     def test_rejects_no_op_step(self):
-        seq = RecolouringSequence(Colouring((1, 2), S3), (Step(0, 1),))
-        rep = verify_sequence(self.g(), seq)
-        assert not rep.valid and rep.first_invalid_step == 0
+        rep = self.report((Step(0, 1),))
+        assert rep == SequenceReport(False, 1, 0, 0, "step does not change vertex 0")
+
+    def test_no_op_step_is_not_counted(self):
+        rep = self.report((Step(0, 3), Step(0, 3)))
+        assert rep == SequenceReport(False, 2, 1, 1, "step does not change vertex 0")
 
     def test_rejects_off_palette_step(self):
-        seq = RecolouringSequence(Colouring((1, 2), S3), (Step(0, 9),))
-        assert not verify_sequence(self.g(), seq).valid
+        rep = self.report((Step(0, 9),))
+        assert rep == SequenceReport(False, 1, 0, 0, "colour 9 outside palette (1, 2, 3)")
 
     def test_rejects_out_of_range_vertex(self):
-        seq = RecolouringSequence(Colouring((1, 2), S3), (Step(7, 3),))
-        assert not verify_sequence(self.g(), seq).valid
+        for v in (7, 2, -1):
+            rep = self.report((Step(0, 3), Step(v, 3)))
+            assert rep == SequenceReport(False, 2, 1, 1, f"vertex {v} out of range")
+
+    def test_range_is_checked_before_palette(self):
+        rep = self.report((Step(7, 9),))
+        assert rep == SequenceReport(False, 1, 0, 0, "vertex 7 out of range")
+
+    @given(st.integers(1, 9), st.integers(0, 10**6), st.sampled_from(FAULTS))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_step_by_step_reference(self, n, seed, fault):
+        g, seq = random_walk(n, seed, fault)
+        assert verify_sequence(g, seq) == reference_report(g, seq)
 
 
 class TestSequenceJson:
