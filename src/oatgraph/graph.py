@@ -3,11 +3,19 @@
 Graphs are small and dense enough here that an n-by-n boolean matrix plus
 per-vertex bitmasks beats adjacency lists: components, common-neighbour
 counts and neighbourhood comparisons all become vectorised operations.
+
+Edges come in as a whole, never one at a time: the edge-list reader and
+``Graph(n, edges)`` turn them into two int64 endpoint arrays, check those
+with array operations and fill the adjacency with two fancy-index stores
+(``_add_edges``), so no Python bytecode runs per edge unless an edge is
+faulty.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import os
 from collections.abc import Iterable, Sequence
 
@@ -24,6 +32,11 @@ from .errors import GraphFormatError, SizeBudgetError
 # per edge end.
 _DENSE_FOOTPRINT_FACTOR = 4
 
+# Graph(n, edges) takes its edges this many at a time, so that a lazy edge
+# stream is never held whole: as tuples it would take several times the
+# memory of the adjacency matrix.
+_EDGE_CHUNK = 1 << 16
+
 
 class Graph:
     """Undirected graph on vertices 0..n-1 with a read-only adjacency matrix."""
@@ -35,12 +48,20 @@ class Graph:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         _check_dense_budget(n)
         adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
+        stream = iter(edges)
+        while chunk := list(itertools.islice(stream, _EDGE_CHUNK)):
+            if set(map(len, chunk)) != {2}:
+                item = next(e for e in chunk if len(e) != 2)
+                raise ValueError(f"edge {item!r} is not a (u, v) pair")
+            ends = _vertex_array(list(map(operator.index, itertools.chain.from_iterable(chunk))), n)
+            us, vs = ends[0::2], ends[1::2]
+            wrong = np.flatnonzero(_out_of_range(us, vs, n) | (us == vs))
+            if len(wrong):
+                u, v = chunk[wrong[0]]
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u, v] = adj[v, u] = True
+            _add_edges(adj, us, vs)
         adj.setflags(write=False)
         self.n: int = n
         self.adj: np.ndarray = adj
@@ -244,12 +265,44 @@ def _check_dense_budget(n: int) -> None:
         )
 
 
+def _vertex_array(values: list[int], n: int) -> np.ndarray:
+    """values as an int64 array.  A value beyond int64 is out of range for
+    any n, so it is clipped to -1 or n, which keeps it out of range on the
+    same side."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object).clip(-1, n).astype(np.int64)
+
+
+def _out_of_range(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
+    """Per edge, whether an endpoint falls outside 0..n-1."""
+    return (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
+
+
+def _add_edges(adj: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
+    """Set the edges (us[i], vs[i]) of adj in both directions."""
+    adj[us, vs] = True
+    adj[vs, us] = True
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the plain edge-list format: a header 'n m' then m lines 'u v'.
 
-    Edges are kept as two lists of ints and seen pairs as ints u*n + v, so
-    a parse allocates no container per edge for the cyclic garbage
-    collector to count and traverse.
+    Lines are those of ``str.splitlines`` and fields those of ``str.split``;
+    blank lines are skipped and each field is read by ``int``.  The body is
+    read in bulk: one ``str.split`` of the whole text gives every field,
+    ``int`` converts them into one int64 array of endpoints, and the field
+    count of every line comes from splitting each line in C.  Ranges, the
+    order u < v and duplicates are then checked with array operations, and
+    the adjacency is filled by two fancy-index stores.  No container per
+    edge outlives its line's split, so the cyclic garbage collector has
+    none to count and traverse.
+
+    Errors name the first faulty line.  Each check looks only at the edge
+    lines before the earliest fault found so far, so within one line the
+    faults rank: field count, integers, range, order, duplicate.  A
+    duplicate repeats an earlier line's edge.
     """
     lines = text.splitlines()
     for lineno, header in enumerate(lines, 1):
@@ -271,37 +324,62 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"edge count must be non-negative, got {m}", lineno)
     _check_dense_budget(n)
     body = lines[lineno:]
-    found = sum(1 for ln in body if ln.strip())
-    if found != m:
-        raise GraphFormatError(f"header promises {m} edges, found {found} edge lines")
-    seen: set[int] = set()
-    us: list[int] = []
-    vs: list[int] = []
-    for lineno, ln in enumerate(body, lineno + 1):
-        ln = ln.strip()
-        if not ln:
-            continue
-        fields = ln.split()
-        if len(fields) != 2:
-            raise GraphFormatError(f"edge line must be 'u v', got {ln!r}", lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"edge line must be two integers, got {ln!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}", lineno)
-        if u >= v:
-            raise GraphFormatError(f"edge must satisfy u < v, got ({u}, {v})", lineno)
-        if u * n + v in seen:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-        seen.add(u * n + v)
-        us.append(u)
-        vs.append(v)
-    return Graph(n, zip(us, vs))
+    counts = np.fromiter(map(len, map(str.split, body)), dtype=np.intp, count=len(body))
+    rows = np.flatnonzero(counts)  # the body's edge lines
+    if len(rows) != m:
+        raise GraphFormatError(f"header promises {m} edges, found {len(rows)} edge lines")
+
+    # The earliest faulty edge line so far, as an index into rows, and its fault.
+    stop, fault = m, None
+    wrong = np.flatnonzero(counts[rows] != 2)
+    if len(wrong):
+        stop, fault = int(wrong[0]), "fields"
+    # Lines before the header are blank, so the header's fields come first,
+    # and every edge line before stop has exactly two.
+    tokens = text.split()[2 : 2 + 2 * stop]
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        for bad, token in enumerate(tokens):
+            try:
+                int(token)
+            except ValueError:
+                break
+        stop, fault = bad // 2, "integers"
+        values = list(map(int, tokens[: 2 * stop]))
+    ends = _vertex_array(values, n)
+    us, vs = ends[0::2], ends[1::2]
+    out = _out_of_range(us, vs, n)
+    wrong = np.flatnonzero(out | (us >= vs))
+    if len(wrong):
+        stop, fault = int(wrong[0]), "range" if out[wrong[0]] else "order"
+        us, vs = us[:stop], vs[:stop]
+    adj = np.zeros((n, n), dtype=bool)
+    _add_edges(adj, us, vs)
+    if np.count_nonzero(adj) != 2 * len(us):
+        _, first = np.unique(us * n + vs, return_index=True)
+        repeat = np.ones(len(us), dtype=bool)
+        repeat[first] = False
+        stop, fault = int(repeat.argmax()), "duplicate"
+    if fault is None:
+        return Graph._from_validated(adj)
+
+    lineno += 1 + int(rows[stop])
+    line = body[rows[stop]].strip()
+    if fault == "fields":
+        raise GraphFormatError(f"edge line must be 'u v', got {line!r}", lineno)
+    if fault == "integers":
+        raise GraphFormatError(f"edge line must be two integers, got {line!r}", lineno)
+    u, v = map(int, line.split())
+    if fault == "range":
+        raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}", lineno)
+    if fault == "order":
+        raise GraphFormatError(f"edge must satisfy u < v, got ({u}, {v})", lineno)
+    raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
 
 
 def format_graph(g: Graph) -> str:
     """Serialise to the plain edge-list format, edges ascending."""
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    us, vs = np.nonzero(np.triu(g.adj))
+    lines = [f"{g.n} {len(us)}", *map("{} {}".format, us.tolist(), vs.tolist())]
     return "\n".join(lines) + "\n"

@@ -17,8 +17,10 @@ from oatgraph import (
     format_graph,
     parse_graph,
 )
+from oatgraph.graph import _check_dense_budget
 
 from conftest import random_graph
+from edge_list_cases import ACCEPTED, MALFORMED
 
 
 def graphs(max_n=8):
@@ -30,6 +32,115 @@ def graphs(max_n=8):
         return Graph(n, picked)
 
     return build()
+
+
+def reference_graph(n, edges):
+    """The per-edge construction loop that Graph(n, edges) replaced."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        adj[u, v] = adj[v, u] = True
+    return Graph.from_adjacency(adj)
+
+
+def reference_parse_graph(text):
+    """The per-line edge-list parser that parse_graph replaced, kept as the
+    reference its bulk checks must agree with."""
+    lines = text.splitlines()
+    for lineno, header in enumerate(lines, 1):
+        header = header.strip()
+        if header:
+            break
+    else:
+        raise GraphFormatError("empty input")
+    fields = header.split()
+    if len(fields) != 2:
+        raise GraphFormatError(f"header must be 'n m', got {header!r}", lineno)
+    try:
+        n, m = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise GraphFormatError(f"header must be two integers, got {header!r}", lineno) from None
+    if n < 1:
+        raise GraphFormatError(f"vertex count must be positive, got {n}", lineno)
+    if m < 0:
+        raise GraphFormatError(f"edge count must be non-negative, got {m}", lineno)
+    _check_dense_budget(n)
+    body = lines[lineno:]
+    found = sum(1 for ln in body if ln.strip())
+    if found != m:
+        raise GraphFormatError(f"header promises {m} edges, found {found} edge lines")
+    seen = set()
+    edges = []
+    for lineno, ln in enumerate(body, lineno + 1):
+        ln = ln.strip()
+        if not ln:
+            continue
+        fields = ln.split()
+        if len(fields) != 2:
+            raise GraphFormatError(f"edge line must be 'u v', got {ln!r}", lineno)
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise GraphFormatError(f"edge line must be two integers, got {ln!r}", lineno) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}", lineno)
+        if u >= v:
+            raise GraphFormatError(f"edge must satisfy u < v, got ({u}, {v})", lineno)
+        if u * n + v in seen:
+            raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
+        seen.add(u * n + v)
+        edges.append((u, v))
+    return reference_graph(n, edges)
+
+
+def outcome(parse, text):
+    """The graph a parser returns, or the type, text and line of its error."""
+    try:
+        return parse(text)
+    except (GraphFormatError, SizeBudgetError) as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+
+
+# Tokens int() rejects, spellings it accepts, and values beyond any range.
+JUNK_TOKENS = ["x", "1.0", "-1", "+1", "1_0", "\u0663", "99999999999999999999", "7", "0", "\xa0"]
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    """format_graph output with lines swapped, dropped or duplicated, edges
+    reversed, junk tokens put in or added, and blank lines, CRLF, tabs or
+    trailing blanks; the header's edge count is mostly made to match, so
+    that most texts reach the per-line checks."""
+    g = draw(graphs(max_n=7))
+    lines = format_graph(g).splitlines()
+    header = lines[0]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split()
+        kind = draw(st.sampled_from(["swap", "drop", "duplicate", "reverse", "junk", "extra", "blank"]))
+        if kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "reverse":
+            lines[i] = " ".join(reversed(fields))
+        elif kind == "junk" and fields:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(JUNK_TOKENS))
+            lines[i] = " ".join(fields)
+        elif kind == "extra":
+            lines[i] += " " + draw(st.sampled_from(JUNK_TOKENS))
+        elif kind == "blank":
+            lines.insert(j, draw(st.sampled_from(["", " ", "\t"])))
+    if draw(st.integers(0, 3)) and lines[0] == header:
+        lines[0] = f"{g.n} {sum(1 for ln in lines[1:] if ln.strip())}"
+    ending = draw(st.sampled_from(["\n", "\r\n", " \n", "\t\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
 def is_clique(g, verts):
@@ -64,6 +175,52 @@ class TestConstruction:
             Graph.from_adjacency(np.array([[0, 1], [0, 0]], dtype=bool))
         with pytest.raises(ValueError, match="diagonal"):
             Graph.from_adjacency(np.eye(2, dtype=bool))
+
+    def test_reports_first_faulty_edge(self):
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [(0, 1), (2, 2), (0, 3)])
+        assert str(exc.value) == "self-loop at vertex 2"
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [(0, 1), (-1, 2), (2, 2)])
+        assert str(exc.value) == "edge (-1, 2) out of range for n=3"
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [(2**70, 1), (0, 1)])
+        assert str(exc.value) == f"edge ({2**70}, 1) out of range for n=3"
+
+    @pytest.mark.parametrize("items", [[(0, 1, 2)], [(0,)], [()], [(0, 1), (1,)], [5], [(0, 1.5)]])
+    def test_refuses_items_that_are_not_pairs_of_integers(self, items):
+        with pytest.raises((TypeError, ValueError)):
+            Graph(3, items)
+
+    def test_takes_a_lazy_stream_longer_than_a_chunk(self):
+        # 400 * 399 / 2 = 79,800 edges, more than one chunk; the fault is
+        # in the second.
+        n = 400
+        assert Graph(n, itertools.combinations(range(n), 2)) == Graph.from_adjacency(
+            ~np.eye(n, dtype=bool)
+        )
+        bad = itertools.chain(itertools.combinations(range(n), 2), [(3, 3), (0, n)])
+        with pytest.raises(ValueError, match="^self-loop at vertex 3$"):
+            Graph(n, bad)
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=12)
+            )
+        )
+    )
+    @settings(max_examples=200)
+    def test_agrees_with_per_edge_reference(self, case):
+        n, edges = case
+        try:
+            want = reference_graph(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Graph(n, edges)
+            assert str(got.value) == str(exc)
+        else:
+            assert Graph(n, edges) == want
 
     def test_induced_relabels_in_sorted_order(self):
         g = Graph(4, [(0, 2), (2, 3)])
@@ -114,6 +271,26 @@ class TestParsing:
     @settings(max_examples=60)
     def test_format_parse_round_trip(self, g):
         assert parse_graph(format_graph(g)) == g
+
+    @pytest.mark.parametrize(
+        "text, message, lineno", [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED]
+    )
+    def test_malformed_text(self, text, message, lineno):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert (str(exc.value), exc.value.lineno) == (message, lineno)
+
+    @pytest.mark.parametrize(
+        "text, n, edges", [case[1:] for case in ACCEPTED], ids=[c[0] for c in ACCEPTED]
+    )
+    def test_accepted_text(self, text, n, edges):
+        g = parse_graph(text)
+        assert (g.n, g.edges()) == (n, edges)
+
+    @given(mutated_edge_lists())
+    @settings(max_examples=400)
+    def test_agrees_with_per_line_reference(self, text):
+        assert outcome(parse_graph, text) == outcome(reference_parse_graph, text)
 
     def test_allocates_no_container_per_edge(self):
         # Per-edge tuples would trigger (and lengthen) cyclic-GC passes that
