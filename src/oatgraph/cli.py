@@ -39,6 +39,13 @@ def _read_text(path: str) -> str:
         raise GraphFormatError(f"cannot read {path}: {exc}")
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise OatGraphError(f"cannot write {path}: {exc}")
+
+
 def _read_graph(path: str) -> Graph:
     return parse_graph(_read_text(path))
 
@@ -114,7 +121,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     chi, omega = chi_omega(out.tree)
     doc = tree_to_json(out.tree)
     if args.tree_out:
-        Path(args.tree_out).write_text(_json_text(doc) + "\n")
+        _write_text(args.tree_out, _json_text(doc) + "\n")
     if args.json:
         _emit({"oat": True, "chi": chi, "omega": omega, "tree": doc})
     else:
@@ -188,7 +195,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         _check_dense_budget(args.param)
         tree = random_oat(args.param, args.seed)
         if args.tree_out:
-            Path(args.tree_out).write_text(_json_text(tree_to_json(tree)) + "\n")
+            _write_text(args.tree_out, _json_text(tree_to_json(tree)) + "\n")
         g = replay(tree)
     elif family == "p4_sparse":
         if args.param is None:

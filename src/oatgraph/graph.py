@@ -8,7 +8,10 @@ Edges come in as a whole, never one at a time: the edge-list reader and
 ``Graph(n, edges)`` turn them into two int64 endpoint arrays, check those
 with array operations and fill the adjacency with two fancy-index stores
 (``_add_edges``), so no Python bytecode runs per edge unless an edge is
-faulty.
+faulty.  A plain edge list (ASCII digits, signs, blanks, ``\\r`` and
+``\\n`` only, two short integers per line) is read in one C-level pass
+over its bytes; every other text, and every faulty one, goes through the
+general reader, the only one that raises.
 """
 
 from __future__ import annotations
@@ -286,23 +289,109 @@ def _add_edges(adj: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
     adj[vs, us] = True
 
 
+# Byte classes of a plain edge list; every byte outside them is _OTHER.
+_OTHER, _BREAK, _BLANK, _DIGIT, _SIGN = range(5)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b"\r\n")] = _BREAK
+_BYTE_CLASS[list(b" \t")] = _BLANK
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+# Digits a plain field may have: 18 never reach int64's limit.
+_PLAIN_DIGITS = 18
+
+
+def _parse_plain(text: str) -> Graph | None:
+    """The graph of a plain, fault-free edge list, else None.
+
+    A plain text is ASCII with no bytes but digits, signs, blanks (space,
+    tab) and line breaks (``\\r``, ``\\n``), and every non-blank line in it
+    has two fields ``[+-]?[0-9]{1,18}``.  On such a text ``str.split``,
+    ``str.splitlines`` and ``int`` see exactly the fields and lines that
+    the byte arrays below see, ``np.fromstring`` reads every field as
+    ``int`` does, and no value overflows int64.  Token bounds come from
+    shifted compares of a token mask, and a line break between two tokens
+    from one ``logical_or.reduceat`` over the gaps.  Any doubt, and any
+    fault, gives None, so that the general reader decides and words the
+    error.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    cls = _BYTE_CLASS.take(np.frombuffer(raw, dtype=np.uint8))
+    if not cls.all():
+        return None
+    # A token starts where the zero-padded token mask rises and ends
+    # (exclusive) where it falls.
+    tok = np.zeros(len(cls) + 2, dtype=bool)
+    np.greater_equal(cls, _DIGIT, out=tok[1:-1])
+    starts = np.flatnonzero(tok[1:-1] > tok[:-2])
+    ends = np.flatnonzero(tok[:-1] > tok[1:])
+    if len(starts) < 2 or len(starts) % 2:
+        return None
+    signed = cls[starts] == _SIGN
+    digits = ends - starts
+    digits -= signed
+    if digits.min() < 1 or digits.max() > _PLAIN_DIGITS:
+        return None
+    if np.count_nonzero(cls == _SIGN) != np.count_nonzero(signed):
+        return None  # a sign inside a token
+    # gap[i]: a line break between token i and token i+1.  Tokens pair up
+    # as lines: a break after every odd token and none after an even one.
+    gap = np.logical_or.reduceat(cls[: ends[-1]] == _BREAK, ends[:-1])
+    if gap[0::2].any() or not gap[1::2].all():
+        return None
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if len(values) != len(starts):
+        return None
+    n, m = int(values[0]), int(values[1])
+    us, vs = values[2::2], values[3::2]
+    if n < 1 or m != len(us):
+        return None
+    try:
+        _check_dense_budget(n)
+    except SizeBudgetError:
+        return None
+    if m and not ((us >= 0).all() and (us < vs).all() and (vs < n).all()):
+        return None
+    adj = np.zeros((n, n), dtype=bool)
+    _add_edges(adj, us, vs)
+    if np.count_nonzero(adj) != 2 * m:
+        return None  # a duplicate edge
+    return Graph._from_validated(adj)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the plain edge-list format: a header 'n m' then m lines 'u v'.
 
     Lines are those of ``str.splitlines`` and fields those of ``str.split``;
-    blank lines are skipped and each field is read by ``int``.  The body is
-    read in bulk: one ``str.split`` of the whole text gives every field,
-    ``int`` converts them into one int64 array of endpoints, and the field
-    count of every line comes from splitting each line in C.  Ranges, the
-    order u < v and duplicates are then checked with array operations, and
-    the adjacency is filled by two fancy-index stores.  No container per
-    edge outlives its line's split, so the cyclic garbage collector has
-    none to count and traverse.
+    blank lines are skipped and each field is read by ``int``.
+
+    A plain text, ASCII digits, signs, blanks, ``\\r`` and ``\\n`` with two
+    fields of at most 18 digits on every non-blank line, is read in one
+    C-level pass over its bytes (``_parse_plain``).  Every other text, and
+    every plain text with a fault, goes through the general reader
+    (``_parse_general``), the only source of errors.  Both give the same
+    graph for any text they both accept.
 
     Errors name the first faulty line.  Each check looks only at the edge
     lines before the earliest fault found so far, so within one line the
     faults rank: field count, integers, range, order, duplicate.  A
     duplicate repeats an earlier line's edge.
+    """
+    g = _parse_plain(text)
+    return g if g is not None else _parse_general(text)
+
+
+def _parse_general(text: str) -> Graph:
+    """parse_graph for any text; it raises parse_graph's errors.
+
+    The body is read in bulk: one ``str.split`` of the whole text gives
+    every field, ``int`` converts them into one int64 array of endpoints,
+    and the field count of every line comes from splitting each line in C.
+    Ranges, the order u < v and duplicates are then checked with array
+    operations, and the adjacency is filled by two fancy-index stores.  No
+    container per edge outlives its line's split, so the cyclic garbage
+    collector has none to count and traverse.
     """
     lines = text.splitlines()
     for lineno, header in enumerate(lines, 1):

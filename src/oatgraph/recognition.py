@@ -72,7 +72,7 @@ def _patch(m: np.ndarray, op: str, keep, removed: int, anchor=None, neighbours=(
     else:
         return ()
     block = np.asarray(block, dtype=np.intp)
-    m[np.ix_(block, block)] -= by
+    m[block[:, None], block] -= by
     return block
 
 

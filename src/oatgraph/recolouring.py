@@ -203,7 +203,7 @@ def to_canonical(
     stray = [c for c in cpal if c not in S]
     if stray:
         raise PaletteError(f"target colours {stray} outside working palette {S.colours}")
-    steps = _walk(t, order, alpha, S, cpal.colours)
+    steps, _ = _walk(t, order, alpha, S, cpal.colours)
     return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
 
 
@@ -224,12 +224,14 @@ def _walk(
     alpha: Colouring,
     S: Palette,
     c_root: tuple[int, ...],
-) -> list[Step]:
-    """The steps of to_canonical, for a start and palettes already checked;
-    order is the tree's build order."""
+) -> tuple[list[Step], list[int]]:
+    """The steps of to_canonical, for a start and palettes already checked,
+    and the colour each step's vertex held just before it; order is the
+    tree's build order."""
     n = alpha.n
     state = list(alpha.assignment)
     steps: list[Step] = []
+    pres: list[int] = []
     # Per anchor, outermost hook first: the twins that mirror it, and the
     # guarded cliques with their evasion palettes.
     mirrors: list[list[int]] = [[] for _ in range(n)]
@@ -263,6 +265,7 @@ def _walk(
                     blocked = {state[x] for x in q_verts if x != q} | {state[v], c}
                     todo.append((q, min(x for x in avail if x not in blocked), None))
                 continue
+            pres.append(state[v])
             state[v] = c
             steps.append(new_step(Step, (v, c)))
             # A twin follows its anchor, outermost mirror first, cascading.
@@ -342,17 +345,7 @@ def _walk(
     while work:
         fn, *args = work.pop()
         fn(*args)
-    return steps
-
-
-def _pre_colours(initial: Sequence[int], steps: Sequence[Step]) -> list[int]:
-    """The colour each step's vertex held just before that step."""
-    cur = list(initial)
-    pres = []
-    for v, c in steps:
-        pres.append(cur[v])
-        cur[v] = c
-    return pres
+    return steps, pres
 
 
 def find_path(
@@ -371,13 +364,11 @@ def find_path(
     c_root = S.colours[: t.chi]
     g, order = _replay(t)
     _check_start(g, alpha, S)
-    fsteps = _walk(t, order, alpha, S, c_root)
+    fsteps, fpre = _walk(t, order, alpha, S, c_root)
     _check_start(g, beta, S)
-    bsteps = _walk(t, order, beta, S, c_root)
-    fpre = _pre_colours(alpha.assignment, fsteps)
-    bpre = _pre_colours(beta.assignment, bsteps)
-    back = [Step(v, p) for (v, _), p in zip(bsteps, bpre)]
-    back.reverse()
+    bsteps, bpre = _walk(t, order, beta, S, c_root)
+    new_step = tuple.__new__  # Step(v, p) without NamedTuple's Python-level __new__
+    back = [new_step(Step, (v, p)) for (v, _), p in zip(reversed(bsteps), reversed(bpre))]
     cut = 0
     while fsteps and cut < len(back):
         nxt = back[cut]
@@ -439,7 +430,7 @@ def verify_sequence(g: Graph, seq: RecolouringSequence) -> SequenceReport:
 def sequence_to_json(seq: RecolouringSequence) -> dict[str, Any]:
     return {
         "initial": colouring_to_json(seq.initial),
-        "steps": [{"v": s.v, "c": s.c} for s in seq.steps],
+        "steps": [{"v": v, "c": c} for v, c in seq.steps],
     }
 
 

@@ -291,6 +291,27 @@ class TestGen:
         assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (["recognize", "GRAPH"], "DIR"),
+        (["recognize", "GRAPH"], "FILE/x"),
+        (["gen", "random_oat", "5"], "DIR"),
+        (["gen", "random_oat", "5"], "FILE/x"),
+    ],
+)
+def test_unwritable_tree_out_exits_2_with_one_line(tmp_path, capsys, command, target):
+    # a directory, or a path through a regular file
+    graph = write_graph(tmp_path, classic("path", 4))
+    target = target.replace("DIR", str(tmp_path)).replace("FILE", graph)
+    command = [graph if arg == "GRAPH" else arg for arg in command]
+    assert main([*command, "--tree-out", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestCanonical:
     def test_edge(self, tmp_path, capsys):
         gp = write_graph(tmp_path, classic("complete", 2))

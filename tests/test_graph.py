@@ -1,5 +1,6 @@
 import gc
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from oatgraph import (
     format_graph,
     parse_graph,
 )
-from oatgraph.graph import _check_dense_budget
+from oatgraph.buildtree import replay
+from oatgraph.generators import classic, p4_sparse_third_op, random_oat
+from oatgraph.graph import _check_dense_budget, _parse_general, _parse_plain
 
 from conftest import random_graph
 from edge_list_cases import ACCEPTED, MALFORMED
@@ -104,14 +107,20 @@ def outcome(parse, text):
         return type(exc), str(exc), getattr(exc, "lineno", None)
 
 
-# Tokens int() rejects, spellings it accepts, and values beyond any range.
+# Tokens int() rejects, spellings it accepts, and values beyond any range;
+# then tokens a byte-level reader could misread: signs inside or alone, zero
+# padding, the most digits the plain reader takes, the first value beyond
+# int64, and a vertical tab, a line break to str.splitlines.
 JUNK_TOKENS = ["x", "1.0", "-1", "+1", "1_0", "\u0663", "99999999999999999999", "7", "0", "\xa0"]
+JUNK_TOKENS += ["1-2", "+-1", "-", "+", "1+", "-0", "007", "999999999999999999"]
+JUNK_TOKENS += ["9223372036854775808", "\x0b"]
 
 
 @st.composite
 def mutated_edge_lists(draw):
     """format_graph output with lines swapped, dropped or duplicated, edges
-    reversed, junk tokens put in or added, and blank lines, CRLF, tabs or
+    reversed, junk tokens put in or added, a line's fields split onto lines
+    of their own or two lines merged, and blank lines, CRLF, tabs or
     trailing blanks; the header's edge count is mostly made to match, so
     that most texts reach the per-line checks."""
     g = draw(graphs(max_n=7))
@@ -121,7 +130,8 @@ def mutated_edge_lists(draw):
         i = draw(st.integers(0, len(lines) - 1))
         j = draw(st.integers(0, len(lines) - 1))
         fields = lines[i].split()
-        kind = draw(st.sampled_from(["swap", "drop", "duplicate", "reverse", "junk", "extra", "blank"]))
+        kinds = ["swap", "drop", "duplicate", "reverse", "junk", "extra", "blank", "split", "merge"]
+        kind = draw(st.sampled_from(kinds))
         if kind == "swap":
             lines[i], lines[j] = lines[j], lines[i]
         elif kind == "drop" and len(lines) > 1:
@@ -137,10 +147,30 @@ def mutated_edge_lists(draw):
             lines[i] += " " + draw(st.sampled_from(JUNK_TOKENS))
         elif kind == "blank":
             lines.insert(j, draw(st.sampled_from(["", " ", "\t"])))
+        elif kind == "split" and len(fields) > 1:
+            lines[i : i + 1] = fields
+        elif kind == "merge" and i + 1 < len(lines):
+            lines[i : i + 2] = [lines[i] + " " + lines[i + 1]]
     if draw(st.integers(0, 3)) and lines[0] == header:
         lines[0] = f"{g.n} {sum(1 for ln in lines[1:] if ln.strip())}"
-    ending = draw(st.sampled_from(["\n", "\r\n", " \n", "\t\r\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", " \n", "\t\r\n", "\r", "\x0b"]))
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+# Faulty texts made of plain bytes only: an odd field count, tokens that
+# still pair up (an edge's fields on two lines, two edges on one line, the
+# header and an edge on one line), a negative vertex that numpy indexing
+# would wrap round, then signs inside a token or alone: np.fromstring reads
+# a lone sign as 0.
+PLAIN_BYTE_FAULTS = [
+    ("odd_field_count", "3 2\n0 2\n1\n"),
+    ("edge_over_two_lines", "3 2\n0\n1\n1 2\n"),
+    ("two_edges_one_line", "3 2\n0 1 1 2\n"),
+    ("header_and_edge_one_line", "3 2 0 1\n1 2\n"),
+    ("negative_vertex_wraps", "3 2\n-1 0\n1 2\n"),
+    *((f"sign_{token}", f"3 1\n0 {token}\n") for token in ["1-2", "+-1", "-", "+", "1+"]),
+    ("sign_as_edge_count", "3 -\n"),
+]
 
 
 def is_clique(g, verts):
@@ -292,10 +322,74 @@ class TestParsing:
     def test_agrees_with_per_line_reference(self, text):
         assert outcome(parse_graph, text) == outcome(reference_parse_graph, text)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            classic("path", 300),
+            replay(random_oat(120, 0)),
+            p4_sparse_third_op(12, replay(random_oat(10, 1)), "anti"),
+            p4_sparse_third_op(20, None, "pendant"),
+        ],
+        ids=["path", "random_oat", "p4_sparse_anti", "p4_sparse_pendant"],
+    )
+    def test_plain_reader_takes_generated_members(self, g):
+        # Without this, a plain reader that always gave up would pass every
+        # other parsing test.
+        text = format_graph(g)
+        fast = _parse_plain(text)
+        assert isinstance(fast, Graph)
+        assert fast == _parse_general(text) == g
+        assert _parse_plain(text.replace("\n", "\r\n")) == g
+
+    @pytest.mark.parametrize(
+        "text",
+        [case[1] for case in MALFORMED] + [text for _, text in PLAIN_BYTE_FAULTS],
+        ids=[c[0] for c in MALFORMED] + [name for name, _ in PLAIN_BYTE_FAULTS],
+    )
+    def test_plain_reader_leaves_every_fault_to_the_general_one(self, text):
+        with pytest.raises(GraphFormatError):
+            _parse_general(text)
+        # An error here means np.fromstring met a token it could not read.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _parse_plain(text) is None
+
+    def test_plain_reader_takes_fields_of_at_most_18_digits(self):
+        assert _parse_plain("3 1\n0 " + "0" * 17 + "1\n") == Graph(3, [(0, 1)])
+        assert _parse_plain("3 1\n0 " + "0" * 18 + "1\n") is None
+
+    @given(mutated_edge_lists())
+    @settings(max_examples=400)
+    def test_plain_reader_agrees_with_general_one(self, text):
+        # An error here means np.fromstring met a token it could not read.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _parse_plain(text)
+        assert fast is None or fast == outcome(_parse_general, text)
+
     def test_allocates_no_container_per_edge(self):
         # Per-edge tuples would trigger (and lengthen) cyclic-GC passes that
         # get charged to whatever parses a large graph.
         text = format_graph(random_graph(150, 0.5, 3))
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            g = parse_graph(text)
+        finally:
+            gc.callbacks.remove(count)
+        assert g.edge_count > 5000
+        assert len(passes) <= 1
+
+    def test_general_reader_allocates_no_container_per_edge(self):
+        # The same on a text the plain reader leaves to the general one: \v
+        # breaks lines for str.splitlines, but it is not plain.
+        text = format_graph(random_graph(150, 0.5, 3)).replace("\n", "\x0b")
+        assert _parse_plain(text) is None
         passes = []
 
         def count(phase, info):
