@@ -35,7 +35,7 @@ from .recolouring import find_path, sequence_from_json, sequence_to_json, verify
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}")
 
 
@@ -120,13 +120,13 @@ def cmd_recognize(args: argparse.Namespace) -> int:
         return 1
     chi, omega = chi_omega(out.tree)
     doc = tree_to_json(out.tree)
-    if args.tree_out:
+    if args.tree_out is not None:
         _write_text(args.tree_out, _json_text(doc) + "\n")
     if args.json:
         _emit({"oat": True, "chi": chi, "omega": omega, "tree": doc})
     else:
         print(f"recognised: {g.n} vertices, chi = omega = {chi}")
-        if args.tree_out:
+        if args.tree_out is not None:
             print(f"build tree written to {args.tree_out}")
     return 0
 
@@ -194,7 +194,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         # the tree is replayed into a dense graph below; refuse before building it
         _check_dense_budget(args.param)
         tree = random_oat(args.param, args.seed)
-        if args.tree_out:
+        if args.tree_out is not None:
             _write_text(args.tree_out, _json_text(tree_to_json(tree)) + "\n")
         g = replay(tree)
     elif family == "p4_sparse":

@@ -4,14 +4,15 @@ Graphs are small and dense enough here that an n-by-n boolean matrix plus
 per-vertex bitmasks beats adjacency lists: components, common-neighbour
 counts and neighbourhood comparisons all become vectorised operations.
 
-Edges come in as a whole, never one at a time: the edge-list reader and
-``Graph(n, edges)`` turn them into two int64 endpoint arrays, check those
-with array operations and fill the adjacency with two fancy-index stores
+``Graph(n, edges)`` and the plain edge-list reader take their edges as a
+whole: they turn them into two int64 endpoint arrays, check those with
+array operations and fill the adjacency with two fancy-index stores
 (``_add_edges``), so no Python bytecode runs per edge unless an edge is
 faulty.  A plain edge list (ASCII digits, signs, blanks, ``\\r`` and
-``\\n`` only, two short integers per line) is read in one C-level pass
-over its bytes; every other text, and every faulty one, goes through the
-general reader, the only one that raises.
+``\\n`` only, two short integers per line) is read so, in one C-level
+pass over its bytes.  Every other text, and every faulty one, goes
+through the general reader, one line at a time; it is the only reader
+that raises.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from .errors import GraphFormatError, SizeBudgetError
 # Peak memory of recognising an n-vertex graph, in units of its n*n boolean
 # adjacency plus one n*n int64 A@A.  Building A@A holds two n*n eight-byte
 # matrices, the float64 product and its int64 copy; the moves then patch
-# that one copy in place.  The rest is headroom for the adjacency itself
-# and a dense graph's neighbour lists, which hold one eight-byte reference
-# per edge end.
+# that one copy in place.  The rest is headroom for the adjacency itself,
+# the per-vertex bitmasks and the index and rows of one move.
 _DENSE_FOOTPRINT_FACTOR = 4
 
 # Graph(n, edges) takes its edges this many at a time, so that a lazy edge
@@ -44,7 +44,7 @@ _EDGE_CHUNK = 1 << 16
 class Graph:
     """Undirected graph on vertices 0..n-1 with a read-only adjacency matrix."""
 
-    __slots__ = ("n", "adj", "_masks", "_nbrs")
+    __slots__ = ("n", "adj", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -58,7 +58,7 @@ class Graph:
                 raise ValueError(f"edge {item!r} is not a (u, v) pair")
             ends = _vertex_array(list(map(operator.index, itertools.chain.from_iterable(chunk))), n)
             us, vs = ends[0::2], ends[1::2]
-            wrong = np.flatnonzero(_out_of_range(us, vs, n) | (us == vs))
+            wrong = np.flatnonzero((us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs))
             if len(wrong):
                 u, v = chunk[wrong[0]]
                 if not (0 <= u < n and 0 <= v < n):
@@ -69,7 +69,6 @@ class Graph:
         self.n: int = n
         self.adj: np.ndarray = adj
         self._masks: list[int] | None = None
-        self._nbrs: list[tuple[int, ...]] | None = None
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> Graph:
@@ -91,7 +90,6 @@ class Graph:
         g.n = adj.shape[0]
         g.adj = adj
         g._masks = None
-        g._nbrs = None
         return g
 
     @property
@@ -110,9 +108,8 @@ class Graph:
         return bool(self.adj[u, v])
 
     def neighbours(self, v: int) -> tuple[int, ...]:
-        if self._nbrs is None:
-            self._nbrs = [tuple(np.nonzero(row)[0].tolist()) for row in self.adj]
-        return self._nbrs[v]
+        """v's neighbours, ascending."""
+        return tuple(iter_bits(self.neighbour_masks[v]))
 
     @property
     def neighbour_masks(self) -> list[int]:
@@ -278,11 +275,6 @@ def _vertex_array(values: list[int], n: int) -> np.ndarray:
         return np.array(values, dtype=object).clip(-1, n).astype(np.int64)
 
 
-def _out_of_range(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
-    """Per edge, whether an endpoint falls outside 0..n-1."""
-    return (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
-
-
 def _add_edges(adj: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
     """Set the edges (us[i], vs[i]) of adj in both directions."""
     adj[us, vs] = True
@@ -370,13 +362,14 @@ def parse_graph(text: str) -> Graph:
     fields of at most 18 digits on every non-blank line, is read in one
     C-level pass over its bytes (``_parse_plain``).  Every other text, and
     every plain text with a fault, goes through the general reader
-    (``_parse_general``), the only source of errors.  Both give the same
-    graph for any text they both accept.
+    (``_parse_general``), which reads one line at a time and is the only
+    source of errors.  Both give the same graph for any text they both
+    accept.
 
-    Errors name the first faulty line.  Each check looks only at the edge
-    lines before the earliest fault found so far, so within one line the
-    faults rank: field count, integers, range, order, duplicate.  A
-    duplicate repeats an earlier line's edge.
+    The header and the count of non-blank lines after it are checked
+    first.  Then errors name the first faulty edge line, and within one
+    line the faults rank: field count, integers, range, order, duplicate.
+    A duplicate repeats an earlier line's edge.
     """
     g = _parse_plain(text)
     return g if g is not None else _parse_general(text)
@@ -385,13 +378,11 @@ def parse_graph(text: str) -> Graph:
 def _parse_general(text: str) -> Graph:
     """parse_graph for any text; it raises parse_graph's errors.
 
-    The body is read in bulk: one ``str.split`` of the whole text gives
-    every field, ``int`` converts them into one int64 array of endpoints,
-    and the field count of every line comes from splitting each line in C.
-    Ranges, the order u < v and duplicates are then checked with array
-    operations, and the adjacency is filled by two fancy-index stores.  No
-    container per edge outlives its line's split, so the cyclic garbage
-    collector has none to count and traverse.
+    Each edge line is read on its own, by ``str.split`` and ``int``, and
+    checked for range, the order u < v and a repeat before the next line
+    is read, so the first faulty line is the one named.  Seen edges are
+    kept as ints u*n + v: no container per edge outlives its line's split,
+    so the cyclic garbage collector has none to count and traverse.
     """
     lines = text.splitlines()
     for lineno, header in enumerate(lines, 1):
@@ -413,58 +404,33 @@ def _parse_general(text: str) -> Graph:
         raise GraphFormatError(f"edge count must be non-negative, got {m}", lineno)
     _check_dense_budget(n)
     body = lines[lineno:]
-    counts = np.fromiter(map(len, map(str.split, body)), dtype=np.intp, count=len(body))
-    rows = np.flatnonzero(counts)  # the body's edge lines
-    if len(rows) != m:
-        raise GraphFormatError(f"header promises {m} edges, found {len(rows)} edge lines")
-
-    # The earliest faulty edge line so far, as an index into rows, and its fault.
-    stop, fault = m, None
-    wrong = np.flatnonzero(counts[rows] != 2)
-    if len(wrong):
-        stop, fault = int(wrong[0]), "fields"
-    # Lines before the header are blank, so the header's fields come first,
-    # and every edge line before stop has exactly two.
-    tokens = text.split()[2 : 2 + 2 * stop]
-    try:
-        values = list(map(int, tokens))
-    except ValueError:
-        for bad, token in enumerate(tokens):
-            try:
-                int(token)
-            except ValueError:
-                break
-        stop, fault = bad // 2, "integers"
-        values = list(map(int, tokens[: 2 * stop]))
-    ends = _vertex_array(values, n)
-    us, vs = ends[0::2], ends[1::2]
-    out = _out_of_range(us, vs, n)
-    wrong = np.flatnonzero(out | (us >= vs))
-    if len(wrong):
-        stop, fault = int(wrong[0]), "range" if out[wrong[0]] else "order"
-        us, vs = us[:stop], vs[:stop]
+    found = sum(1 for line in body if line.strip())
+    if found != m:
+        raise GraphFormatError(f"header promises {m} edges, found {found} edge lines")
+    seen: set[int] = set()
+    for lineno, line in enumerate(body, lineno + 1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 2:
+            raise GraphFormatError(f"edge line must be 'u v', got {line.strip()!r}", lineno)
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"edge line must be two integers, got {line.strip()!r}", lineno
+            ) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}", lineno)
+        if u >= v:
+            raise GraphFormatError(f"edge must satisfy u < v, got ({u}, {v})", lineno)
+        if u * n + v in seen:
+            raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
+        seen.add(u * n + v)
+    us, vs = np.divmod(np.fromiter(seen, dtype=np.int64, count=len(seen)), n)
     adj = np.zeros((n, n), dtype=bool)
     _add_edges(adj, us, vs)
-    if np.count_nonzero(adj) != 2 * len(us):
-        _, first = np.unique(us * n + vs, return_index=True)
-        repeat = np.ones(len(us), dtype=bool)
-        repeat[first] = False
-        stop, fault = int(repeat.argmax()), "duplicate"
-    if fault is None:
-        return Graph._from_validated(adj)
-
-    lineno += 1 + int(rows[stop])
-    line = body[rows[stop]].strip()
-    if fault == "fields":
-        raise GraphFormatError(f"edge line must be 'u v', got {line!r}", lineno)
-    if fault == "integers":
-        raise GraphFormatError(f"edge line must be two integers, got {line!r}", lineno)
-    u, v = map(int, line.split())
-    if fault == "range":
-        raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}", lineno)
-    if fault == "order":
-        raise GraphFormatError(f"edge must satisfy u < v, got ({u}, {v})", lineno)
-    raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
+    return Graph._from_validated(adj)
 
 
 def format_graph(g: Graph) -> str:

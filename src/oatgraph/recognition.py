@@ -200,9 +200,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 checks += 1
             if pair is not None:
                 u, v = pair
-                # u's row of the input graph's neighbour lists, built once
-                # per graph; the recogniser reads them only for this move.
-                x = tuple(w for w in g.neighbours(u) if task.alive >> w & 1)
+                x = tuple(iter_bits(masks[u] & task.alive))
                 wrappers.append((Comparable, u, v, x))
                 op, removed, kw = "comparable", (u,), {"neighbours": x}
             else:

@@ -1,13 +1,13 @@
 """Edge-list texts and what parse_graph makes of them.
 
 MALFORMED holds (id, text, str(error), error.lineno) and ACCEPTED holds
-(id, text, n, edges).  The outcomes were recorded from the per-line parser
-that the bulk one replaced, so they pin the accepted language and every
-error message.  They cover each error class, lines with two faults, which
-of several faulty lines is reported, CRLF, tabs and trailing blanks, every
-line break str.splitlines knows and the integer spellings int() accepts
-(signs, underscores, leading zeros, non-ASCII digits), a field beyond int64
-and a token longer than int()'s default digit limit.
+(id, text, n, edges).  The outcomes were recorded from an earlier per-line
+parser, so they pin the accepted language and every error message.  They
+cover each error class, lines with two faults, which of several faulty
+lines is reported, CRLF, tabs and trailing blanks, every line break
+str.splitlines knows and the integer spellings int() accepts (signs,
+underscores, leading zeros, non-ASCII digits), a field beyond int64 and a
+token longer than int()'s default digit limit.
 
 Plain data, so that CI can feed the same texts through the CLI.
 """

@@ -298,10 +298,12 @@ class TestGen:
         (["recognize", "GRAPH"], "FILE/x"),
         (["gen", "random_oat", "5"], "DIR"),
         (["gen", "random_oat", "5"], "FILE/x"),
+        (["recognize", "GRAPH"], ""),
+        (["gen", "random_oat", "5"], ""),
     ],
 )
 def test_unwritable_tree_out_exits_2_with_one_line(tmp_path, capsys, command, target):
-    # a directory, or a path through a regular file
+    # a directory, a path through a regular file, or the empty path
     graph = write_graph(tmp_path, classic("path", 4))
     target = target.replace("DIR", str(tmp_path)).replace("FILE", graph)
     command = [graph if arg == "GRAPH" else arg for arg in command]
@@ -309,6 +311,19 @@ def test_unwritable_tree_out_exits_2_with_one_line(tmp_path, capsys, command, ta
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command", [["recognize", "BIN"], ["gen", "p4_sparse", "2", "--r-file", "BIN"]]
+)
+def test_undecodable_graph_file_exits_2_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "bin.graph"
+    path.write_bytes(b"\xff\xfe3 0\n")
+    assert main([str(path) if arg == "BIN" else arg for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
     assert captured.err.count("\n") == 1
 
 

@@ -50,8 +50,8 @@ def reference_graph(n, edges):
 
 
 def reference_parse_graph(text):
-    """The per-line edge-list parser that parse_graph replaced, kept as the
-    reference its bulk checks must agree with."""
+    """A per-line edge-list parser written apart from parse_graph, kept as
+    the reference that parse_graph's readers must agree with."""
     lines = text.splitlines()
     for lineno, header in enumerate(lines, 1):
         header = header.strip()
@@ -171,6 +171,19 @@ PLAIN_BYTE_FAULTS = [
     *((f"sign_{token}", f"3 1\n0 {token}\n") for token in ["1-2", "+-1", "-", "+", "1+"]),
     ("sign_as_edge_count", "3 -\n"),
 ]
+
+
+def per_reader(cases):
+    """Each recorded case through parse_graph under its own id, then
+    through the general reader under its id with '-general' appended:
+    most accepted texts are plain, and parse_graph never shows them to
+    the general reader."""
+    readers = [(parse_graph, ""), (_parse_general, "-general")]
+    return [
+        pytest.param(parse, *case[1:], id=case[0] + suffix)
+        for parse, suffix in readers
+        for case in cases
+    ]
 
 
 def is_clique(g, verts):
@@ -302,20 +315,25 @@ class TestParsing:
     def test_format_parse_round_trip(self, g):
         assert parse_graph(format_graph(g)) == g
 
-    @pytest.mark.parametrize(
-        "text, message, lineno", [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED]
-    )
-    def test_malformed_text(self, text, message, lineno):
+    @pytest.mark.parametrize("parse, text, message, lineno", per_reader(MALFORMED))
+    def test_malformed_text(self, parse, text, message, lineno):
         with pytest.raises(GraphFormatError) as exc:
-            parse_graph(text)
+            parse(text)
         assert (str(exc.value), exc.value.lineno) == (message, lineno)
 
-    @pytest.mark.parametrize(
-        "text, n, edges", [case[1:] for case in ACCEPTED], ids=[c[0] for c in ACCEPTED]
-    )
-    def test_accepted_text(self, text, n, edges):
-        g = parse_graph(text)
+    @pytest.mark.parametrize("parse, text, n, edges", per_reader(ACCEPTED))
+    def test_accepted_text(self, parse, text, n, edges):
+        g = parse(text)
         assert (g.n, g.edges()) == (n, edges)
+
+    @pytest.mark.parametrize("old, new", [("\n", "\x0b"), (" ", "\xa0")], ids=["vt", "nbsp"])
+    def test_general_reader_takes_a_wide_member(self, old, new):
+        # \v still breaks lines and \xa0 still separates fields, but neither
+        # is plain, so only the general reader sees these texts.
+        text = format_graph(replay(random_oat(1000, 0)))
+        other = text.replace(old, new)
+        assert _parse_plain(other) is None
+        assert _parse_general(other) == parse_graph(text)
 
     @given(mutated_edge_lists())
     @settings(max_examples=400)

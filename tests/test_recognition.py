@@ -167,6 +167,21 @@ class TestScale:
         assert out.is_oat
         assert peak < 8 * (8 * n * n)
 
+    def test_dense_memory_peak(self):
+        # Building A@A holds two n x n eight-byte matrices; the masks, the
+        # index and one move's rows fit in the last quarter.  Per-vertex
+        # neighbour tuples, an int object per edge end, would not.
+        n = 1000
+        g = replay(random_oat(n, 0))
+        tracemalloc.start()
+        try:
+            out = recognize(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.is_oat
+        assert peak < 2.25 * (8 * n * n)
+
     def test_needs_no_recursion_room(self, monkeypatch):
         # 600 levels of moves under a 400-frame limit that cannot be raised.
         g = classic("path", 600)
@@ -183,6 +198,27 @@ class TestScale:
             set_limit(old)
         assert out.is_oat
         assert validate(out.tree, g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        classic("path", 40),
+        replay(random_oat(80, 3)),
+        p4_sparse_third_op(12, replay(random_oat(10, 1)), "anti"),
+        p4_sparse_third_op(20, None, "pendant"),
+    ],
+    ids=["path", "random_oat", "p4_sparse_anti", "p4_sparse_pendant"],
+)
+def test_builds_no_neighbour_tuples(monkeypatch, g):
+    # Comparable moves read N(u) off the bitmasks recognition already holds.
+    def refuse(self, v):
+        raise AssertionError(f"recognize asked for the neighbours of {v}")
+
+    monkeypatch.setattr(Graph, "neighbours", refuse)
+    out = recognize(g)
+    assert out.is_oat
+    assert "Comparable(" in repr(out.tree)
 
 
 def _relabelled(g: Graph, rng: random.Random) -> tuple[Graph, list[int]]:
