@@ -201,7 +201,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if args.param is None:
             print("error: p4_sparse needs the size of the edgeless part", file=sys.stderr)
             return 2
-        r = _read_graph(args.r_file) if args.r_file else None
+        r = _read_graph(args.r_file) if args.r_file is not None else None
         g = p4_sparse_third_op(args.param, r, args.case)
     else:
         known = ", ".join(CLASSIC_FAMILIES + FIXTURE_NAMES + ("random_oat", "p4_sparse"))

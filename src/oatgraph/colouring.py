@@ -7,6 +7,7 @@ A colouring assigns one palette colour to every vertex 0..n-1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -27,7 +28,7 @@ class Palette:
     _set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        colours = tuple(int(c) for c in self.colours)
+        colours = tuple(map(operator.index, self.colours))  # a float is refused, not truncated
         if not colours:
             raise PaletteError("palette must be non-empty")
         if len(set(colours)) != len(colours):
@@ -69,7 +70,7 @@ class Colouring:
     palette: Palette
 
     def __post_init__(self):
-        assignment = tuple(int(c) for c in self.assignment)
+        assignment = tuple(map(operator.index, self.assignment))
         if not assignment:
             raise ColouringError("colouring must cover at least one vertex")
         bad = [v for v, c in enumerate(assignment) if c not in self.palette]

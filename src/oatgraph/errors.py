@@ -42,4 +42,5 @@ class SizeBudgetError(OatGraphError):
 
 
 class StepConsistencyError(OatGraphError):
-    """Under recognize(verify_a2=True): the patched A@A or index drifted."""
+    """Under recognize(verify_a2=True): a task's A@A block, less its shift,
+    or the comparable index drifted from a fresh recomputation."""

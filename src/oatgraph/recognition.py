@@ -17,18 +17,24 @@ folded in first.
 
 Common neighbours are counted in one n x n A@A for the whole run, indexed
 by original label.  Tasks on the stack have disjoint vertex sets, so each
-owns the block of its labels, and each move patches that block in place
-(the rules are in _patch) instead of paying an extra factor n to recompute
-it.  dom[u] indexes the comparable moves: the smallest v != u in u's task
-with N(u) a subset of N(v), or -1.  A task's next comparable move removes
-its smallest u with dom[u] >= 0, the pair first_comparable would pick from
-the task's block.  Splits leave the index valid, since a vertex and its
+owns the block of its labels, and each tail move patches that block in
+place, at the move, instead of paying an extra factor n to recompute it.
+Splits write nothing.  A union's parts share no neighbours; a join's other
+parts are common neighbours of every pair in a part, so a join leaves the
+part's block one constant too high, the task's shift, summed over the
+joins above it.  Every dominance test compares a row's entries with its
+diagonal inside one block, so the shift changes no pick; only verify_a2
+subtracts it.
+dom[u] indexes the comparable moves: the smallest v != u in u's task with
+N(u) a subset of N(v), or -1.  A task's next comparable move removes its
+smallest u with dom[u] >= 0, the pair first_comparable would pick from the
+task's block.  Splits leave the index valid, since a vertex and its
 dominator share a co-component, and a component too unless the vertex is
-isolated and so becomes a leaf; a join shifts all of a part's entries by
-the same amount.  A tail move refreshes only the rows it patched and the
-rows whose dominator it removed.  Memory is that one A@A, the index and
-the rows refreshed by one move, O(n^2).  verify_a2 checks every patch and
-every index pick against a fresh recomputation, the reference.
+isolated and so becomes a leaf.  A tail move refreshes only the rows it
+patched and the rows whose dominator it removed.  Memory is that one A@A,
+the index and the rows refreshed by one move, O(n^2).  verify_a2 checks
+every new task's block, less its shift, and every index pick against a
+fresh recomputation, the reference.
 
 Components, co-components and pendant cliques are read off neighbourhood
 bitmasks over the original labels, intersected with the task's vertex set.
@@ -50,32 +56,6 @@ from .errors import StepConsistencyError
 from .graph import Graph, adjacency_square, first_comparable, mask_components, pendant_clique
 
 
-def _patch(m: np.ndarray, op: str, keep, removed: int, anchor=None, neighbours=()):
-    """Patch A@A in place across one move that takes `removed` vertices
-    away; afterwards only its keep x keep block is meaningful.  Returns the
-    rows whose entries changed.
-
-    Union: removed vertices see nothing in the kept part, so nothing changes.
-    Join: every removed vertex was adjacent to every kept one, so every
-    entry loses exactly `removed` common neighbours.
-    Comparable: only pairs inside the removed vertex's neighbourhood lose
-    it as a common neighbour (diagonal included: those degrees drop by 1).
-    Clique: each clique vertex touched only the clique and the anchor, so
-    only the anchor's degree entry drops, by |Q|.
-    """
-    if op == "join":
-        block, by = keep, removed
-    elif op == "comparable":
-        block, by = neighbours, 1
-    elif op == "clique":
-        block, by = (anchor,), removed
-    else:
-        return ()
-    block = np.asarray(block, dtype=np.intp)
-    m[block[:, None], block] -= by
-    return block
-
-
 @dataclass(frozen=True)
 class RecognitionOutcome:
     """Either a build-tree certificate or the subgraph no operation applied to."""
@@ -95,6 +75,7 @@ class _Task:
     labels: np.ndarray  # ascending original labels
     alive: int  # labels as a bitmask
     connected: bool  # known to induce a connected subgraph
+    shift: int  # how far every entry of its A@A block sits above the true count
 
 
 @dataclass(frozen=True)
@@ -116,9 +97,9 @@ def _wrap(tree: BuildTree, wrappers: list[tuple]) -> BuildTree:
 def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     """Decide membership; the positive answer carries a replayable tree.
 
-    verify_a2 recomputes the common-neighbour matrix from scratch after
-    every incremental patch, and the comparable pair from it at every scan,
-    and fails loudly on any drift; the outcome's a2_checks counts how many
+    verify_a2 recomputes the common-neighbour matrix from scratch for every
+    new task, and the comparable pair from it at every scan, and fails
+    loudly on any drift; the outcome's a2_checks counts how many
     comparisons ran.
     """
     masks = g.neighbour_masks
@@ -137,30 +118,34 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     everyone = np.arange(g.n)
     dom = dominators(m, everyone, everyone)
 
-    def patch(op: str, labels: np.ndarray, removed: int, **kw):
+    def check(task: _Task) -> None:
         nonlocal checks
-        rows = _patch(m, op, labels, removed, **kw)
         if verify_a2:
+            labels = task.labels
             fresh = adjacency_square(g.induced(labels.tolist()))
-            if not np.array_equal(fresh, m[np.ix_(labels, labels)]):
+            if not np.array_equal(fresh, m[np.ix_(labels, labels)] - task.shift):
                 raise StepConsistencyError(
                     "incrementally patched A@A drifted from the recomputed matrix"
                 )
             checks += 1
-        return rows
 
-    def split(task: _Task, op: str, parts: list[int], wrappers: list[tuple]) -> None:
+    def split(
+        task: _Task, binary: type[Union] | type[Join], parts: list[int], wrappers: list[tuple]
+    ) -> None:
         # Parts arrive ordered by smallest vertex and are folded
         # left-associatively, so the first part must come off the stack first.
-        stack.append(_Fold(Union if op == "union" else Join, len(parts), wrappers))
+        stack.append(_Fold(binary, len(parts), wrappers))
         children = []
         for part in parts:
             labels = np.fromiter(iter_bits(part), np.intp)
-            patch(op, labels, len(task.labels) - len(labels))
-            children.append(_Task(labels, part, op == "union"))
+            shift = task.shift
+            if binary is Join:  # the other parts were common neighbours of every pair
+                shift += len(task.labels) - len(labels)
+            children.append(_Task(labels, part, binary is Union, shift))
+            check(children[-1])
         stack.extend(reversed(children))
 
-    stack: list[_Task | _Fold] = [_Task(everyone, (1 << g.n) - 1, False)]
+    stack: list[_Task | _Fold] = [_Task(everyone, (1 << g.n) - 1, False, 0)]
     done: list[BuildTree] = []
     while stack:
         task = stack.pop()
@@ -181,12 +166,12 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             if not task.connected:
                 parts = mask_components(masks, task.alive)
                 if len(parts) > 1:
-                    split(task, "union", parts, wrappers)
+                    split(task, Union, parts, wrappers)
                     break
                 task.connected = True
             parts = mask_components(masks, task.alive, complement=True)
             if len(parts) > 1:
-                split(task, "join", parts, wrappers)
+                split(task, Join, parts, wrappers)
                 break
             has = dom[labels] >= 0
             i = int(has.argmax())
@@ -199,10 +184,13 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                     )
                 checks += 1
             if pair is not None:
+                # Only pairs inside N(u) lose u as a common neighbour
+                # (diagonal included: those degrees drop by 1).
                 u, v = pair
-                x = tuple(iter_bits(masks[u] & task.alive))
-                wrappers.append((Comparable, u, v, x))
-                op, removed, kw = "comparable", (u,), {"neighbours": x}
+                rows = np.fromiter(iter_bits(masks[u] & task.alive), np.intp)
+                m[rows[:, None], rows] -= 1
+                wrappers.append((Comparable, u, v, tuple(rows.tolist())))
+                removed = (u,)
             else:
                 found = pendant_clique(masks, labels.tolist(), task.alive)
                 if found is None:
@@ -212,18 +200,20 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                         stuck_vertices=tuple(labels.tolist()),
                         a2_checks=checks,
                     )
+                # Q touched only itself and z: only z's degree drops, by |Q|.
                 z, removed = found
+                m[z, z] -= len(removed)
+                rows = [z]
                 wrappers.append((CliqueAttach, z, removed))
-                op, kw = "clique", {"anchor": z}
             # A tail move: the smaller task replaces this one, still connected.
-            # Splits keep every vertex's dominator, but here the rows the
-            # patch changed, and those whose dominator left, are stale.
+            # Splits keep every vertex's dominator, but here the rows just
+            # written, and those whose dominator left, are stale.
             gone[list(removed)] = True
             labels = labels[~gone[labels]]
-            rows = patch(op, labels, len(removed), **kw)
             d = dom[labels]
             rows = np.concatenate((rows, labels[(d >= 0) & gone[d]]))
             dom[rows] = dominators(m[rows][:, labels], rows, labels)
-            task = _Task(labels, task.alive ^ sum(1 << w for w in removed), True)
+            task = _Task(labels, task.alive ^ sum(1 << w for w in removed), True, task.shift)
+            check(task)
     (tree,) = done
     return RecognitionOutcome(tree=tree, stuck=None, stuck_vertices=None, a2_checks=checks)

@@ -327,6 +327,15 @@ def test_undecodable_graph_file_exits_2_with_one_line(tmp_path, capsys, command)
     assert captured.err.count("\n") == 1
 
 
+def test_empty_r_file_exits_2_with_one_line(capsys):
+    # the empty path is a path to read, not a missing option
+    assert main(["gen", "p4_sparse", "2", "--r-file", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read : ")
+    assert captured.err.count("\n") == 1
+
+
 class TestCanonical:
     def test_edge(self, tmp_path, capsys):
         gp = write_graph(tmp_path, classic("complete", 2))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from oatgraph import (
@@ -23,6 +24,11 @@ class TestPalette:
         with pytest.raises(PaletteError):
             Palette((1, 1, 2))
 
+    def test_rejects_float_colours(self):
+        # int() would truncate this to (1, 2)
+        with pytest.raises(TypeError):
+            Palette((1.9, 2.5))
+
     def test_prefix_and_without(self):
         s = Palette((1, 2, 3))
         assert s.prefix(2).colours == (1, 2)
@@ -33,6 +39,16 @@ class TestPalette:
 
 
 class TestColouring:
+    def test_rejects_float_assignment(self):
+        # int() would truncate this to (1, 2)
+        with pytest.raises(TypeError):
+            Colouring((1.7, 2.2), Palette.default(2))
+
+    def test_accepts_numpy_integers(self):
+        c = Colouring(tuple(np.array([2, 1], dtype=np.int64)), Palette.default(2))
+        assert c.assignment == (2, 1)
+        assert all(type(x) is int for x in c.assignment)
+
     def test_rejects_off_palette_colour(self):
         with pytest.raises(ColouringError):
             Colouring((1, 4), Palette((1, 2)))

@@ -3,14 +3,16 @@ import random
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oatgraph import (
+    CliqueAttach,
+    Comparable,
     Graph,
+    Join,
     StepConsistencyError,
-    adjacency_square,
+    Union,
     brute_is_oat,
     chi_omega,
     classic,
@@ -25,49 +27,39 @@ from oatgraph import (
     recognize,
     replay,
     validate,
+    walk_postorder,
 )
 
 from conftest import random_graph
 
 
-def _patched(g, op, keep, removed, **kw):
-    """Patch a copy of g's A@A across one move; return its keep x keep
-    block and the rows _patch reports as changed."""
-    m = adjacency_square(g).copy()
-    rows = recognition._patch(m, op, keep, removed, **kw)
-    return m[np.ix_(keep, keep)], rows
+def _relabelled(g: Graph, rng: random.Random) -> tuple[Graph, list[int]]:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), perm
+
+
+def _nested_join_splits(tree) -> int:
+    """Most join splits nested on one root-to-leaf path.  A split folds its
+    parts into a run of Joins, and no part's own tree is a Join, so each
+    Join whose parent is not a Join tops one split."""
+    most = 0
+    stack = [(tree, False, 0)]
+    while stack:
+        t, under_join, splits = stack.pop()
+        is_join = isinstance(t, Join)
+        splits += is_join and not under_join
+        most = max(most, splits)
+        if isinstance(t, (Union, Join)):
+            stack += [(t.left, is_join, splits), (t.right, is_join, splits)]
+        elif isinstance(t, (Comparable, CliqueAttach)):
+            stack.append((t.child, False, splits))
+    return most
 
 
 class TestA2AfterStep:
-    """A@A after one move: each patch rule by hand, then recognize's
-    patches against the recomputation verify_a2 runs."""
-
-    def test_comparable_on_path(self):
-        g = classic("path", 3)
-        got, rows = _patched(g, "comparable", [1, 2], 1, neighbours=(1,))
-        assert np.array_equal(got, adjacency_square(g.induced([1, 2])))
-        # the surviving middle vertex lost its one common-neighbour count
-        assert got[0, 0] == 1
-        assert list(rows) == [1]
-
-    def test_join_side_on_edge(self):
-        g = classic("complete", 2)
-        got, _ = _patched(g, "join", [0], 1)
-        assert np.array_equal(got, adjacency_square(g.induced([0])))
-        assert got.tolist() == [[0]]
-
-    def test_clique_removal_on_triangle(self):
-        g = classic("complete", 3)
-        got, rows = _patched(g, "clique", [0], 2, anchor=0)
-        assert np.array_equal(got, adjacency_square(g.induced([0])))
-        assert got.tolist() == [[0]]
-        assert list(rows) == [0]
-
-    def test_union_is_plain_submatrix(self):
-        g = Graph(3, [(0, 1)])
-        got, rows = _patched(g, "union", [0, 1], 1)
-        assert np.array_equal(got, adjacency_square(g.induced([0, 1])))
-        assert len(rows) == 0
+    """recognize's A@A, less each task's shift, against the recomputation
+    verify_a2 runs for every new task."""
 
     @given(st.integers(2, 40), st.integers(0, 500), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -78,6 +70,35 @@ class TestA2AfterStep:
         out = recognize(g, verify_a2=True)
         assert out.is_oat
         assert out.a2_checks > 0
+
+    @pytest.mark.parametrize(
+        "g, node",
+        [
+            (classic("path", 4), Comparable),
+            (classic("complete", 2), Join),
+            (Graph(3, [(0, 1)]), Union),
+            (Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (3, 5), (4, 5)]), CliqueAttach),
+        ],
+        ids=["comparable", "join", "union", "clique"],
+    )
+    def test_each_move_is_checked(self, g, node):
+        out = recognize(g, verify_a2=True)
+        assert out.is_oat
+        assert any(isinstance(t, node) for t in walk_postorder(out.tree))
+        assert out.a2_checks > 0
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            _relabelled(replay(random_oat(300, 0)), random.Random(300))[0],
+            p4_sparse_third_op(40, classic("path", 10), "anti"),
+        ],
+        ids=["permuted_random_oat_300_0", "p4_sparse_anti_40_path_10"],
+    )
+    def test_nested_join_shifts_are_checked(self, g):
+        out = recognize(g, verify_a2=True)
+        assert out.is_oat
+        assert _nested_join_splits(out.tree) >= 2  # so the tasks' shifts stack
 
     def test_verify_checks_the_comparable_index(self, monkeypatch):
         # The index's pick is compared with a fresh scan, the reference.
@@ -219,12 +240,6 @@ def test_builds_no_neighbour_tuples(monkeypatch, g):
     out = recognize(g)
     assert out.is_oat
     assert "Comparable(" in repr(out.tree)
-
-
-def _relabelled(g: Graph, rng: random.Random) -> tuple[Graph, list[int]]:
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), perm
 
 
 def test_members_are_accepted_under_every_relabelling():
