@@ -12,9 +12,9 @@ from oatgraph import (
     Join,
     Leaf,
     MalformedTreeError,
-    OatGraphError,
     Palette,
     PaletteError,
+    SizeBudgetError,
     Union,
     brute_chi,
     brute_omega,
@@ -29,6 +29,7 @@ from oatgraph import (
 )
 
 P3_TREE = Join(Union(Leaf(0), Leaf(2)), Leaf(1))
+EDGE = Join(Leaf(0), Leaf(1))
 
 # Well-formed tree JSON nodes, one per operation.
 L0, L1 = {"op": "leaf", "v": 0}, {"op": "leaf", "v": 1}
@@ -87,6 +88,48 @@ class TestNodeValidation:
         t = CliqueAttach(Leaf(0), 0, (2, 1))
         assert t.Q == (2, 1)
 
+    # One fault per construction, each named by the node's op at the start of
+    # its message; a label beyond the dense budget is in TestNodeData.
+    @pytest.mark.parametrize(
+        "make, op",
+        [
+            (lambda: Leaf(-1), "leaf"),
+            (lambda: Comparable(Leaf(0), -1, 0, ()), "comparable"),
+            (lambda: Comparable(EDGE, 1, 0, ()), "comparable"),
+            (lambda: Comparable(EDGE, 2, 3, ()), "comparable"),
+            (lambda: Comparable(EDGE, 2, 0, (0,)), "comparable"),
+            (lambda: Comparable(EDGE, 2, 0, (3,)), "comparable"),
+            (lambda: Comparable(EDGE, 2, 0, (1, 1)), "comparable"),
+            (lambda: CliqueAttach(Leaf(0), 0, (1, -2)), "clique"),
+            (lambda: CliqueAttach(Leaf(0), 0, (1, 2, 1)), "clique"),
+            (lambda: CliqueAttach(EDGE, 0, (2, 1)), "clique"),
+            (lambda: CliqueAttach(EDGE, 3, (2,)), "clique"),
+            (lambda: CliqueAttach(Leaf(0), 0, ()), "clique"),
+            (lambda: Union(EDGE, Leaf(1)), "union"),
+            (lambda: Join(Leaf(1), EDGE), "join"),
+        ],
+        ids=[
+            "leaf-negative",
+            "comparable-negative",
+            "comparable-new-in-child",
+            "comparable-anchor-outside-child",
+            "comparable-anchor-in-X",
+            "comparable-X-outside-child",
+            "comparable-X-repeated",
+            "clique-negative",
+            "clique-repeated",
+            "clique-new-in-child",
+            "clique-anchor-outside-child",
+            "clique-empty",
+            "union-overlap",
+            "join-overlap",
+        ],
+    )
+    def test_each_fault_raises_naming_its_op(self, make, op):
+        with pytest.raises(MalformedTreeError) as err:
+            make()
+        assert str(err.value).startswith(f"{op} ")
+
 
 class TestNodeData:
     def test_verts_bitmask_and_chi(self):
@@ -111,7 +154,7 @@ class TestNodeData:
     def test_refuses_label_beyond_dense_budget_before_allocating(self, make):
         tracemalloc.start()
         try:
-            with pytest.raises(OatGraphError):
+            with pytest.raises(SizeBudgetError, match="physical memory"):
                 make()
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -336,6 +336,55 @@ def test_empty_r_file_exits_2_with_one_line(capsys):
     assert captured.err.count("\n") == 1
 
 
+# Every refusal a command makes itself, after its arguments parse: exit 2,
+# nothing on stdout and exactly this one line on stderr.  The recolor cases
+# run on P_3 (chi 2) with a proper colouring in GOOD, a 2-vertex one in
+# SHORT and an improper one in BAD.
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["recolor", "G", "--from", "GOOD", "--to", "GOOD", "--k", "1"],
+            "k = 1 is below the chromatic number 2",
+        ),
+        (
+            ["recolor", "G", "--from", "GOOD", "--to", "GOOD", "--k", "1000000000"],
+            "k = 1000000000 asks for more colours than any graph this machine can hold",
+        ),
+        (
+            ["recolor", "G", "--from", "SHORT", "--to", "GOOD"],
+            "--from colours 2 vertices, graph has 3",
+        ),
+        (
+            ["recolor", "G", "--from", "GOOD", "--to", "SHORT"],
+            "--to colours 2 vertices, graph has 3",
+        ),
+        (["recolor", "G", "--from", "BAD", "--to", "GOOD"], "--from colouring is not proper"),
+        (["recolor", "G", "--from", "GOOD", "--to", "BAD"], "--to colouring is not proper"),
+        (["gen", "path"], "path needs a size parameter"),
+        (["gen", "random_oat"], "random_oat needs a vertex count"),
+        (["gen", "p4_sparse"], "p4_sparse needs the size of the edgeless part"),
+        (
+            ["gen", "moebius", "5"],
+            "unknown family 'moebius'; choose from path, cycle, complete,"
+            " complete_bipartite_minus_matching, domino, house, gem, fig2_imperfect,"
+            " fig4_dh_not_oat, random_oat, p4_sparse",
+        ),
+    ],
+)
+def test_refusal_exits_2_with_its_one_line(tmp_path, capsys, argv, line):
+    files = {
+        "G": write_graph(tmp_path, classic("path", 3)),
+        "GOOD": write_colouring(tmp_path, (1, 2, 1), Palette.default(3), "good.json"),
+        "SHORT": write_colouring(tmp_path, (1, 2), Palette.default(3), "short.json"),
+        "BAD": write_colouring(tmp_path, (1, 1, 2), Palette.default(3), "bad.json"),
+    }
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
 class TestCanonical:
     def test_edge(self, tmp_path, capsys):
         gp = write_graph(tmp_path, classic("complete", 2))
