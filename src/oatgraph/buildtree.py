@@ -92,6 +92,24 @@ class _Node:
         return "".join(out)
 
 
+def _added(op: str, child: int, *labels: int) -> int:
+    """The bitmask of the labels a node adds to a child whose vertex bitmask
+    is child.  Each label must be an integer, non-negative, within the dense
+    budget, and new: not repeated and not in the child."""
+    bits = 0
+    for x in map(operator.index, labels):
+        if x < 0:
+            raise MalformedTreeError(f"{op} node: new vertex {x} is negative")
+        _check_dense_budget(x + 1)  # before 1 << x
+        bit = 1 << x
+        if bit & bits:
+            raise MalformedTreeError(f"{op} node: new vertex {x} is repeated")
+        if bit & child:
+            raise MalformedTreeError(f"{op} node: new vertex {x} already in child")
+        bits |= bit
+    return bits
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Leaf(_Node):
     v: int
@@ -99,42 +117,40 @@ class Leaf(_Node):
     _own = {"v": int}
 
     def __post_init__(self):
-        object.__setattr__(self, "v", operator.index(self.v))
-        if self.v < 0:
-            raise MalformedTreeError(f"leaf vertex must be non-negative, got {self.v}")
-        _check_dense_budget(self.v + 1)  # before 1 << v
-        object.__setattr__(self, "verts", 1 << self.v)
+        verts = _added(self._op, 0, self.v)
+        object.__setattr__(self, "v", verts.bit_length() - 1)  # v as an int
+        object.__setattr__(self, "verts", verts)
         object.__setattr__(self, "chi", 1)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Union(_Node):
+class _Binary(_Node):
+    """Two vertex-disjoint children; a subclass names its _op and _chi rule."""
+
     left: BuildTree
     right: BuildTree
-    _op = "union"
     _kids = ("left", "right")
 
     def __post_init__(self):
         overlap = self.left.verts & self.right.verts
         if overlap:
-            raise MalformedTreeError(f"union children share vertices {list(iter_bits(overlap))}")
+            raise MalformedTreeError(
+                f"{self._op} children share vertices {list(iter_bits(overlap))}"
+            )
         object.__setattr__(self, "verts", self.left.verts | self.right.verts)
-        object.__setattr__(self, "chi", max(self.left.chi, self.right.chi))
+        object.__setattr__(self, "chi", self._chi(self.left.chi, self.right.chi))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Join(_Node):
-    left: BuildTree
-    right: BuildTree
-    _op = "join"
-    _kids = ("left", "right")
+class Union(_Binary):
+    _op = "union"
+    _chi = max
 
-    def __post_init__(self):
-        overlap = self.left.verts & self.right.verts
-        if overlap:
-            raise MalformedTreeError(f"join children share vertices {list(iter_bits(overlap))}")
-        object.__setattr__(self, "verts", self.left.verts | self.right.verts)
-        object.__setattr__(self, "chi", self.left.chi + self.right.chi)
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Join(_Binary):
+    _op = "join"
+    _chi = operator.add
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -150,31 +166,26 @@ class Comparable(_Node):
     _own = {"u": int, "v": int, "X": list}
 
     def __post_init__(self):
-        object.__setattr__(self, "u", operator.index(self.u))
-        object.__setattr__(self, "v", operator.index(self.v))
-        X = tuple(map(operator.index, self.X))
-        if len(set(X)) != len(X):
-            raise MalformedTreeError(f"comparable node ({self.u}, {self.v}): X has duplicates {X}")
-        X = tuple(sorted(X))
-        object.__setattr__(self, "X", X)
-        if self.u < 0:
-            raise MalformedTreeError(f"comparable vertex must be non-negative, got {self.u}")
         cverts = self.child.verts
-        if _has(cverts, self.u):
-            raise MalformedTreeError(f"comparable node: new vertex {self.u} already in child")
-        if not _has(cverts, self.v):
-            raise MalformedTreeError(f"comparable node: anchor {self.v} not in child")
-        if self.v in X:
-            raise MalformedTreeError(
-                f"comparable node ({self.u}, {self.v}): anchor cannot appear in X"
-            )
+        bit = _added(self._op, cverts, self.u)
+        u = bit.bit_length() - 1
+        v = operator.index(self.v)
+        X = tuple(sorted(map(operator.index, self.X)))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "X", X)
+        if not _has(cverts, v):
+            raise MalformedTreeError(f"comparable node: anchor {v} not in child")
+        if v in X:
+            raise MalformedTreeError(f"comparable node ({u}, {v}): anchor cannot appear in X")
+        if len(set(X)) != len(X):
+            raise MalformedTreeError(f"comparable node ({u}, {v}): X has duplicates {X}")
         stray = [x for x in X if not _has(cverts, x)]
         if stray:
             raise MalformedTreeError(
-                f"comparable node ({self.u}, {self.v}): X reaches outside child: {stray}"
+                f"comparable node ({u}, {v}): X reaches outside child: {stray}"
             )
-        _check_dense_budget(self.u + 1)
-        object.__setattr__(self, "verts", cverts | 1 << self.u)
+        object.__setattr__(self, "verts", cverts | bit)
         object.__setattr__(self, "chi", self.child.chi)
 
 
@@ -190,25 +201,16 @@ class CliqueAttach(_Node):
     _own = {"z": int, "Q": list}
 
     def __post_init__(self):
-        object.__setattr__(self, "z", operator.index(self.z))
         Q = tuple(map(operator.index, self.Q))
-        object.__setattr__(self, "Q", Q)
         if not Q:
             raise MalformedTreeError("clique node: Q must be non-empty")
-        if len(set(Q)) != len(Q):
-            raise MalformedTreeError(f"clique node at {self.z}: Q has duplicates {Q}")
-        if min(Q) < 0:
-            raise MalformedTreeError(f"clique node at {self.z}: negative vertex in {Q}")
         cverts = self.child.verts
-        if not _has(cverts, self.z):
-            raise MalformedTreeError(f"clique node: anchor {self.z} not in child")
-        _check_dense_budget(max(Q) + 1)
-        qverts = sum(1 << q for q in Q)
-        if qverts & cverts:
-            raise MalformedTreeError(
-                f"clique node at {self.z}: Q overlaps child vertices"
-                f" {list(iter_bits(qverts & cverts))}"
-            )
+        qverts = _added(self._op, cverts, *Q)
+        z = operator.index(self.z)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "Q", Q)
+        if not _has(cverts, z):
+            raise MalformedTreeError(f"clique node: anchor {z} not in child")
         object.__setattr__(self, "verts", cverts | qverts)
         object.__setattr__(self, "chi", max(self.child.chi, len(Q) + 1))
 
@@ -225,11 +227,8 @@ def walk_postorder(t: BuildTree) -> Iterator[BuildTree]:
             yield node
             continue
         stack.append((node, True))
-        if isinstance(node, (Union, Join)):
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        elif isinstance(node, (Comparable, CliqueAttach)):
-            stack.append((node.child, False))
+        for f in reversed(node._kids):
+            stack.append((getattr(node, f), False))
 
 
 def chi_omega(t: BuildTree) -> tuple[int, int]:

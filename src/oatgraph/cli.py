@@ -17,7 +17,7 @@ from typing import Any
 from ._util import is_int
 from .buildtree import canonical_colouring, chi_omega, replay, tree_to_json
 from .colouring import Colouring, Palette, colouring_from_json, colouring_to_json
-from .errors import GraphFormatError, OatGraphError, SizeBudgetError
+from .errors import ColouringError, GraphFormatError, OatGraphError, SizeBudgetError
 from .generators import (
     CLASSIC_FAMILIES,
     FIXTURE_NAMES,
@@ -32,16 +32,22 @@ from .recognition import recognize
 from .recolouring import find_path, sequence_from_json, sequence_to_json, verify_sequence
 
 
+def _path(path: str) -> Path:
+    if not path:  # Path("") would be the current directory
+        raise FileNotFoundError("the path is empty")
+    return Path(path)
+
+
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return _path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}")
 
 
 def _write_text(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        _path(path).write_text(text)
     except OSError as exc:
         raise OatGraphError(f"cannot write {path}: {exc}")
 
@@ -140,26 +146,21 @@ def cmd_recolor(args: argparse.Namespace) -> int:
     chi, _ = chi_omega(out.tree)
     k = args.k if args.k is not None else chi
     if k < chi:
-        print(f"error: k = {k} is below the chromatic number {chi}", file=sys.stderr)
-        return 2
+        raise ValueError(f"k = {k} is below the chromatic number {chi}")
     try:
         _check_dense_budget(k + 1)  # no palette longer than the largest graph accepted
     except SizeBudgetError:
-        print(
-            f"error: k = {k} asks for more colours than any graph this machine can hold",
-            file=sys.stderr,
-        )
-        return 2
+        raise SizeBudgetError(
+            f"k = {k} asks for more colours than any graph this machine can hold"
+        ) from None
     palette = Palette.default(k + 1)
     alpha = _read_colouring(args.from_file, palette)
     beta = _read_colouring(args.to_file, palette)
     for name, col in (("--from", alpha), ("--to", beta)):
         if col.n != g.n:
-            print(f"error: {name} colours {col.n} vertices, graph has {g.n}", file=sys.stderr)
-            return 2
+            raise ColouringError(f"{name} colours {col.n} vertices, graph has {g.n}")
         if not col.is_proper(g):
-            print(f"error: {name} colouring is not proper", file=sys.stderr)
-            return 2
+            raise ColouringError(f"{name} colouring is not proper")
     seq = find_path(out.tree, alpha, beta, palette)
     _emit(sequence_to_json(seq))
     print(f"length {len(seq)} within budget {4 * g.n * g.n} for n = {g.n}", file=sys.stderr)
@@ -180,17 +181,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
+    if args.tree_out is not None and family != "random_oat":
+        raise ValueError(f"--tree-out is for random_oat only; {family} has no build tree")
     if family in FIXTURE_NAMES:
         g = fixture(family).graph
     elif family in CLASSIC_FAMILIES:
         if args.param is None:
-            print(f"error: {family} needs a size parameter", file=sys.stderr)
-            return 2
+            raise ValueError(f"{family} needs a size parameter")
         g = classic(family, args.param)
     elif family == "random_oat":
         if args.param is None:
-            print("error: random_oat needs a vertex count", file=sys.stderr)
-            return 2
+            raise ValueError("random_oat needs a vertex count")
         # the tree is replayed into a dense graph below; refuse before building it
         _check_dense_budget(args.param)
         tree = random_oat(args.param, args.seed)
@@ -199,14 +200,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
         g = replay(tree)
     elif family == "p4_sparse":
         if args.param is None:
-            print("error: p4_sparse needs the size of the edgeless part", file=sys.stderr)
-            return 2
+            raise ValueError("p4_sparse needs the size of the edgeless part")
         r = _read_graph(args.r_file) if args.r_file is not None else None
         g = p4_sparse_third_op(args.param, r, args.case)
     else:
         known = ", ".join(CLASSIC_FAMILIES + FIXTURE_NAMES + ("random_oat", "p4_sparse"))
-        print(f"error: unknown family {family!r}; choose from {known}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown family {family!r}; choose from {known}")
     sys.stdout.write(format_graph(g))
     return 0
 

@@ -209,9 +209,7 @@ def to_canonical(
 
 def _check_start(g: Graph, alpha: Colouring, S: Palette) -> None:
     """alpha is a proper colouring of g over the working palette S."""
-    if alpha.n != g.n:
-        raise ColouringError(f"colouring covers {alpha.n} vertices, graph has {g.n}")
-    if not alpha.is_proper(g):
+    if not alpha.is_proper(g):  # raises if alpha covers other than g.n vertices
         raise ColouringError("starting colouring is not proper")
     for col in set(alpha.assignment):
         if col not in S:

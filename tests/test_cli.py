@@ -337,9 +337,10 @@ def test_empty_r_file_exits_2_with_one_line(capsys):
 
 
 # Every refusal a command makes itself, after its arguments parse: exit 2,
-# nothing on stdout and exactly this one line on stderr.  The recolor cases
-# run on P_3 (chi 2) with a proper colouring in GOOD, a 2-vertex one in
-# SHORT and an improper one in BAD.
+# nothing on stdout, exactly this one line on stderr and no file written.
+# The recolor cases run on P_3 (chi 2) with a proper colouring in GOOD, a
+# 2-vertex one in SHORT and an improper one in BAD.  An empty path is named
+# as such: Path("") would be the current directory.
 @pytest.mark.parametrize(
     "argv, line",
     [
@@ -370,6 +371,16 @@ def test_empty_r_file_exits_2_with_one_line(capsys):
             " complete_bipartite_minus_matching, domino, house, gem, fig2_imperfect,"
             " fig4_dh_not_oat, random_oat, p4_sparse",
         ),
+        (["recognize", "G", "--tree-out", ""], "cannot write : the path is empty"),
+        (["gen", "random_oat", "5", "--tree-out", ""], "cannot write : the path is empty"),
+        (["gen", "p4_sparse", "2", "--r-file", ""], "cannot read : the path is empty"),
+        *(
+            (
+                ["gen", *argv, "--tree-out", "OUT"],
+                f"--tree-out is for random_oat only; {argv[0]} has no build tree",
+            )
+            for argv in (["path", "3"], ["domino"], ["p4_sparse", "2"], ["moebius", "5"])
+        ),
     ],
 )
 def test_refusal_exits_2_with_its_one_line(tmp_path, capsys, argv, line):
@@ -378,11 +389,13 @@ def test_refusal_exits_2_with_its_one_line(tmp_path, capsys, argv, line):
         "GOOD": write_colouring(tmp_path, (1, 2, 1), Palette.default(3), "good.json"),
         "SHORT": write_colouring(tmp_path, (1, 2), Palette.default(3), "short.json"),
         "BAD": write_colouring(tmp_path, (1, 1, 2), Palette.default(3), "bad.json"),
+        "OUT": str(tmp_path / "out.json"),
     }
     assert main([files.get(arg, arg) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {line}\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestCanonical:

@@ -214,6 +214,14 @@ class TestFindPath:
         with pytest.raises(ColouringError):
             find_path(t, Colouring((1, 2, 1), S3), Colouring((1, 1, 2), S3), S3)
 
+    @pytest.mark.parametrize("short_end", ["alpha", "beta"])
+    def test_rejects_end_of_wrong_length(self, short_end):
+        t = recognize(classic("path", 3)).tree
+        ends = {"alpha": Colouring((1, 2, 1), S3), "beta": Colouring((1, 2, 1), S3)}
+        ends[short_end] = Colouring((1, 2), S3)
+        with pytest.raises(ColouringError, match=r"^colouring covers 2 vertices, graph has 3$"):
+            find_path(t, ends["alpha"], ends["beta"], S3)
+
     def test_rejects_end_outside_working_palette(self):
         t = recognize(classic("path", 2)).tree
         with pytest.raises(PaletteError):
