@@ -228,6 +228,129 @@ class TestFindPath:
             find_path(t, Colouring((1, 2), S3), Colouring((1, 4), S4), S3)
 
 
+EDGE = Join(Leaf(0), Leaf(1))  # chi = 2
+P3 = Palette((1, 2))
+OFF = "colour 4 outside working palette (1, 2, 3)"
+SHORT = "colouring covers 1 vertices, graph has 2"
+TIGHT = "need at least 3 working colours, got 2"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: rename(Colouring((1, 2), S3), Colouring((2, 1), S3), P3),
+            PaletteTooSmallError,
+            "renaming 2 classes needs more than 2 colours",
+            id="rename-tight",
+        ),
+        pytest.param(
+            lambda: rename(Colouring((1, 2), S3), Colouring((2,), S3), S3),
+            PartitionError,
+            "colourings cover 2 and 1 vertices",
+            id="rename-length",
+        ),
+        pytest.param(
+            lambda: rename(Colouring((1, 4), S4), Colouring((4, 1), S4), S3),
+            PaletteError,
+            OFF,
+            id="rename-off-palette",
+        ),
+        pytest.param(
+            lambda: rename(Colouring((1, 1), S3), Colouring((1, 2), S3), S3),
+            PartitionError,
+            "colourings do not share their colour classes",
+            id="rename-classes",
+        ),
+        pytest.param(
+            lambda: to_canonical(EDGE, Colouring((1, 2), P3), P3, P3),
+            PaletteTooSmallError,
+            TIGHT,
+            id="to_canonical-tight",
+        ),
+        pytest.param(
+            lambda: to_canonical(EDGE, Colouring((1, 1), S3), S3, P3),
+            ColouringError,
+            "starting colouring is not proper",
+            id="to_canonical-improper",
+        ),
+        pytest.param(
+            lambda: to_canonical(EDGE, Colouring((1,), S3), S3, P3),
+            ColouringError,
+            SHORT,
+            id="to_canonical-length",
+        ),
+        pytest.param(
+            lambda: to_canonical(EDGE, Colouring((1, 4), S4), S3, P3),
+            PaletteError,
+            OFF,
+            id="to_canonical-off-palette",
+        ),
+        pytest.param(
+            lambda: to_canonical(EDGE, Colouring((1, 2), S3), S3, S3),
+            PaletteError,
+            "target palette needs exactly 2 colours, got 3",
+            id="to_canonical-target-size",
+        ),
+        pytest.param(
+            lambda: to_canonical(EDGE, Colouring((1, 2), S3), S3, Palette((1, 4))),
+            PaletteError,
+            "target colours [4] outside working palette (1, 2, 3)",
+            id="to_canonical-target-off-palette",
+        ),
+        pytest.param(
+            lambda: find_path(EDGE, Colouring((1, 2), P3), Colouring((2, 1), P3), P3),
+            PaletteTooSmallError,
+            TIGHT,
+            id="find_path-tight",
+        ),
+        pytest.param(
+            lambda: find_path(EDGE, Colouring((1, 1), S3), Colouring((1, 2), S3), S3),
+            ColouringError,
+            "starting colouring is not proper",
+            id="find_path-improper-alpha",
+        ),
+        pytest.param(
+            lambda: find_path(EDGE, Colouring((1, 2), S3), Colouring((2, 2), S3), S3),
+            ColouringError,
+            "starting colouring is not proper",
+            id="find_path-improper-beta",
+        ),
+        pytest.param(
+            lambda: find_path(EDGE, Colouring((1,), S3), Colouring((1, 2), S3), S3),
+            ColouringError,
+            SHORT,
+            id="find_path-length-alpha",
+        ),
+        pytest.param(
+            lambda: find_path(EDGE, Colouring((1, 2), S3), Colouring((1,), S3), S3),
+            ColouringError,
+            SHORT,
+            id="find_path-length-beta",
+        ),
+        pytest.param(
+            lambda: find_path(EDGE, Colouring((1, 4), S4), Colouring((1, 2), S3), S3),
+            PaletteError,
+            OFF,
+            id="find_path-off-palette-alpha",
+        ),
+        pytest.param(
+            lambda: find_path(EDGE, Colouring((1, 2), S3), Colouring((4, 1), S4), S3),
+            PaletteError,
+            OFF,
+            id="find_path-off-palette-beta",
+        ),
+    ],
+)
+def test_single_fault_refusal(call, error, message):
+    """Each single fault of a walk's or rename's input raises its own type
+    with its exact message."""
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 class TestOneCertificatePass:
     """find_path and to_canonical replay the certificate once per call,
     however many joins the walk renames."""
