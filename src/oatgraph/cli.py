@@ -238,8 +238,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.valid else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so main reports them like every other refusal;
+    subparsers are made of the same class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="oatgraph")
+    parser = _Parser(prog="oatgraph")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("recognize", help="decompose a graph, print its build tree")
@@ -283,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OatGraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ._util import iter_bits
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union, _add_op
-from .graph import Graph, parse_graph
+from .graph import Graph, _check_dense_budget, parse_graph
 
 FIXTURE_NAMES = ("domino", "house", "gem", "fig2_imperfect", "fig4_dh_not_oat")
 
@@ -32,8 +32,7 @@ def classic(family: str, param: int) -> Graph:
     complete_bipartite_minus_matching(a) with sides 0..a-1 and a..2a-1
     where side vertex i is unmatched to opposite vertex i.
 
-    Edges are generated lazily, so a size over the dense budget fails in
-    Graph before any edge exists.
+    A size over the dense budget is refused before any edge exists.
     """
     if family == "path":
         if param < 1:
@@ -47,6 +46,7 @@ def classic(family: str, param: int) -> Graph:
     if family == "complete":
         if param < 1:
             raise ValueError(f"complete needs n >= 1, got {param}")
+        _check_dense_budget(param)  # combinations copies its whole input
         return Graph(param, itertools.combinations(range(param), 2))
     if family == "complete_bipartite_minus_matching":
         if param < 1:
@@ -124,13 +124,13 @@ def p4_sparse_third_op(v1_size: int, r: Graph | None, case: str) -> Graph:
         raise ValueError(f"case must be 'pendant' or 'anti', got {case!r}")
     if v1_size < 1:
         raise ValueError(f"V1 must be nonempty so that |K| = |V1| + 1 >= 2, got size {v1_size}")
-    v = v1_size
-    clique = list(range(v1_size + 1, 2 * v1_size + 2))
-    vprime = clique[0]
-    matched = clique[1:]
     offset = 2 * v1_size + 2
     r_n = r.n if r is not None else 0
-    # Lazy, like classic's edges, so an oversized V1 fails in Graph first.
+    _check_dense_budget(offset + r_n)  # before the clique's labels are listed
+    v = v1_size
+    clique = list(range(v1_size + 1, offset))
+    vprime = clique[0]
+    matched = clique[1:]
     parts = [itertools.combinations(clique, 2)]
     if case == "pendant":
         parts.append([(v, vprime)])

@@ -16,12 +16,19 @@ through emit is what keeps nested hooks correct when inner renames touch an
 outer hook's anchor.  Hooks are indexed by anchor, each anchor holding a
 stack of its own, so a step pays only for the hooks on the vertex that moves.
 
-Each call replays the certificate once, which also lists its vertices in
-build order; find_path shares both between its two halves.  A join reads
-each side's vertices as a slice of that order, and its rename maps the
-palettes its two sides were made canonical over onto its own palette, so
-it needs no further pass over the certificate.  The walk and emit keep
-explicit work stacks, so tree depth never meets the recursion limit.
+Every rename, of two colourings, of a join's two sides or of an attached
+clique, is one plan given a set of vertices and a map of colours: the plan
+groups the vertices by the colour they hold and moves each class onto its
+colour's image, at most twice per vertex.
+
+to_canonical and find_path share one entry check (room in the working
+palette, then each end proper and on it), which replays the certificate
+once and so also lists its vertices in build order; find_path shares both
+between its two halves.  A join reads its vertices as a slice of that
+order, and its rename maps the palettes its two sides were made canonical
+over onto its own palette, so it needs no further pass over the
+certificate.  The walk and emit keep explicit work stacks, so tree depth
+never meets the recursion limit.
 """
 
 from __future__ import annotations
@@ -95,22 +102,30 @@ class SequenceReport:
 
 
 def _rename_plan(
-    classes: Sequence[Sequence[int]],
-    current: Sequence[int],
-    target: Sequence[int],
+    verts: Iterable[int],
+    colour: Sequence[int],
+    to: dict[int, int],
     palette: Iterable[int],
     emit: Callable[[int, int], None],
 ):
-    """Move class i from colour current[i] to target[i], ≤ 2 moves per vertex.
+    """Move each colour class of verts to its colour's image under to, ≤ 2
+    moves per vertex.
 
-    Requires pairwise-distinct current colours, pairwise-distinct targets,
-    both inside palette, and |palette| > len(classes); the headroom colour
-    breaks cycles of mutually blocked classes.  Class j blocks class i when
-    it holds i's target, and since holders and wanters are unique per colour
-    the blocking relation is a disjoint set of paths and cycles.
+    Classes are verts grouped by colour[v], each class ascending, classes
+    ordered by their smallest vertex.  Requires to to be injective on the
+    colours held, every colour inside palette, and |palette| > the number of
+    classes; the headroom colour breaks cycles of mutually blocked classes.
+    Class j blocks class i when it holds i's target, and since holders and
+    wanters are unique per colour the blocking relation is a disjoint set of
+    paths and cycles.
     """
+    by_colour: dict[int, list[int]] = {}
+    for v in sorted(verts):
+        by_colour.setdefault(colour[v], []).append(v)
+    classes = list(by_colour.values())
+    current = list(by_colour)
+    target = [to[c] for c in current]
     k = len(classes)
-    current = list(current)
     holder = {current[i]: i for i in range(k)}
     pending = {i for i in range(k) if current[i] != target[i]}
     wants = {target[i]: i for i in pending}
@@ -151,16 +166,12 @@ def rename(alpha: Colouring, beta: Colouring, S: Palette) -> RecolouringSequence
     if alpha.n != beta.n:
         raise PartitionError(f"colourings cover {alpha.n} and {beta.n} vertices")
     part_a = alpha.colour_classes()
-    part_b = beta.colour_classes()
-    if set(part_a.values()) != set(part_b.values()):
+    if set(part_a.values()) != set(beta.colour_classes().values()):
         raise PartitionError("colourings do not share their colour classes")
-    for col in set(alpha.assignment) | set(beta.assignment):
-        if col not in S:
-            raise PaletteError(f"colour {col} outside working palette {S.colours}")
-    classes = sorted(part_a.values())
-    if len(S) <= len(classes):
+    _check_on_palette(set(alpha.assignment) | set(beta.assignment), S)
+    if len(S) <= len(part_a):
         raise PaletteTooSmallError(
-            f"renaming {len(classes)} classes needs more than {len(S)} colours"
+            f"renaming {len(part_a)} classes needs more than {len(S)} colours"
         )
     state = list(alpha.assignment)
     steps: list[Step] = []
@@ -171,11 +182,7 @@ def rename(alpha: Colouring, beta: Colouring, S: Palette) -> RecolouringSequence
             steps.append(Step(v, c))
 
     _rename_plan(
-        classes,
-        [alpha[members[0]] for members in classes],
-        [beta[members[0]] for members in classes],
-        S,
-        emit,
+        range(alpha.n), alpha.assignment, dict(zip(alpha.assignment, beta.assignment)), S, emit
     )
     return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
 
@@ -193,10 +200,7 @@ def to_canonical(
     attached clique is guarded while the rest is processed, then renamed onto
     the colours the canonical rule assigns it.
     """
-    g, order = _replay(t)
-    _check_start(g, alpha, S)
-    if len(S) < t.chi + 1:
-        raise PaletteTooSmallError(f"need at least {t.chi + 1} working colours, got {len(S)}")
+    order = _start(t, S, alpha)
     cpal = C if isinstance(C, Palette) else Palette(tuple(C))
     if len(cpal) != t.chi:
         raise PaletteError(f"target palette needs exactly {t.chi} colours, got {len(cpal)}")
@@ -207,13 +211,23 @@ def to_canonical(
     return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
 
 
-def _check_start(g: Graph, alpha: Colouring, S: Palette) -> None:
-    """alpha is a proper colouring of g over the working palette S."""
-    if not alpha.is_proper(g):  # raises if alpha covers other than g.n vertices
-        raise ColouringError("starting colouring is not proper")
-    for col in set(alpha.assignment):
+def _check_on_palette(colours: Iterable[int], S: Palette) -> None:
+    for col in colours:
         if col not in S:
             raise PaletteError(f"colour {col} outside working palette {S.colours}")
+
+
+def _start(t: BuildTree, S: Palette, *ends: Colouring) -> list[int]:
+    """The build order of t, once S has room for a walk and each end is a
+    proper colouring of t's graph over S."""
+    if len(S) < t.chi + 1:
+        raise PaletteTooSmallError(f"need at least {t.chi + 1} working colours, got {len(S)}")
+    g, order = _replay(t)
+    for end in ends:
+        if not end.is_proper(g):  # raises if end covers other than g.n vertices
+            raise ColouringError("starting colouring is not proper")
+        _check_on_palette(set(end.assignment), S)
+    return order
 
 
 def _walk(
@@ -301,8 +315,11 @@ def _walk(
                     s_side.add(min(x for x in s_node if x not in held))
                 walks.append((walk, side, side_lo, tuple(sorted(s_side)), c_side))
                 held = set(c_side) | sides[1][2]
-            # The canonical rule splits c_node as left palette then right.
-            work.append((join_done, order[lo:hi], s_node, dict(zip(c_left + c_right, c_node))))
+            # Both sides end canonical over side-local palettes, so the join
+            # already has the canonical colour classes; one rename fixes their
+            # names, the canonical rule splitting c_node as left then right.
+            to = dict(zip(c_left + c_right, c_node))
+            work.append((_rename_plan, order[lo:hi], state, to, s_node, emit))
             work.extend(reversed(walks))
         elif isinstance(node, Comparable):
             if state[node.u] != state[node.v]:
@@ -315,28 +332,11 @@ def _walk(
             work.append((clique_done, node, s_node, c_node))
             work.append((walk, node.child, lo, s_node, c_node[: node.child.chi]))
 
-    def join_done(vertices: list[int], s_node: tuple[int, ...], rename_to: dict[int, int]):
-        # Both sides are canonical over side-local palettes, so the subtree
-        # already has the canonical colour classes; one rename fixes names.
-        by_colour: dict[int, list[int]] = {}
-        for v in sorted(vertices):
-            by_colour.setdefault(state[v], []).append(v)
-        classes = sorted(by_colour.values())
-        current = [state[members[0]] for members in classes]
-        _rename_plan(classes, current, [rename_to[c] for c in current], s_node, emit)
-
     def clique_done(node: CliqueAttach, s_node: tuple[int, ...], c_node: tuple[int, ...]):
         guards[node.z].pop()
         cstar = state[node.z]
-        fill = [c for c in c_node if c != cstar][: len(node.Q)]
-        by_label = sorted(range(len(node.Q)), key=lambda i: node.Q[i])
-        _rename_plan(
-            [(node.Q[i],) for i in by_label],
-            [state[node.Q[i]] for i in by_label],
-            [fill[i] for i in by_label],
-            tuple(x for x in s_node if x != cstar),
-            emit,
-        )
+        to = dict(zip([state[q] for q in node.Q], [c for c in c_node if c != cstar]))
+        _rename_plan(node.Q, state, to, tuple(x for x in s_node if x != cstar), emit)
 
     # Each entry is a function and its arguments, the next one last.
     work: list[tuple[Any, ...]] = [(walk, t, 0, S.colours, c_root)]
@@ -357,13 +357,9 @@ def find_path(
     Mutually undoing steps at the junction are peeled off.  Both halves
     share one replay of the certificate and one build order.
     """
-    if len(S) < t.chi + 1:
-        raise PaletteTooSmallError(f"need at least {t.chi + 1} working colours, got {len(S)}")
+    order = _start(t, S, alpha, beta)
     c_root = S.colours[: t.chi]
-    g, order = _replay(t)
-    _check_start(g, alpha, S)
     fsteps, fpre = _walk(t, order, alpha, S, c_root)
-    _check_start(g, beta, S)
     bsteps, bpre = _walk(t, order, beta, S, c_root)
     new_step = tuple.__new__  # Step(v, p) without NamedTuple's Python-level __new__
     back = [new_step(Step, (v, p)) for (v, _), p in zip(reversed(bsteps), reversed(bpre))]
@@ -452,4 +448,4 @@ def sequence_from_json(obj: Any) -> RecolouringSequence:
         if not (is_int(v) and is_int(c)):
             raise ColouringError(f"step {i} fields must be integers")
         steps.append(Step(v, c))
-    return RecolouringSequence(initial, tuple(steps))
+    return RecolouringSequence._from_steps(initial, tuple(steps))

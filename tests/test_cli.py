@@ -292,6 +292,63 @@ class TestGen:
 
 
 @pytest.mark.parametrize(
+    "argv, n",
+    [
+        pytest.param(["complete", "100000000000"], 10**11, id="complete"),
+        pytest.param(["p4_sparse", "100000000000"], 2 * 10**11 + 2, id="p4_sparse"),
+    ],
+)
+def test_oversized_family_exits_2_with_one_line(capsys, argv, n):
+    tracemalloc.start()
+    try:
+        assert main(["gen", *argv]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: n = {n} needs about")
+    assert captured.err.count("\n") == 1
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        pytest.param([], "the following arguments are required: command", id="no-command"),
+        pytest.param(["gen"], "the following arguments are required: family", id="gen-no-family"),
+        pytest.param(
+            ["recolor", "G"],
+            "the following arguments are required: --from, --to",
+            id="recolor-no-ends",
+        ),
+        pytest.param(
+            ["oracle", "G", "--k", "abc"], "argument --k: invalid int value: 'abc'", id="oracle-k"
+        ),
+        # the list of choices that follows is worded by the Python version
+        pytest.param(
+            ["frobnicate"], "argument command: invalid choice: 'frobnicate' (", id="unknown-command"
+        ),
+    ],
+)
+def test_usage_error_exits_2_with_one_line(capsys, argv, line):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {line}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["gen", "--help"])
+    assert exited.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: oatgraph gen ")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
     "command, target",
     [
         (["recognize", "GRAPH"], "DIR"),

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oatgraph import (
+    SizeBudgetError,
     brute_chi,
     classic,
     fixture,
@@ -54,6 +56,24 @@ class TestClassic:
             classic("complete_bipartite_minus_matching", 0)
         with pytest.raises(ValueError, match="unknown family"):
             classic("torus", 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: classic("complete", 10**11), id="complete"),
+        pytest.param(lambda: p4_sparse_third_op(10**11, None, "pendant"), id="p4_sparse"),
+    ],
+)
+def test_refuses_oversized_family_before_building(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBudgetError, match="physical memory"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestFixtures:
