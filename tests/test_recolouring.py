@@ -146,6 +146,13 @@ class TestToCanonical:
         with pytest.raises(PaletteError):
             to_canonical(t, Colouring((1, 2), S3), S3, Palette((1, 2, 3)))
 
+    def test_checks_palette_room_before_the_start(self):
+        # as find_path does: an improper start on a tight palette is refused for the palette
+        t = Join(Leaf(0), Leaf(1))
+        S2 = Palette((1, 2))
+        with pytest.raises(PaletteTooSmallError):
+            to_canonical(t, Colouring((1, 1), S2), S2, S2)
+
     @given(st.integers(1, 12), st.integers(0, 300), st.integers(0, 20))
     @settings(max_examples=150, deadline=None)
     def test_lands_on_canonical_within_budget(self, n, seed, col_seed):
@@ -229,7 +236,7 @@ class TestFindPath:
 
 
 EDGE = Join(Leaf(0), Leaf(1))  # chi = 2
-P3 = Palette((1, 2))
+S2 = Palette((1, 2))
 OFF = "colour 4 outside working palette (1, 2, 3)"
 SHORT = "colouring covers 1 vertices, graph has 2"
 TIGHT = "need at least 3 working colours, got 2"
@@ -239,7 +246,7 @@ TIGHT = "need at least 3 working colours, got 2"
     "call, error, message",
     [
         pytest.param(
-            lambda: rename(Colouring((1, 2), S3), Colouring((2, 1), S3), P3),
+            lambda: rename(Colouring((1, 2), S3), Colouring((2, 1), S3), S2),
             PaletteTooSmallError,
             "renaming 2 classes needs more than 2 colours",
             id="rename-tight",
@@ -263,25 +270,25 @@ TIGHT = "need at least 3 working colours, got 2"
             id="rename-classes",
         ),
         pytest.param(
-            lambda: to_canonical(EDGE, Colouring((1, 2), P3), P3, P3),
+            lambda: to_canonical(EDGE, Colouring((1, 2), S2), S2, S2),
             PaletteTooSmallError,
             TIGHT,
             id="to_canonical-tight",
         ),
         pytest.param(
-            lambda: to_canonical(EDGE, Colouring((1, 1), S3), S3, P3),
+            lambda: to_canonical(EDGE, Colouring((1, 1), S3), S3, S2),
             ColouringError,
             "starting colouring is not proper",
             id="to_canonical-improper",
         ),
         pytest.param(
-            lambda: to_canonical(EDGE, Colouring((1,), S3), S3, P3),
+            lambda: to_canonical(EDGE, Colouring((1,), S3), S3, S2),
             ColouringError,
             SHORT,
             id="to_canonical-length",
         ),
         pytest.param(
-            lambda: to_canonical(EDGE, Colouring((1, 4), S4), S3, P3),
+            lambda: to_canonical(EDGE, Colouring((1, 4), S4), S3, S2),
             PaletteError,
             OFF,
             id="to_canonical-off-palette",
@@ -299,7 +306,7 @@ TIGHT = "need at least 3 working colours, got 2"
             id="to_canonical-target-off-palette",
         ),
         pytest.param(
-            lambda: find_path(EDGE, Colouring((1, 2), P3), Colouring((2, 1), P3), P3),
+            lambda: find_path(EDGE, Colouring((1, 2), S2), Colouring((2, 1), S2), S2),
             PaletteTooSmallError,
             TIGHT,
             id="find_path-tight",
