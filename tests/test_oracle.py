@@ -47,6 +47,16 @@ class TestBuildReconfig:
         st_ = reconfig_stats(r)
         assert st_.nodes == 6 and st_.frozen_count == 6 and not st_.connected
 
+    def test_c6_three_colours_one_component_and_six_frozen(self):
+        # a disconnected space whose first component has more than one node,
+        # so the numbering of components (in order of their first node) shows
+        st_ = reconfig_stats(build_reconfig(classic("cycle", 6), Palette.default(3)))
+        assert st_.nodes == 66
+        assert not st_.connected
+        assert st_.diameter is None
+        assert st_.component_diameters == (9, 0, 0, 0, 0, 0, 0)
+        assert st_.frozen_count == 6
+
     def test_nodes_lexicographic(self):
         r = build_reconfig(Graph(2), Palette((1, 2)))
         assert r.nodes == ((1, 1), (1, 2), (2, 1), (2, 2))
