@@ -280,7 +280,9 @@ def _replay(t: BuildTree) -> tuple[Graph, list[int]]:
     width = (n + 7) // 8
     rows = np.frombuffer(b"".join(nbrs[v].to_bytes(width, "little") for v in range(n)), np.uint8)
     adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
-    return Graph.from_adjacency(adj), list(nbrs)
+    # symmetric with a false diagonal by construction: _add_op sets both ends
+    # of every edge and never a vertex's own bit
+    return Graph._from_validated(adj), list(nbrs)
 
 
 def replay(t: BuildTree) -> Graph:

@@ -192,8 +192,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif family == "random_oat":
         if args.param is None:
             raise ValueError("random_oat needs a vertex count")
-        # the tree is replayed into a dense graph below; refuse before building it
-        _check_dense_budget(args.param)
         tree = random_oat(args.param, args.seed)
         if args.tree_out is not None:
             _write_text(args.tree_out, _json_text(tree_to_json(tree)) + "\n")

@@ -74,40 +74,40 @@ def random_oat(n: int, seed: int) -> BuildTree:
     clique 0.2; split sizes, anchors, and attached-clique sizes are uniform
     over the valid range, and comparable neighbourhoods take each eligible
     edge independently with probability one half.  Deterministic per (n, seed).
+
+    A size over the dense budget is refused before any label is handed out.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_dense_budget(n)  # replay makes an n x n matrix of this tree
     rng = random.Random(f"random-oat-{n}-{seed}")
     nbrs: dict[int, int] = {}  # neighbour bitmasks in build order, as replay keeps them
 
-    def build(size: int) -> tuple[BuildTree, list[int]]:
-        # Labels are handed out in build order, so the next one is len(nbrs).
+    def build(size: int) -> BuildTree:
+        # Labels are handed out in build order: the next one is len(nbrs), and
+        # a subtree's vertices are range(start, len(nbrs)) once it is built.
+        start = len(nbrs)
         if size == 1:
-            node = Leaf(len(nbrs))
-            verts = [node.v]
+            node = Leaf(start)
         else:
             op = rng.choices((Union, Join, Comparable, CliqueAttach), (0.2, 0.3, 0.3, 0.2))[0]
             if op is Union or op is Join:
-                left, lverts = build(rng.randint(1, size - 1))
-                right, rverts = build(size - len(lverts))
-                node = op(left, right)
-                verts = lverts + rverts
+                left_size = rng.randint(1, size - 1)
+                node = op(build(left_size), build(size - left_size))
             elif op is Comparable:
-                child, verts = build(size - 1)
-                v = rng.choice(verts)
+                child = build(size - 1)
+                v = rng.choice(range(start, len(nbrs)))
                 x = tuple(w for w in iter_bits(nbrs[v]) if rng.random() < 0.5)
                 node = Comparable(child, len(nbrs), v, x)
-                verts = verts + [node.u]
             else:
                 q_size = rng.randint(1, size - 1)
-                child, verts = build(size - q_size)
-                z = rng.choice(verts)
+                child = build(size - q_size)
+                z = rng.choice(range(start, len(nbrs)))
                 node = CliqueAttach(child, z, tuple(range(len(nbrs), len(nbrs) + q_size)))
-                verts = verts + list(node.Q)
         _add_op(nbrs, node)
-        return node, verts
+        return node
 
-    return build(n)[0]
+    return build(n)
 
 
 def p4_sparse_third_op(v1_size: int, r: Graph | None, case: str) -> Graph:

@@ -8,8 +8,8 @@ counts and neighbourhood comparisons all become vectorised operations.
 whole: they turn them into two int64 endpoint arrays, check those with
 array operations and fill the adjacency with two fancy-index stores
 (``_add_edges``), so no Python bytecode runs per edge unless an edge is
-faulty.  A plain edge list (ASCII digits, signs, blanks, ``\\r`` and
-``\\n`` only, two short integers per line) is read so, in one C-level
+faulty.  A plain edge list (ASCII digits, blanks, ``\\r`` and ``\\n``
+only, two short unsigned integers per line) is read so, in one C-level
 pass over its bytes.  Every other text, and every faulty one, goes
 through the general reader, one line at a time; it is the only reader
 that raises.
@@ -282,12 +282,11 @@ def _add_edges(adj: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
 
 
 # Byte classes of a plain edge list; every byte outside them is _OTHER.
-_OTHER, _BREAK, _BLANK, _DIGIT, _SIGN = range(5)
+_OTHER, _BREAK, _BLANK, _DIGIT = range(4)
 _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_CLASS[list(b"\r\n")] = _BREAK
 _BYTE_CLASS[list(b" \t")] = _BLANK
 _BYTE_CLASS[list(b"0123456789")] = _DIGIT
-_BYTE_CLASS[list(b"+-")] = _SIGN
 # Digits a plain field may have: 18 never reach int64's limit.
 _PLAIN_DIGITS = 18
 
@@ -295,9 +294,9 @@ _PLAIN_DIGITS = 18
 def _parse_plain(text: str) -> Graph | None:
     """The graph of a plain, fault-free edge list, else None.
 
-    A plain text is ASCII with no bytes but digits, signs, blanks (space,
-    tab) and line breaks (``\\r``, ``\\n``), and every non-blank line in it
-    has two fields ``[+-]?[0-9]{1,18}``.  On such a text ``str.split``,
+    A plain text is ASCII with no bytes but digits, blanks (space, tab) and
+    line breaks (``\\r``, ``\\n``), and every non-blank line in it has two
+    fields ``[0-9]{1,18}``.  On such a text ``str.split``,
     ``str.splitlines`` and ``int`` see exactly the fields and lines that
     the byte arrays below see, ``np.fromstring`` reads every field as
     ``int`` does, and no value overflows int64.  Token bounds come from
@@ -315,18 +314,13 @@ def _parse_plain(text: str) -> Graph | None:
     # A token starts where the zero-padded token mask rises and ends
     # (exclusive) where it falls.
     tok = np.zeros(len(cls) + 2, dtype=bool)
-    np.greater_equal(cls, _DIGIT, out=tok[1:-1])
+    np.equal(cls, _DIGIT, out=tok[1:-1])
     starts = np.flatnonzero(tok[1:-1] > tok[:-2])
     ends = np.flatnonzero(tok[:-1] > tok[1:])
     if len(starts) < 2 or len(starts) % 2:
         return None
-    signed = cls[starts] == _SIGN
-    digits = ends - starts
-    digits -= signed
-    if digits.min() < 1 or digits.max() > _PLAIN_DIGITS:
+    if (ends - starts).max() > _PLAIN_DIGITS:
         return None
-    if np.count_nonzero(cls == _SIGN) != np.count_nonzero(signed):
-        return None  # a sign inside a token
     # gap[i]: a line break between token i and token i+1.  Tokens pair up
     # as lines: a break after every odd token and none after an even one.
     gap = np.logical_or.reduceat(cls[: ends[-1]] == _BREAK, ends[:-1])
@@ -343,7 +337,7 @@ def _parse_plain(text: str) -> Graph | None:
         _check_dense_budget(n)
     except SizeBudgetError:
         return None
-    if m and not ((us >= 0).all() and (us < vs).all() and (vs < n).all()):
+    if m and not ((us < vs).all() and (vs < n).all()):
         return None
     adj = np.zeros((n, n), dtype=bool)
     _add_edges(adj, us, vs)
@@ -358,8 +352,8 @@ def parse_graph(text: str) -> Graph:
     Lines are those of ``str.splitlines`` and fields those of ``str.split``;
     blank lines are skipped and each field is read by ``int``.
 
-    A plain text, ASCII digits, signs, blanks, ``\\r`` and ``\\n`` with two
-    fields of at most 18 digits on every non-blank line, is read in one
+    A plain text, ASCII digits, blanks, ``\\r`` and ``\\n`` with two fields
+    of at most 18 digits on every non-blank line, is read in one
     C-level pass over its bytes (``_parse_plain``).  Every other text, and
     every plain text with a fault, goes through the general reader
     (``_parse_general``), which reads one line at a time and is the only

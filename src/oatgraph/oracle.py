@@ -33,14 +33,13 @@ class ReconfigGraph:
         palette: Palette,
         nodes: tuple[tuple[int, ...], ...],
         adjacency: tuple[tuple[int, ...], ...],
-        component_ids: tuple[int, ...],
+        index: dict[tuple[int, ...], int],
     ):
         self.graph = graph
         self.palette = palette
         self.nodes = nodes
         self.adjacency = adjacency
-        self.component_ids = component_ids
-        self._index = {a: i for i, a in enumerate(nodes)}
+        self._index = index
 
     @property
     def node_count(self) -> int:
@@ -106,27 +105,7 @@ def build_reconfig(g: Graph, S: Palette) -> ReconfigGraph:
                 if j is not None:
                     adjacency[i].append(j)
                     adjacency[j].append(i)
-    comp_ids = [-1] * len(nodes)
-    comp = 0
-    for seed in range(len(nodes)):
-        if comp_ids[seed] >= 0:
-            continue
-        comp_ids[seed] = comp
-        queue = deque([seed])
-        while queue:
-            x = queue.popleft()
-            for y in adjacency[x]:
-                if comp_ids[y] < 0:
-                    comp_ids[y] = comp
-                    queue.append(y)
-        comp += 1
-    return ReconfigGraph(
-        g,
-        S,
-        nodes,
-        tuple(tuple(sorted(nbrs)) for nbrs in adjacency),
-        tuple(comp_ids),
-    )
+    return ReconfigGraph(g, S, nodes, tuple(tuple(sorted(nbrs)) for nbrs in adjacency), index)
 
 
 @dataclass(frozen=True)
@@ -158,17 +137,24 @@ class ReconfigStats:
 
 
 def reconfig_stats(r: ReconfigGraph) -> ReconfigStats:
-    """Exact connectivity, diameters, and frozen nodes by BFS from every node."""
+    """Exact connectivity, diameters, and frozen nodes by BFS from every node.
+
+    Components are numbered in order of their first node: a node that no
+    earlier node's BFS reached starts the next one.
+    """
     total = len(r.nodes)
-    n_comp = max(r.component_ids, default=-1) + 1
-    comp_diam = [0] * n_comp
+    comp_ids = [-1] * total
+    comp_diam: list[int] = []
     for i in range(total):
         dist = r.bfs_from(i)
-        ecc = max(d for d in dist if d >= 0)
-        cid = r.component_ids[i]
-        if ecc > comp_diam[cid]:
-            comp_diam[cid] = ecc
-    connected = n_comp <= 1
+        if comp_ids[i] < 0:
+            for j, d in enumerate(dist):
+                if d >= 0:
+                    comp_ids[j] = len(comp_diam)
+            comp_diam.append(0)
+        cid = comp_ids[i]
+        comp_diam[cid] = max(comp_diam[cid], max(dist))
+    connected = len(comp_diam) <= 1
     diameter = comp_diam[0] if connected and total else None
     frozen = tuple(r.nodes[i] for i in range(total) if not r.adjacency[i])
     return ReconfigStats(total, connected, diameter, tuple(comp_diam), frozen)

@@ -1,4 +1,5 @@
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from oatgraph import (
     canonical_colouring,
     chi_omega,
     random_oat,
+    recognize,
     replay,
     tree_from_json,
     tree_to_json,
@@ -229,6 +231,23 @@ class TestReplay:
         assert validate(P3_TREE, Graph(3, [(0, 1), (1, 2)]))
         assert not validate(P3_TREE, Graph(3, [(0, 1)]))
         assert not validate(Union(Leaf(0), Leaf(2)), Graph(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 30, 60])
+    def test_adjacency_is_a_read_only_simple_graph(self, n):
+        # replay builds its Graph without from_adjacency's checks, so pin
+        # what they would check, on generated and on recognised trees
+        rng = random.Random(f"replay-{n}")
+        for seed in range(3):
+            t = random_oat(n, seed)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = Graph(n, [(perm[u], perm[v]) for u, v in replay(t).edges()])
+            for tree in (t, recognize(h).tree):
+                g = replay(tree)
+                assert not g.adj.flags.writeable
+                assert np.array_equal(g.adj, g.adj.T)
+                assert not g.adj.diagonal().any()
+                assert Graph.from_adjacency(g.adj) == g
 
     def test_walk_postorder_children_first(self):
         seen = list(walk_postorder(P3_TREE))

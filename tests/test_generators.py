@@ -63,6 +63,7 @@ class TestClassic:
     [
         pytest.param(lambda: classic("complete", 10**11), id="complete"),
         pytest.param(lambda: p4_sparse_third_op(10**11, None, "pendant"), id="p4_sparse"),
+        pytest.param(lambda: random_oat(10**11, 0), id="random_oat"),
     ],
 )
 def test_refuses_oversized_family_before_building(build):

@@ -20,6 +20,7 @@ from oatgraph import (
     reconfig_stats,
     replay,
 )
+from oatgraph._util import iter_bits
 from oatgraph.colouring import Colouring
 
 from conftest import random_graph
@@ -176,3 +177,79 @@ class TestRandomColouring:
         assert digest.hexdigest() == (
             "09ed2f000ba5444669f924f3b478f755993f9d93f89e0e6014ab1498856cf469"
         )
+
+
+def _parts(adj: list[int], verts: int, complement: bool) -> list[int]:
+    """Components (or co-components) of the graph induced on verts, as masks."""
+    parts = []
+    left = verts
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            x = frontier.bit_length() - 1
+            frontier ^= 1 << x
+            reach = verts & ~adj[x] & ~(1 << x) if complement else verts & adj[x]
+            frontier |= reach & ~comp
+            comp |= reach
+        left &= ~comp
+        parts.append(comp)
+    return parts
+
+
+def _moves(adj: list[int], verts: int):
+    """Every move on the graph induced on verts, each as the vertex sets it
+    leaves: a union or join split into any two groups of its components or
+    co-components, a comparable vertex u (N(u) within N(v) for a
+    non-neighbour v) deleted, or a pendant clique Q (N[q] = Q + z for every
+    q in Q) detached."""
+    for complement in (False, True):
+        parts = _parts(adj, verts, complement)
+        # the last part always stays on the far side, so each split comes once
+        for pick in range(1, 1 << (len(parts) - 1)):
+            side = 0
+            for i in iter_bits(pick):
+                side |= parts[i]
+            yield (side, verts & ~side)
+    for u in iter_bits(verts):
+        strangers = verts & ~adj[u] & ~(1 << u)
+        if any(not adj[u] & verts & ~adj[v] for v in iter_bits(strangers)):
+            yield (verts & ~(1 << u),)
+    for z in iter_bits(verts):
+        for comp in _parts(adj, verts & ~(1 << z), False):
+            if all(adj[q] & verts == (comp | 1 << z) & ~(1 << q) for q in iter_bits(comp)):
+                yield (verts & ~comp,)
+
+
+class TestEveryMoveKeepsMembers:
+    """The premise behind greedy recognition, in recognize and in
+    brute_is_oat: any move from a member leaves only members, so the first
+    move found is as good as any.  Membership here is by the definition,
+    trying every move, and shares no decomposition code with either."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        adj = g.neighbour_masks
+        memo: dict[int, bool] = {}
+
+        def member(verts: int) -> bool:
+            if verts not in memo:
+                memo[verts] = verts & (verts - 1) == 0 or any(
+                    all(member(p) for p in left) for left in _moves(adj, verts)
+                )
+            return memo[verts]
+
+        full = (1 << g.n) - 1
+        assert member(full) == brute_is_oat(g), g.edges()
+        if memo[full]:
+            for left in _moves(adj, full):
+                assert all(member(p) for p in left), (g.edges(), left)
+
+    def test_every_graph_up_to_five_vertices(self):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                self.check(Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1]))
+
+    def test_seeded_sample_of_six_vertex_graphs(self):
+        for seed in range(3000):
+            self.check(random_graph(6, 0.5, seed))
