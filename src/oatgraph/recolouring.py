@@ -6,15 +6,16 @@ and drives any proper colouring to the canonical one, touching each vertex
 at most 2n times. find_path concatenates a forward transformation with a
 reversed one to connect two arbitrary proper colourings.
 
-Every single-vertex step flows through one emit closure, which carries two
-kinds of hooks while the tree walk is inside the relevant node.  A mirror
-keeps a comparable vertex locked to its anchor: whenever the anchor moves,
-the twin immediately follows.  A guard shields an attached clique: when the
-anchor is about to take colour c, the one clique vertex holding c is evicted
-to a colour free on its closed neighbourhood first.  Routing everything
-through emit is what keeps nested hooks correct when inner renames touch an
-outer hook's anchor.  Hooks are indexed by anchor, each anchor holding a
-stack of its own, so a step pays only for the hooks on the vertex that moves.
+A step of a vertex that no hook watches is recorded directly.  The rest go
+through one work stack that carries two kinds of hooks while the tree walk
+is inside the relevant node.  A mirror keeps a comparable vertex locked to
+its anchor: whenever the anchor moves, the twin immediately follows.  A
+guard shields an attached clique: when the anchor is about to take colour
+c, the one clique vertex holding c is evicted to a colour free on its
+closed neighbourhood first.  Routing every hooked step through that stack
+is what keeps nested hooks correct when inner renames touch an outer hook's
+anchor.  Hooks are indexed by anchor, each anchor holding a stack of its
+own, so a step pays only for the hooks on the vertex that moves.
 
 Every rename, of two colourings, of a join's two sides or of an attached
 clique, is one plan given a set of vertices and a map of colours: the plan
@@ -27,14 +28,16 @@ once and so also lists its vertices in build order; find_path shares both
 between its two halves.  A join reads its vertices as a slice of that
 order, and its rename maps the palettes its two sides were made canonical
 over onto its own palette, so it needs no further pass over the
-certificate.  The walk and emit keep explicit work stacks, so tree depth
-never meets the recursion limit.
+certificate.  The walk and the hooks keep explicit work stacks, so tree
+depth never meets the recursion limit.  A walk records its steps as int
+columns, and a Step is made only for a step the result keeps.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ._util import is_int
@@ -55,6 +58,12 @@ from .graph import Graph
 class Step(NamedTuple):
     v: int
     c: int
+
+
+def _as_steps(pairs: Iterable[tuple[int, int]]) -> tuple[Step, ...]:
+    """Steps from (v, c) pairs of checked plain ints, made in C without
+    NamedTuple's Python-level __new__."""
+    return tuple(map(tuple.__new__, repeat(Step), pairs))
 
 
 @dataclass(frozen=True)
@@ -106,10 +115,10 @@ def _rename_plan(
     colour: Sequence[int],
     to: dict[int, int],
     palette: Iterable[int],
-    emit: Callable[[int, int], None],
+    move: Callable[[list[int], int], None],
 ):
     """Move each colour class of verts to its colour's image under to, ≤ 2
-    moves per vertex.
+    moves per vertex; move(cls, c) moves the vertices of cls to c in order.
 
     Classes are verts grouped by colour[v], each class ascending, classes
     ordered by their smallest vertex.  Requires to to be injective on the
@@ -119,46 +128,45 @@ def _rename_plan(
     wanters are unique per colour the blocking relation is a disjoint set of
     paths and cycles.
     """
-    by_colour: dict[int, list[int]] = {}
+    classes: dict[int, list[int]] = {}
     for v in sorted(verts):
-        by_colour.setdefault(colour[v], []).append(v)
-    classes = list(by_colour.values())
-    current = list(by_colour)
-    target = [to[c] for c in current]
-    k = len(classes)
-    holder = {current[i]: i for i in range(k)}
-    pending = {i for i in range(k) if current[i] != target[i]}
-    wants = {target[i]: i for i in pending}
+        classes.setdefault(colour[v], []).append(v)
+    held = set(classes)
+    # The classes that must move, by the colour they hold, in class order,
+    # with their targets; a class leaves when it lands on its target.
+    pending = {c: to[c] for c in classes if to[c] != c}
+    wants = {t: c for c, t in pending.items()}
 
-    def move(i: int, c: int) -> int:
-        for v in classes[i]:
-            emit(v, c)
-        freed = current[i]
-        del holder[freed]
-        holder[c] = i
-        current[i] = c
-        pending.discard(i)
-        return freed
+    def land(c: int) -> int | None:
+        """Move the class holding c onto its free target; the class that
+        wants c next, if any."""
+        t = pending.pop(c)
+        move(classes[c], t)
+        held.remove(c)
+        held.add(t)
+        return wants.get(c)
 
     # Unblocked classes first: moving one frees its old colour, which may
     # unblock the class wanting exactly that colour, and so on down the path.
-    for start in sorted(pending):
-        i: int | None = start
-        while i is not None and i in pending and target[i] not in holder:
-            freed = move(i, target[i])
-            i = wants.get(freed)
-    # Only cycles remain.  Park the smallest class of a cycle on the smallest
+    for c in list(pending):
+        while c in pending and pending[c] not in held:
+            c = land(c)
+    # Only cycles remain.  Park the first class of a cycle on the smallest
     # colour absent from the whole current colouring, walk the rest of the
     # cycle, then land the parked class on its now-free target.
     while pending:
-        i0 = min(pending)
-        spare = min(c for c in palette if c not in holder)
-        freed = move(i0, spare)
-        j = wants.get(freed)
-        while j is not None and j != i0 and j in pending:
-            freed = move(j, target[j])
-            j = wants.get(freed)
-        move(i0, target[i0])
+        c0, t0 = next(iter(pending.items()))
+        spare = min(x for x in palette if x not in held)
+        del pending[c0]
+        move(classes[c0], spare)
+        held.remove(c0)
+        held.add(spare)
+        c = wants.get(c0)
+        while c in pending:
+            c = land(c)
+        move(classes[c0], t0)
+        held.remove(spare)
+        held.add(t0)
 
 
 def rename(alpha: Colouring, beta: Colouring, S: Palette) -> RecolouringSequence:
@@ -173,16 +181,15 @@ def rename(alpha: Colouring, beta: Colouring, S: Palette) -> RecolouringSequence
         raise PaletteTooSmallError(
             f"renaming {len(part_a)} classes needs more than {len(S)} colours"
         )
-    state = list(alpha.assignment)
     steps: list[Step] = []
 
-    def emit(v: int, c: int):
-        if state[v] != c:
-            state[v] = c
-            steps.append(Step(v, c))
+    def move(cls: list[int], c: int):
+        # Without hooks each class holds one colour, never its destination,
+        # so every vertex of it makes a step.
+        steps.extend(_as_steps(zip(cls, repeat(c))))
 
     _rename_plan(
-        range(alpha.n), alpha.assignment, dict(zip(alpha.assignment, beta.assignment)), S, emit
+        range(alpha.n), alpha.assignment, dict(zip(alpha.assignment, beta.assignment)), S, move
     )
     return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
 
@@ -207,8 +214,8 @@ def to_canonical(
     stray = [c for c in cpal if c not in S]
     if stray:
         raise PaletteError(f"target colours {stray} outside working palette {S.colours}")
-    steps, _ = _walk(t, order, alpha, S, cpal.colours)
-    return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
+    vs, cs, _ = _walk(t, order, alpha, S, cpal.colours)
+    return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), _as_steps(zip(vs, cs)))
 
 
 def _check_on_palette(colours: Iterable[int], S: Palette) -> None:
@@ -236,32 +243,47 @@ def _walk(
     alpha: Colouring,
     S: Palette,
     c_root: tuple[int, ...],
-) -> tuple[list[Step], list[int]]:
+) -> tuple[list[int], list[int], list[int]]:
     """The steps of to_canonical, for a start and palettes already checked,
-    and the colour each step's vertex held just before it; order is the
-    tree's build order."""
+    as three int columns: step i moves vertex vs[i] from colour ps[i] to
+    cs[i].  order is the tree's build order."""
     n = alpha.n
     state = list(alpha.assignment)
-    steps: list[Step] = []
-    pres: list[int] = []
+    vs: list[int] = []
+    cs: list[int] = []
+    ps: list[int] = []
     # Per anchor, outermost hook first: the twins that mirror it, and the
     # guarded cliques with their evasion palettes.
     mirrors: list[list[int]] = [[] for _ in range(n)]
     guards: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n)]
-    new_step = tuple.__new__  # Step(v, c) without NamedTuple's Python-level __new__
 
-    def emit(v: int, c: int):
+    def recolour(verts: Iterable[int], c: int):
+        """Move each of verts to c in turn, each once its predecessor's
+        hooks have all fired."""
+        for v in verts:
+            if state[v] == c:
+                continue
+            if mirrors[v] or guards[v]:
+                hooked(v, c)
+                continue
+            vs.append(v)
+            cs.append(c)
+            ps.append(state[v])
+            state[v] = c
+
+    def hooked(v: int, c: int):
         # Moves to make, next one last, as (v, c, hook): hook None moves v
         # to c, a guard (Q, palette) of v runs before v takes c, and () makes
         # the step.  Guards and twins go on top, so they finish first.
         todo: list[tuple[int, int, Any]] = [(v, c, None)]
+        pop, push = todo.pop, todo.append
         while todo:
-            v, c, hook = todo.pop()
+            v, c, hook = pop()
             if hook is None:
                 if state[v] == c:
                     continue
                 if guards[v]:
-                    todo.append((v, c, ()))
+                    push((v, c, ()))
                     # innermost guard last, so it runs first
                     todo.extend([(v, c, guard) for guard in guards[v]])
                     continue
@@ -275,19 +297,20 @@ def _walk(
                 if clash:
                     q = min(clash)
                     blocked = {state[x] for x in q_verts if x != q} | {state[v], c}
-                    todo.append((q, min(x for x in avail if x not in blocked), None))
+                    push((q, min(x for x in avail if x not in blocked), None))
                 continue
-            pres.append(state[v])
+            vs.append(v)
+            cs.append(c)
+            ps.append(state[v])
             state[v] = c
-            steps.append(new_step(Step, (v, c)))
             # A twin follows its anchor, outermost mirror first, cascading.
             for twin in reversed(mirrors[v]):
-                todo.append((twin, c, None))
+                push((twin, c, None))
 
     def walk(node: BuildTree, lo: int, s_node: tuple[int, ...], c_node: tuple[int, ...]):
         """Make the subtree at node, whose vertices start at order[lo], canonical."""
         if isinstance(node, Leaf):
-            emit(node.v, c_node[0])
+            recolour((node.v,), c_node[0])
         elif isinstance(node, Union):
             mid = lo + node.left.verts.bit_count()
             work.append((walk, node.right, mid, s_node, c_node[: node.right.chi]))
@@ -296,8 +319,8 @@ def _walk(
             left, right = node.left, node.right
             mid = lo + left.verts.bit_count()
             hi = mid + right.verts.bit_count()
-            used_l = {state[v] for v in order[lo:mid]}
-            used_r = {state[v] for v in order[mid:hi]}
+            used_l = set(map(state.__getitem__, order[lo:mid]))
+            used_r = set(map(state.__getitem__, order[mid:hi]))
             c_left = tuple(sorted(used_l)[: left.chi])
             c_right = tuple(sorted(used_r)[: right.chi])
             sides = [(left, lo, used_l, c_left), (right, mid, used_r, c_right)]
@@ -319,11 +342,10 @@ def _walk(
             # already has the canonical colour classes; one rename fixes their
             # names, the canonical rule splitting c_node as left then right.
             to = dict(zip(c_left + c_right, c_node))
-            work.append((_rename_plan, order[lo:hi], state, to, s_node, emit))
+            work.append((_rename_plan, order[lo:hi], state, to, s_node, recolour))
             work.extend(reversed(walks))
         elif isinstance(node, Comparable):
-            if state[node.u] != state[node.v]:
-                emit(node.u, state[node.v])
+            recolour((node.u,), state[node.v])
             mirrors[node.v].append(node.u)
             work.append((mirrors[node.v].pop,))
             work.append((walk, node.child, lo, s_node, c_node))
@@ -336,14 +358,17 @@ def _walk(
         guards[node.z].pop()
         cstar = state[node.z]
         to = dict(zip([state[q] for q in node.Q], [c for c in c_node if c != cstar]))
-        _rename_plan(node.Q, state, to, tuple(x for x in s_node if x != cstar), emit)
+        _rename_plan(node.Q, state, to, tuple(x for x in s_node if x != cstar), recolour)
 
     # Each entry is a function and its arguments, the next one last.
     work: list[tuple[Any, ...]] = [(walk, t, 0, S.colours, c_root)]
     while work:
         fn, *args = work.pop()
         fn(*args)
-    return steps, pres
+    # walk refers to itself through its closure cell; without this the
+    # mirror and guard lists would wait for the cyclic collector.
+    del walk
+    return vs, cs, ps
 
 
 def find_path(
@@ -359,20 +384,20 @@ def find_path(
     """
     order = _start(t, S, alpha, beta)
     c_root = S.colours[: t.chi]
-    fsteps, fpre = _walk(t, order, alpha, S, c_root)
-    bsteps, bpre = _walk(t, order, beta, S, c_root)
-    new_step = tuple.__new__  # Step(v, p) without NamedTuple's Python-level __new__
-    back = [new_step(Step, (v, p)) for (v, _), p in zip(reversed(bsteps), reversed(bpre))]
-    cut = 0
-    while fsteps and cut < len(back):
-        nxt = back[cut]
-        if fsteps[-1].v != nxt.v or fpre[len(fsteps) - 1] != nxt.c:
-            break
-        fsteps.pop()
-        cut += 1
-    return RecolouringSequence._from_steps(
-        Colouring(alpha.assignment, S), tuple(fsteps + back[cut:])
+    fv, fc, fp = _walk(t, order, alpha, S, c_root)
+    bv, _, bp = _walk(t, order, beta, S, c_root)
+    # Peel the junction: the last kept forward step and the first kept
+    # reversed step cancel when the reversed one puts the same vertex back on
+    # the colour the forward one replaced.  f and b steps of each half stay.
+    f, b = len(fv), len(bv)
+    while f and b and fv[f - 1] == bv[b - 1] and fp[f - 1] == bp[b - 1]:
+        f -= 1
+        b -= 1
+    kept = chain(
+        zip(islice(fv, f), islice(fc, f)),
+        zip(reversed(bv[:b]), reversed(bp[:b])),
     )
+    return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), _as_steps(kept))
 
 
 def verify_sequence(g: Graph, seq: RecolouringSequence) -> SequenceReport:
@@ -440,12 +465,12 @@ def sequence_from_json(obj: Any) -> RecolouringSequence:
     raw = obj["steps"]
     if not isinstance(raw, list):
         raise ColouringError("sequence steps must be a list")
-    steps = []
+    steps: list[tuple[int, int]] = []
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or set(item) != {"v", "c"}:
             raise ColouringError(f"step {i} must be an object with keys 'v' and 'c'")
         v, c = item["v"], item["c"]
         if not (is_int(v) and is_int(c)):
             raise ColouringError(f"step {i} fields must be integers")
-        steps.append(Step(v, c))
-    return RecolouringSequence._from_steps(initial, tuple(steps))
+        steps.append((v, c))
+    return RecolouringSequence._from_steps(initial, _as_steps(steps))

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -36,9 +37,14 @@ from oatgraph import (
     sequence_from_json,
     sequence_to_json,
     to_canonical,
+    tree_from_json,
+    tree_to_json,
     verify_sequence,
 )
 from oatgraph import buildtree, recolouring
+
+from conftest import moved_colouring, path_tree
+from test_recolouring_golden import shared_anchor_tree
 
 S3 = Palette((1, 2, 3))
 S4 = Palette((1, 2, 3, 4))
@@ -233,6 +239,123 @@ class TestFindPath:
         t = recognize(classic("path", 2)).tree
         with pytest.raises(PaletteError):
             find_path(t, Colouring((1, 2), S3), Colouring((1, 4), S4), S3)
+
+
+def reversed_half(seq: RecolouringSequence) -> list[Step]:
+    """seq's steps backwards, each restoring the colour its vertex held
+    before the step."""
+    cur = list(seq.initial.assignment)
+    back = []
+    for v, c in seq.steps:
+        back.append(Step(v, cur[v]))
+        cur[v] = c
+    return back[::-1]
+
+
+class TestJunctionPeel:
+    """find_path is the forward half with its last `cut` steps dropped,
+    then the reversed backward half without its first `cut`, where `cut`
+    counts the junction steps peeled as mutually undoing."""
+
+    @pytest.mark.parametrize(
+        "tree, extra, seed",
+        [
+            pytest.param(shared_anchor_tree, 2, 2, id="shared_anchor-2"),
+            pytest.param(shared_anchor_tree, 2, 3, id="shared_anchor-3"),
+            pytest.param(lambda: path_tree(40), 1, 1, id="path_40-1"),
+            pytest.param(lambda: path_tree(40), 1, 2, id="path_40-2"),
+        ],
+    )
+    def test_halves_meet_at_the_peeled_junction(self, tree, extra, seed, moved):
+        t = tree()
+        g = replay(t)
+        chi = chi_omega(t)[0]
+        S = Palette.default(chi + extra)
+        alpha = moved(t, g, S, f"peel-a-{seed}", 4 * g.n)
+        beta = moved(t, g, S, f"peel-b-{seed}", 4 * g.n)
+        fwd = to_canonical(t, alpha, S, S.prefix(chi))
+        bwd = to_canonical(t, beta, S, S.prefix(chi))
+        back = reversed_half(bwd)
+        pre = [step.c for step in reversed_half(fwd)][::-1]  # colour each step replaced
+        cut = 0
+        f = len(fwd)
+        while f > cut and cut < len(back):
+            nxt = back[cut]
+            if fwd.steps[f - 1 - cut].v != nxt.v or pre[f - 1 - cut] != nxt.c:
+                break
+            cut += 1
+        assert cut > 0
+        seq = find_path(t, alpha, beta, S)
+        assert list(seq.steps) == list(fwd.steps[: f - cut]) + back[cut:]
+        assert len(seq) == len(fwd) + len(bwd) - 2 * cut
+        assert verify_sequence(g, seq).valid and seq.final() == beta
+
+
+def canonical_and_swapped(t, S: Palette) -> tuple[Colouring, Colouring]:
+    """t's canonical colouring over the first chi colours of S, and the same
+    colouring with colours 1 and 2 swapped: chi classes, so rename has room."""
+    canon = canonical_colouring(t, S.prefix(chi_omega(t)[0])).assignment
+    swapped = tuple({1: 2, 2: 1}.get(c, c) for c in canon)
+    return Colouring(canon, S), Colouring(swapped, S)
+
+
+def all_steps_of(t, S: Palette) -> list[tuple[str, RecolouringSequence]]:
+    g = replay(t)
+    chi = chi_omega(t)[0]
+    alpha = moved_colouring(t, g, S, "types-a", 4 * g.n)
+    beta = moved_colouring(t, g, S, "types-b", 4 * g.n)
+    return [
+        ("find_path", find_path(t, alpha, beta, S)),
+        ("to_canonical", to_canonical(t, alpha, S, S.colours[-chi:])),
+        ("rename", rename(*canonical_and_swapped(t, S), S)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        pytest.param(shared_anchor_tree, id="shared_anchor"),
+        pytest.param(lambda: random_oat(40, 3), id="random_oat_40_3"),
+        pytest.param(
+            lambda: Join(Union(Leaf(np.int64(0)), Leaf(np.int64(2))), Leaf(np.int64(1))),
+            id="numpy_labels",
+        ),
+    ],
+)
+def test_every_step_is_a_step_of_plain_ints(tree):
+    t = tree()
+    S = Palette(tuple(np.arange(1, chi_omega(t)[0] + 3)))
+    for name, seq in all_steps_of(t, S):
+        assert len(seq) > 0, name
+        for step in seq.steps:
+            assert type(step) is Step and type(step.v) is int and type(step.c) is int, name
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda t, a, b, S: find_path(t, a, b, S), id="find_path"),
+        pytest.param(lambda t, a, b, S: to_canonical(t, a, S, S.colours[1:]), id="to_canonical"),
+        pytest.param(lambda t, a, b, S: rename(*canonical_and_swapped(t, S), S), id="rename"),
+        pytest.param(lambda t, a, b, S: recognize(replay(t)), id="recognize"),
+        pytest.param(lambda t, a, b, S: replay(t), id="replay"),
+        pytest.param(lambda t, a, b, S: tree_from_json(tree_to_json(t)), id="tree_json"),
+    ],
+)
+def test_leaves_no_cyclic_garbage(call, moved):
+    """Each call frees everything it made by reference counting alone, so
+    no walk waits for the cyclic collector."""
+    t = random_oat(200, 0)
+    g = replay(t)
+    S = Palette.default(chi_omega(t)[0] + 1)
+    alpha, beta = moved(t, g, S, "gc-a", 4 * g.n), moved(t, g, S, "gc-b", 4 * g.n)
+    gc.collect()
+    gc.disable()
+    try:
+        call(t, alpha, beta, S)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 EDGE = Join(Leaf(0), Leaf(1))  # chi = 2
