@@ -5,8 +5,10 @@ for a member, or of the stuck vertices and stuck edges for a non-member.
 The digests were recorded from the recursive recogniser that the work-stack
 loop replaced, and those of the three deep relabelled cases from the
 recogniser with one A@A copy per task that the shared, label-indexed A@A
-replaced.  So any change to a tree's shape, its tie-breaking or the
-reported stuck subgraph shows up here.
+replaced.  The sparse chain's digest was recorded from the recogniser
+that refreshed its comparable index from A@A rows only, before it read
+dominators off neighbourhood bitmasks.  So any change to a tree's shape,
+its tie-breaking or the reported stuck subgraph shows up here.
 """
 
 import hashlib
@@ -16,7 +18,11 @@ import random
 import pytest
 
 from oatgraph import (
+    CliqueAttach,
+    Comparable,
     Graph,
+    Join,
+    Leaf,
     classic,
     fixture,
     p4_sparse_third_op,
@@ -31,6 +37,32 @@ def relabel(g: Graph, seed: str) -> Graph:
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def sparse_chain(n: int, seed: str) -> Graph:
+    """A member grown from K2, as the benchmark's sparse chains are: 3 in 4
+    steps add a comparable vertex on one or two of an anchor's neighbours,
+    the rest attach a clique of one to three vertices to a vertex."""
+    grow = random.Random(seed)
+    nbrs: list[set[int]] = [{1}, {0}]
+    tree = Join(Leaf(0), Leaf(1))
+    while len(nbrs) < n:
+        new = len(nbrs)
+        if grow.random() < 0.75:
+            v = grow.randrange(new)
+            xs = grow.sample(sorted(nbrs[v]), min(len(nbrs[v]), grow.choice((1, 1, 2))))
+            nbrs.append(set(xs))
+            for x in xs:
+                nbrs[x].add(new)
+            tree = Comparable(tree, new, v, tuple(xs))
+        else:
+            z = grow.randrange(new)
+            q = range(new, new + min(grow.randint(1, 3), n - new))
+            for a in q:
+                nbrs.append({z, *q} - {a})
+                nbrs[z].add(a)
+            tree = CliqueAttach(tree, z, tuple(q))
+    return replay(tree)
 
 
 def c5_with_tail(tail: int) -> Graph:
@@ -76,6 +108,11 @@ CASES = {
     "permuted_random_oat_325_0": lambda: relabel(replay(random_oat(325, 0)), "golden-325"),
     "permuted_p4_sparse_anti_40_r": lambda: relabel(
         p4_sparse_third_op(40, classic("path", 10), "anti"), "golden-p4-40"
+    ),
+    # Degree-1 and degree-2 comparable vertices mixed with pendant cliques
+    # of one to three vertices down a chain about 250 moves deep.
+    "permuted_sparse_chain_250": lambda: relabel(
+        sparse_chain(250, "golden-sparse-chain"), "golden-sparse-chain-250"
     ),
     "c5_with_tail_6": lambda: c5_with_tail(6),
     "permuted_c5_with_tail_20": lambda: relabel(c5_with_tail(20), "golden-c5"),
@@ -127,6 +164,7 @@ GOLDEN = {
     "permuted_p4_sparse_anti_40_r": "20245bf68a126d3cb4d6",
     "permuted_path_300": "d07e74f0553363f1d5b6",
     "permuted_random_oat_325_0": "20f9fe2f45f24bc3ef2a",
+    "permuted_sparse_chain_250": "b55dbb1c8e8d06f9f622",
     "permuted_path_64": "992d2e351a35d49aac76",
     "permuted_random_oat_90_5": "c8143037fa16599f7f36",
     "random_oat_120_11": "3e179fda9049bf29be5f",
