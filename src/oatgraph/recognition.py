@@ -7,7 +7,7 @@ yields a build tree over the original labels; failure yields the irreducible
 induced subgraph it got stuck on.
 
 It is one loop over an explicit work stack, so its depth is not bounded by
-the interpreter's.  A task is an ascending array of original labels.
+the interpreter's.  A task is the bitmask of its original labels.
 Comparable and clique moves are tail moves: nothing reads the larger graph
 again, so they shrink the task where it stands and leave a pending
 Comparable or CliqueAttach wrapper, applied once the task's subtree is
@@ -26,15 +26,31 @@ joins above it.  Every dominance test compares a row's entries with its
 diagonal inside one block, so the shift changes no pick; only verify_a2
 subtracts it.
 dom[u] indexes the comparable moves: the smallest v != u in u's task with
-N(u) a subset of N(v), or -1.  A task's next comparable move removes its
-smallest u with dom[u] >= 0, the pair first_comparable would pick from the
-task's block.  Splits leave the index valid, since a vertex and its
-dominator share a co-component, and a component too unless the vertex is
-isolated and so becomes a leaf.  A tail move refreshes only the rows it
-patched and the rows whose dominator it removed.  Memory is that one A@A,
-the index and the rows refreshed by one move, O(n^2).  verify_a2 checks
-every new task's block, less its shift, and every index pick against a
-fresh recomputation, the reference.
+N(u) a subset of N(v), or -1; has_dom is the bitmask of the labels with
+dom[u] >= 0.  A task's next comparable move removes the lowest bit of
+has_dom & alive, the pair first_comparable would pick from the task's
+block.  Splits leave the index valid, since a vertex and its dominator
+share a co-component, and a component too unless the vertex is isolated;
+a union clears an isolated vertex's entry, for it becomes a leaf.  A tail
+move clears the entries of the labels it removes, so that only live rows
+can point at a label, and refreshes only the rows it patched and the rows
+whose dominator it removed, found by one compare over dom.  (A clique move
+comes only when no vertex of the task has a dominator, so it refreshes
+its anchor's row alone.)  Two refreshes give the same dominators.  When
+the stale rows have few neighbours in the task between them, as on the
+deep sparse tasks of paths and chains, each row w is read off the masks:
+the task's labels other than w, ANDed with the neighbourhood of every
+neighbour of w, leave exactly the v with N(w) a subset of N(v), and the
+lowest is the dominator, for a few big-int operations per neighbour.
+Otherwise, as after most moves on wide dense tasks, whose stale rows
+have dozens to hundreds of neighbours, the rows of A@A are compared with
+their diagonals over the task's labels, unpacked from its bitmask for that
+compare only.
+The patch runs at every move either way, so the matrix is current for any
+later compare.  Memory is that one A@A, the index and the rows refreshed
+by one move, O(n^2).  verify_a2 checks every new task's block, less its
+shift, every dominator of its labels and every index pick against a fresh
+recomputation, the reference.
 
 Components, co-components and pendant cliques are read off neighbourhood
 bitmasks over the original labels, intersected with the task's vertex set.
@@ -55,6 +71,16 @@ from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
 from .errors import StepConsistencyError
 from .graph import Graph, adjacency_square, first_comparable, mask_components, pendant_clique
 
+# A tail move's stale rows are read off the neighbourhood masks when they
+# have at most this many neighbours in the task between them, and compared
+# as rows of A@A otherwise.  On a 2-vCPU x86 VM at n = 300, a mask read
+# costs about 0.25 us per neighbour and an A@A compare 26-31 us whatever
+# the rows, so they break even near 100 neighbours.  32 sits well below
+# that, and above 99% of the 4,955 refreshes one cycle of the benchmark's
+# deep sparse inputs makes; 85% of the 433 refreshes of its wide dense
+# inputs are heavier and compare rows.
+_LIGHT_REFRESH = 32
+
 
 @dataclass(frozen=True)
 class RecognitionOutcome:
@@ -72,8 +98,7 @@ class RecognitionOutcome:
 
 @dataclass
 class _Task:
-    labels: np.ndarray  # ascending original labels
-    alive: int  # labels as a bitmask
+    alive: int  # the task's original labels as a bitmask
     connected: bool  # known to induce a connected subgraph
     shift: int  # how far every entry of its A@A block sits above the true count
 
@@ -94,58 +119,93 @@ def _wrap(tree: BuildTree, wrappers: list[tuple]) -> BuildTree:
     return tree
 
 
+def _labels(mask: int) -> np.ndarray:
+    """The set bits of mask as an ascending label array, unpacked in C."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little"))
+
+
+def _dominators(
+    block: np.ndarray, diag: np.ndarray, rows: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """For each row u, the smallest label v != u with N(u) a subset of N(v),
+    or -1.  block[i] counts row i's common neighbours with each of labels,
+    and diag[i] with itself, its degree."""
+    cand = block == diag[:, None]
+    cand &= labels != rows[:, None]
+    return np.where(cand.any(axis=1), labels[cand.argmax(axis=1)], -1)
+
+
+def _mask_dominator(masks: list[int], alive: int, w: int) -> int:
+    """The smallest v != w in alive with N(w) a subset of N(v), both taken
+    inside alive, or -1: the lowest bit left of alive once it is ANDed with
+    the neighbourhood of every neighbour of w."""
+    cand = alive & ~(1 << w)
+    near = masks[w] & alive
+    while near and cand:
+        low = near & -near
+        cand &= masks[low.bit_length() - 1]
+        near ^= low
+    return (cand & -cand).bit_length() - 1
+
+
 def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     """Decide membership; the positive answer carries a replayable tree.
 
     verify_a2 recomputes the common-neighbour matrix from scratch for every
-    new task, and the comparable pair from it at every scan, and fails
-    loudly on any drift; the outcome's a2_checks counts how many
-    comparisons ran.
+    new task, and with it every dominator of the comparable index and the
+    pick at every scan, and fails loudly on any drift; the outcome's
+    a2_checks counts how many comparisons ran.
     """
     masks = g.neighbour_masks
     checks = 0
     m = adjacency_square(g)
     m.setflags(write=True)  # a fresh array nothing else holds: the shared buffer
-    gone = np.zeros(g.n, dtype=bool)  # labels taken away by tail moves
-
-    def dominators(block: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """For each row u, the smallest label v != u with N(u) a subset of
-        N(v), or -1; block is m[rows][:, labels]."""
-        cand = block == m[rows, rows][:, None]
-        cand &= labels != rows[:, None]
-        return np.where(cand.any(axis=1), labels[cand.argmax(axis=1)], -1)
-
     everyone = np.arange(g.n)
-    dom = dominators(m, everyone, everyone)
+    dom = _dominators(m, m.diagonal(), everyone, everyone)
+    has_dom = sum(1 << w for w in np.flatnonzero(dom >= 0).tolist())
 
     def check(task: _Task) -> None:
         nonlocal checks
         if verify_a2:
-            labels = task.labels
+            labels = _labels(task.alive)
             fresh = adjacency_square(g.induced(labels.tolist()))
             if not np.array_equal(fresh, m[np.ix_(labels, labels)] - task.shift):
                 raise StepConsistencyError(
                     "incrementally patched A@A drifted from the recomputed matrix"
                 )
-            checks += 1
+            at = np.arange(len(labels))
+            want = _dominators(fresh, fresh.diagonal(), at, at)
+            want = np.where(want >= 0, labels[want], -1)
+            flags = sum(1 << w for w in labels[want >= 0].tolist())
+            if not np.array_equal(dom[labels], want) or has_dom & task.alive != flags:
+                raise StepConsistencyError(
+                    "comparable index drifted from the dominators a fresh A@A gives"
+                )
+            checks += 2
 
     def split(
         task: _Task, binary: type[Union] | type[Join], parts: list[int], wrappers: list[tuple]
     ) -> None:
+        nonlocal has_dom
         # Parts arrive ordered by smallest vertex and are folded
         # left-associatively, so the first part must come off the stack first.
         stack.append(_Fold(binary, len(parts), wrappers))
         children = []
+        size = task.alive.bit_count()
         for part in parts:
-            labels = np.fromiter(iter_bits(part), np.intp)
             shift = task.shift
             if binary is Join:  # the other parts were common neighbours of every pair
-                shift += len(task.labels) - len(labels)
-            children.append(_Task(labels, part, binary is Union, shift))
+                shift += size - part.bit_count()
+            elif part & (part - 1) == 0:
+                # An isolated vertex, dominated by any other, becomes a leaf.
+                dom[part.bit_length() - 1] = -1
+                has_dom &= ~part
+            children.append(_Task(part, binary is Union, shift))
             check(children[-1])
         stack.extend(reversed(children))
 
-    stack: list[_Task | _Fold] = [_Task(everyone, (1 << g.n) - 1, False, 0)]
+    stack: list[_Task | _Fold] = [_Task((1 << g.n) - 1, False, 0)]
     done: list[BuildTree] = []
     while stack:
         task = stack.pop()
@@ -159,61 +219,85 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             continue
         wrappers = []
         while True:
-            labels = task.labels
-            if len(labels) == 1:
-                done.append(_wrap(Leaf(int(labels[0])), wrappers))
+            alive = task.alive
+            if alive & (alive - 1) == 0:
+                done.append(_wrap(Leaf(alive.bit_length() - 1), wrappers))
                 break
             if not task.connected:
-                parts = mask_components(masks, task.alive)
+                parts = mask_components(masks, alive)
                 if len(parts) > 1:
                     split(task, Union, parts, wrappers)
                     break
                 task.connected = True
-            parts = mask_components(masks, task.alive, complement=True)
+            parts = mask_components(masks, alive, complement=True)
             if len(parts) > 1:
                 split(task, Join, parts, wrappers)
                 break
-            has = dom[labels] >= 0
-            i = int(has.argmax())
-            pair = (int(labels[i]), int(dom[labels[i]])) if has[i] else None
+            pick = has_dom & alive
+            u = (pick & -pick).bit_length() - 1
             if verify_a2:
+                labels = _labels(alive)
+                pair = (u, int(dom[u])) if pick else None
                 fresh = first_comparable(adjacency_square(g.induced(labels.tolist())))
                 if pair != (None if fresh is None else tuple(labels[list(fresh)].tolist())):
                     raise StepConsistencyError(
                         f"comparable index picked {pair}, a fresh scan picks {fresh}"
                     )
                 checks += 1
-            if pair is not None:
+            if pick:
                 # Only pairs inside N(u) lose u as a common neighbour
                 # (diagonal included: those degrees drop by 1).
-                u, v = pair
-                rows = np.fromiter(iter_bits(masks[u] & task.alive), np.intp)
+                near = masks[u] & alive
+                xs = tuple(iter_bits(near))
+                rows = np.array(xs)
                 m[rows[:, None], rows] -= 1
-                wrappers.append((Comparable, u, v, tuple(rows.tolist())))
-                removed = (u,)
+                wrappers.append((Comparable, u, int(dom[u]), xs))
+                alive ^= 1 << u
+                has_dom ^= 1 << u
+                dom[u] = -1
+                stale = near
+                for w in (dom == u).nonzero()[0].tolist():
+                    stale |= 1 << w
             else:
-                found = pendant_clique(masks, labels.tolist(), task.alive)
+                found = pendant_clique(masks, iter_bits(alive), alive)
                 if found is None:
+                    labels = list(iter_bits(alive))
                     return RecognitionOutcome(
                         tree=None,
-                        stuck=g.induced(labels.tolist()),
-                        stuck_vertices=tuple(labels.tolist()),
+                        stuck=g.induced(labels),
+                        stuck_vertices=tuple(labels),
                         a2_checks=checks,
                     )
                 # Q touched only itself and z: only z's degree drops, by |Q|.
+                # No vertex of the task has a dominator, so none loses one.
                 z, removed = found
                 m[z, z] -= len(removed)
-                rows = [z]
                 wrappers.append((CliqueAttach, z, removed))
-            # A tail move: the smaller task replaces this one, still connected.
+                for q in removed:
+                    alive ^= 1 << q
+                stale = 1 << z
+            # A tail move: the task shrinks where it stands, still connected.
             # Splits keep every vertex's dominator, but here the rows just
             # written, and those whose dominator left, are stale.
-            gone[list(removed)] = True
-            labels = labels[~gone[labels]]
-            d = dom[labels]
-            rows = np.concatenate((rows, labels[(d >= 0) & gone[d]]))
-            dom[rows] = dominators(m[rows][:, labels], rows, labels)
-            task = _Task(labels, task.alive ^ sum(1 << w for w in removed), True, task.shift)
+            weight = 0
+            for w in iter_bits(stale):
+                weight += (masks[w] & alive).bit_count()
+                if weight > _LIGHT_REFRESH:
+                    break
+            kept = 0  # the stale rows that still have a dominator
+            if weight <= _LIGHT_REFRESH:
+                for w in iter_bits(stale):
+                    dom[w] = d = _mask_dominator(masks, alive, w)
+                    if d >= 0:
+                        kept |= 1 << w
+            else:
+                rows = _labels(stale)
+                labels = _labels(alive)
+                new = _dominators(m[rows][:, labels], m[rows, rows], rows, labels)
+                dom[rows] = new
+                kept = sum(1 << w for w in rows[new >= 0].tolist())
+            has_dom = has_dom & ~stale | kept
+            task.alive = alive
             check(task)
     (tree,) = done
     return RecognitionOutcome(tree=tree, stuck=None, stuck_vertices=None, a2_checks=checks)

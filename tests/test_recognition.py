@@ -26,6 +26,7 @@ from oatgraph import (
     recognition,
     recognize,
     replay,
+    tree_to_json,
     validate,
     walk_postorder,
 )
@@ -106,6 +107,57 @@ class TestA2AfterStep:
         with pytest.raises(StepConsistencyError):
             recognize(replay(random_oat(30, 1)), verify_a2=True)
 
+    def test_verify_checks_every_dominator_the_masks_give(self, monkeypatch):
+        # A refresh that drops the dominators it reads off the masks leaves
+        # the pick to the unrefreshed rows; the index check sees the drift.
+        g = _relabelled(classic("path", 30), random.Random(30))[0]
+        assert recognize(g, verify_a2=True).is_oat
+        monkeypatch.setattr(recognition, "_mask_dominator", lambda masks, alive, w: -1)
+        with pytest.raises(StepConsistencyError, match="comparable index drifted"):
+            recognize(g, verify_a2=True)
+
+
+def _three_ways(g: Graph) -> list[tuple]:
+    """recognize(g, verify_a2=True) with every refresh on A@A rows, with
+    every refresh on the masks, and at the default threshold: the tree JSON
+    or the stuck vertices of each, and how often the masks were read."""
+    runs = []
+    for light in (0, g.n * g.n + 1, recognition._LIGHT_REFRESH):
+        reads = []
+        read = recognition._mask_dominator
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recognition, "_LIGHT_REFRESH", light)
+            mp.setattr(recognition, "_mask_dominator", lambda *a: reads.append(a) or read(*a))
+            out = recognize(g, verify_a2=True)
+        runs.append((tree_to_json(out.tree) if out.is_oat else out.stuck_vertices, len(reads)))
+    return runs
+
+
+class TestRefreshSides:
+    """The comparable index refreshed from A@A rows and from the masks."""
+
+    @given(st.integers(2, 40), st.integers(0, 500))
+    @settings(max_examples=40, deadline=None)
+    def test_members_agree(self, n, seed):
+        g = _relabelled(replay(random_oat(n, seed)), random.Random(seed))[0]
+        (rows, read_at_0), (masks, _), (default, _) = _three_ways(g)
+        assert read_at_0 == 0
+        assert isinstance(rows, dict) and rows == masks == default
+
+    @given(st.integers(2, 12), st.sampled_from([0.2, 0.35, 0.5, 0.7]), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs_agree(self, n, p, seed):
+        (rows, read_at_0), (masks, _), (default, _) = _three_ways(random_graph(n, p, seed))
+        assert read_at_0 == 0
+        assert rows == masks == default
+
+    def test_a_deep_member_reads_the_masks_at_every_move(self):
+        g = _relabelled(classic("path", 60), random.Random(60))[0]
+        (rows, read_at_0), (masks, reads), (default, read_at_default) = _three_ways(g)
+        # 57 comparable moves, each refreshing at least one row
+        assert read_at_0 == 0 and reads >= 57 and read_at_default == reads
+        assert rows == masks == default
+
 
 class TestRecognize:
     def test_single_vertex(self):
@@ -175,8 +227,9 @@ def test_3000_random_graphs_n7_to_9_agree_with_brute(gnp):
 
 class TestScale:
     def test_path_memory_is_quadratic(self):
-        # A handful of n x n int64 matrices at most; keeping one induced copy
-        # per level, as a recursive descent does, needs about 160 of them.
+        # Building A@A holds two n x n eight-byte matrices, and tail moves
+        # add no per-move arrays; keeping one induced copy per level, as a
+        # recursive descent does, needs about 160 of them.
         n = 400
         g = classic("path", n)
         tracemalloc.start()
@@ -186,7 +239,7 @@ class TestScale:
         finally:
             tracemalloc.stop()
         assert out.is_oat
-        assert peak < 8 * (8 * n * n)
+        assert peak < 2.25 * (8 * n * n)
 
     def test_dense_memory_peak(self):
         # Building A@A holds two n x n eight-byte matrices; the masks, the
