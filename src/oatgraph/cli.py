@@ -29,7 +29,11 @@ from .generators import (
 from .graph import Graph, _check_dense_budget, format_graph, parse_graph
 from .oracle import _check_node_budget, build_reconfig, reconfig_stats
 from .recognition import recognize
-from .recolouring import find_path, sequence_from_json, sequence_to_json, verify_sequence
+from .recolouring import RecolouringSequence, find_path, sequence_from_json, verify_sequence
+
+# Steps per write when a sequence goes to stdout: enough to keep the writes
+# few, few enough that the text held at once stays small.
+_STEPS_PER_WRITE = 4096
 
 
 def _path(path: str) -> Path:
@@ -105,6 +109,21 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(_json_text({"format_version": 1, **doc}) + "\n")
 
 
+def _emit_sequence(seq: RecolouringSequence) -> None:
+    """_emit(sequence_to_json(seq)), byte for byte, with the steps written
+    from the sequence's int columns a slice at a time: no dict is made per
+    step, and the text of one slice is the most held at once."""
+    write = sys.stdout.write
+    head = _json_text({"format_version": 1, "initial": colouring_to_json(seq.initial)})
+    write(head[:-1] + ', "steps": [')  # the head without its closing brace
+    step = '{{"v": {}, "c": {}}}'.format
+    vs, cs = seq._vs, seq._cs
+    for lo in range(0, len(vs), _STEPS_PER_WRITE):
+        hi = lo + _STEPS_PER_WRITE
+        write((", " if lo else "") + ", ".join(map(step, vs[lo:hi], cs[lo:hi])))
+    write("]}\n")
+
+
 def cmd_recognize(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     out = recognize(g)
@@ -162,7 +181,7 @@ def cmd_recolor(args: argparse.Namespace) -> int:
         if not col.is_proper(g):
             raise ColouringError(f"{name} colouring is not proper")
     seq = find_path(out.tree, alpha, beta, palette)
-    _emit(sequence_to_json(seq))
+    _emit_sequence(seq)
     print(f"length {len(seq)} within budget {4 * g.n * g.n} for n = {g.n}", file=sys.stderr)
     return 0
 

@@ -29,15 +29,19 @@ between its two halves.  A join reads its vertices as a slice of that
 order, and its rename maps the palettes its two sides were made canonical
 over onto its own palette, so it needs no further pass over the
 certificate.  The walk and the hooks keep explicit work stacks, so tree
-depth never meets the recursion limit.  A walk records its steps as int
-columns, and a Step is made only for a step the result keeps.
+depth never meets the recursion limit.  A sequence is its initial
+colouring plus two int columns, the vertices and their new colours: the
+walk, rename and the JSON reader fill them directly, verification and
+serialisation read them, and a Step is made only when .steps is read.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from collections import Counter
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ._util import is_int
@@ -66,39 +70,64 @@ def _as_steps(pairs: Iterable[tuple[int, int]]) -> tuple[Step, ...]:
     return tuple(map(tuple.__new__, repeat(Step), pairs))
 
 
-@dataclass(frozen=True)
 class RecolouringSequence:
-    """A start colouring plus single-vertex recolouring steps."""
+    """A start colouring plus single-vertex recolouring steps.
 
-    initial: Colouring
-    steps: tuple[Step, ...]
+    The steps are kept as two columns of plain ints, step i moving vertex
+    _vs[i] to colour _cs[i]; `steps` builds the Step tuples on first read.
+    Instances are read-only, and compare, hash and print as the frozen pair
+    (initial, steps).
+    """
 
-    def __post_init__(self):
+    def __init__(self, initial: Colouring, steps: Iterable[tuple[int, int]]):
         index = operator.index  # a float step is refused, not truncated
-        object.__setattr__(self, "steps", tuple(Step(index(v), index(c)) for v, c in self.steps))
+        vs: list[int] = []
+        cs: list[int] = []
+        for v, c in steps:
+            vs.append(index(v))
+            cs.append(index(c))
+        self.__dict__.update(initial=initial, _vs=vs, _cs=cs)
 
     @classmethod
-    def _from_steps(cls, initial: Colouring, steps: tuple[Step, ...]) -> RecolouringSequence:
-        """Wrap steps that are already `Step`s of plain ints, unchecked."""
+    def _from_columns(cls, initial: Colouring, vs: list[int], cs: list[int]) -> RecolouringSequence:
+        """Take over two equally long lists of plain ints, unchecked."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "initial", initial)
-        object.__setattr__(seq, "steps", steps)
+        seq.__dict__.update(initial=initial, _vs=vs, _cs=cs)
         return seq
 
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        return _as_steps(zip(self._vs, self._cs))
+
+    def __setattr__(self, name: str, value: Any):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.initial == other.initial and self._vs == other._vs and self._cs == other._cs
+
+    def __hash__(self) -> int:
+        # a Step hashes as the plain (v, c) tuple
+        return hash((self.initial, tuple(zip(self._vs, self._cs))))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(initial={self.initial!r}, steps={self.steps!r})"
+
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._vs)
 
     def final(self) -> Colouring:
         cur = list(self.initial.assignment)
-        for v, c in self.steps:
+        for v, c in zip(self._vs, self._cs):
             cur[v] = c
         return Colouring(tuple(cur), self.initial.palette)
 
     def recolour_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for v, _ in self.steps:
-            counts[v] = counts.get(v, 0) + 1
-        return counts
+        return dict(Counter(self._vs))
 
 
 @dataclass(frozen=True)
@@ -181,17 +210,19 @@ def rename(alpha: Colouring, beta: Colouring, S: Palette) -> RecolouringSequence
         raise PaletteTooSmallError(
             f"renaming {len(part_a)} classes needs more than {len(S)} colours"
         )
-    steps: list[Step] = []
+    vs: list[int] = []
+    cs: list[int] = []
 
     def move(cls: list[int], c: int):
         # Without hooks each class holds one colour, never its destination,
         # so every vertex of it makes a step.
-        steps.extend(_as_steps(zip(cls, repeat(c))))
+        vs.extend(cls)
+        cs.extend(repeat(c, len(cls)))
 
     _rename_plan(
         range(alpha.n), alpha.assignment, dict(zip(alpha.assignment, beta.assignment)), S, move
     )
-    return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), tuple(steps))
+    return RecolouringSequence._from_columns(Colouring(alpha.assignment, S), vs, cs)
 
 
 def to_canonical(
@@ -215,7 +246,7 @@ def to_canonical(
     if stray:
         raise PaletteError(f"target colours {stray} outside working palette {S.colours}")
     vs, cs, _ = _walk(t, order, alpha, S, cpal.colours)
-    return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), _as_steps(zip(vs, cs)))
+    return RecolouringSequence._from_columns(Colouring(alpha.assignment, S), vs, cs)
 
 
 def _check_on_palette(colours: Iterable[int], S: Palette) -> None:
@@ -393,11 +424,13 @@ def find_path(
     while f and b and fv[f - 1] == bv[b - 1] and fp[f - 1] == bp[b - 1]:
         f -= 1
         b -= 1
-    kept = chain(
-        zip(islice(fv, f), islice(fc, f)),
-        zip(reversed(bv[:b]), reversed(bp[:b])),
-    )
-    return RecolouringSequence._from_steps(Colouring(alpha.assignment, S), _as_steps(kept))
+    # The kept forward steps, then the kept backward ones last to first.
+    del fv[f:], fc[f:], bv[b:], bp[b:]
+    bv.reverse()
+    bp.reverse()
+    fv += bv
+    fc += bp
+    return RecolouringSequence._from_columns(Colouring(alpha.assignment, S), fv, fc)
 
 
 def verify_sequence(g: Graph, seq: RecolouringSequence) -> SequenceReport:
@@ -416,7 +449,7 @@ def verify_sequence(g: Graph, seq: RecolouringSequence) -> SequenceReport:
     counts = [0] * n
 
     def report(valid: bool, idx: int | None = None, reason: str | None = None) -> SequenceReport:
-        return SequenceReport(valid, len(seq.steps), max(counts), idx, reason)
+        return SequenceReport(valid, len(seq), max(counts), idx, reason)
 
     if seq.initial.n != n:
         return report(False, None, f"initial covers {seq.initial.n} vertices, graph has {n}")
@@ -428,7 +461,7 @@ def verify_sequence(g: Graph, seq: RecolouringSequence) -> SequenceReport:
     for v, c in enumerate(cur):
         held[c] |= 1 << v
     masks = g.neighbour_masks
-    for idx, (v, c) in enumerate(seq.steps):
+    for idx, (v, c) in enumerate(zip(seq._vs, seq._cs)):
         if not 0 <= v < n:
             return report(False, idx, f"vertex {v} out of range")
         if c not in held:
@@ -449,7 +482,7 @@ def verify_sequence(g: Graph, seq: RecolouringSequence) -> SequenceReport:
 def sequence_to_json(seq: RecolouringSequence) -> dict[str, Any]:
     return {
         "initial": colouring_to_json(seq.initial),
-        "steps": [{"v": v, "c": c} for v, c in seq.steps],
+        "steps": [{"v": v, "c": c} for v, c in zip(seq._vs, seq._cs)],
     }
 
 
@@ -465,12 +498,14 @@ def sequence_from_json(obj: Any) -> RecolouringSequence:
     raw = obj["steps"]
     if not isinstance(raw, list):
         raise ColouringError("sequence steps must be a list")
-    steps: list[tuple[int, int]] = []
+    vs: list[int] = []
+    cs: list[int] = []
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or set(item) != {"v", "c"}:
             raise ColouringError(f"step {i} must be an object with keys 'v' and 'c'")
         v, c = item["v"], item["c"]
         if not (is_int(v) and is_int(c)):
             raise ColouringError(f"step {i} fields must be integers")
-        steps.append((v, c))
-    return RecolouringSequence._from_steps(initial, _as_steps(steps))
+        vs.append(v)
+        cs.append(c)
+    return RecolouringSequence._from_columns(initial, vs, cs)

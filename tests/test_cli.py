@@ -13,9 +13,12 @@ from oatgraph import (
     fixture,
     format_graph,
     parse_graph,
+    find_path,
     random_oat,
+    recognize,
     replay,
     sequence_from_json,
+    sequence_to_json,
     tree_from_json,
     tree_to_json,
     verify_sequence,
@@ -121,6 +124,27 @@ class TestRecolor:
         seq_file = tmp_path / "seq.json"
         seq_file.write_text(captured.out)
         assert main(["verify", gp, str(seq_file)]) == 0
+
+    @pytest.mark.parametrize(
+        "n, alpha, beta, length",
+        [
+            pytest.param(2, lambda i: 1 + i, lambda i: 2 - i, 3, id="P_2-swap"),
+            # 22,650 steps, written in six slices
+            pytest.param(300, lambda i: 1 + i % 2, lambda i: 1 + i % 3, 22650, id="P_300"),
+        ],
+    )
+    def test_output_is_the_json_of_the_sequence(self, tmp_path, capsys, n, alpha, beta, length):
+        """The steps are written from the sequence's columns, a slice at a
+        time, as the text json.dumps gives for sequence_to_json."""
+        g = classic("path", n)
+        S = Palette.default(3)
+        ends = [Colouring(tuple(map(f, range(n))), S) for f in (alpha, beta)]
+        files = [write_colouring(tmp_path, e.assignment, S, f"{k}.json") for k, e in enumerate(ends)]
+        assert main(["recolor", write_graph(tmp_path, g), "--from", files[0], "--to", files[1]]) == 0
+        seq = find_path(recognize(g).tree, *ends, S)
+        assert len(seq) == length
+        doc = {"format_version": 1, **sequence_to_json(seq)}
+        assert capsys.readouterr().out == json.dumps(doc) + "\n"
 
     def test_defaults_k_to_chromatic_number(self, tmp_path, capsys):
         g = classic("path", 2)

@@ -44,7 +44,7 @@ from oatgraph import (
 from oatgraph import buildtree, recolouring
 
 from conftest import moved_colouring, path_tree
-from test_recolouring_golden import shared_anchor_tree
+from test_recolouring_golden import GOLDEN, digest as golden_digest, shared_anchor_tree
 
 S3 = Palette((1, 2, 3))
 S4 = Palette((1, 2, 3, 4))
@@ -751,7 +751,8 @@ class TestSequenceJson:
     def test_user_steps_are_normalised(self):
         seq = RecolouringSequence(Colouring((1, 2), S3), [(np.int64(0), np.int64(3))])
         assert seq.steps == (Step(0, 3),)
-        assert type(seq.steps[0]) is Step and type(seq.steps[0].v) is int
+        step = seq.steps[0]
+        assert type(step) is Step and type(step.v) is int and type(step.c) is int
 
     def test_round_trip(self):
         seq = RecolouringSequence(Colouring((1, 2), S3), (Step(0, 3), Step(1, 1)))
@@ -763,6 +764,11 @@ class TestSequenceJson:
         back = sequence_from_json(json.loads(json.dumps(doc)))
         assert back.initial == seq.initial
         assert back.steps == seq.steps
+        assert back == seq
+
+    def test_walk_round_trips(self):
+        seq = column_walk()
+        assert sequence_from_json(json.loads(json.dumps(sequence_to_json(seq)))) == seq
 
     def test_rejects_boolean_step_fields(self):
         initial = {"palette": [1, 2, 3], "assignment": [1, 2]}
@@ -783,3 +789,104 @@ class TestSequenceJson:
             sequence_from_json(
                 {"initial": {"palette": [1], "assignment": [1]}, "steps": [{"v": 0}]}
             )
+
+
+def column_walk() -> RecolouringSequence:
+    """A find_path walk over the shared-anchor tree, its columns filled by
+    the walk itself."""
+    t = shared_anchor_tree()
+    g = replay(t)
+    S = Palette.default(chi_omega(t)[0] + 1)
+    alpha = moved_colouring(t, g, S, "columns-a", 4 * g.n)
+    beta = moved_colouring(t, g, S, "columns-b", 4 * g.n)
+    return find_path(t, alpha, beta, S)
+
+
+class TestColumns:
+    """A sequence keeps its steps as two int columns, yet compares, hashes,
+    prints and refuses assignment as the frozen (initial, steps) pair."""
+
+    def test_equals_and_hashes_as_the_constructed_sequence(self):
+        seq = column_walk()
+        steps = [(d["v"], d["c"]) for d in sequence_to_json(seq)["steps"]]
+        built = RecolouringSequence(seq.initial, steps)
+        assert seq == built and hash(seq) == hash(built)
+        # the hash of the frozen pair, as a dataclass computes it
+        assert hash(seq) == hash((seq.initial, tuple(map(Step._make, steps))))
+        v, c = steps[-1]
+        other = RecolouringSequence(seq.initial, steps[:-1] + [(v, c + 1)])
+        assert seq != other and seq != (seq.initial, seq.steps)
+
+    def test_repr(self):
+        seq = RecolouringSequence(Colouring((1, 2), S3), [(0, 3), (1, 1)])
+        assert repr(seq) == (
+            "RecolouringSequence(initial=Colouring(assignment=(1, 2), "
+            "palette=Palette(colours=(1, 2, 3))), steps=(Step(v=0, c=3), Step(v=1, c=1)))"
+        )
+        walk = column_walk()
+        assert repr(walk) == repr(RecolouringSequence(walk.initial, walk.steps))
+
+    @pytest.mark.parametrize("name", ["initial", "steps", "_vs", "other"])
+    def test_attributes_are_read_only(self, name):
+        seq = column_walk()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(seq, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(seq, name)
+
+
+def refuse_steps(pairs):
+    raise AssertionError("a Step was made")
+
+
+# Walks pinned by the SHA-256 of their sorted-key sequence_to_json documents,
+# as recorded when every kept step was made a Step.
+NO_STEP_WALKS = {
+    "relabelled_path_300": (
+        lambda: relabelled(classic("path", 300), "no-step-300"),
+        "5808c2e6b49eb4ba84a2cc69eb42eaa17db99432f672e6cbeab0c70f1ccf9169",
+    ),
+    "random_oat_200_0": (
+        lambda: random_oat(200, 0),
+        "d5b3f1a271d26c9ce65f336bc5b9ef0cfa5ed9456acccb97f8f190c5d9331fe5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_STEP_WALKS))
+def test_walk_makes_no_step_until_steps_is_read(name, moved, monkeypatch):
+    """find_path, serialisation, verification, final, recolour_counts and
+    len read the columns; .steps then gives the walk, digest for digest,
+    that the Step-per-step sequence gave."""
+    build, digest = NO_STEP_WALKS[name]
+    made = build()
+    if isinstance(made, Graph):
+        g, t = made, recognize(made).tree
+    else:
+        t, g = made, replay(made)
+    S = Palette.default(chi_omega(t)[0] + 1)
+    alpha, beta = moved(t, g, S, f"{name}-a", 4 * g.n), moved(t, g, S, f"{name}-b", 4 * g.n)
+
+    def sha(doc) -> str:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    monkeypatch.setattr(recolouring, "_as_steps", refuse_steps)
+    seq = find_path(t, alpha, beta, S)
+    doc = sequence_to_json(seq)
+    rep = verify_sequence(g, seq)
+    assert rep.valid and rep.length == len(seq) == len(doc["steps"])
+    assert seq.final() == beta
+    assert max(seq.recolour_counts().values()) == rep.max_recolourings
+    assert sha(doc) == digest
+    assert "steps" not in vars(seq)
+    monkeypatch.undo()
+    steps = seq.steps
+    assert all(type(s) is Step and type(s.v) is int and type(s.c) is int for s in steps)
+    assert sha({"initial": doc["initial"], "steps": [s._asdict() for s in steps]}) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_walks_make_no_step(name, moved, monkeypatch):
+    monkeypatch.setattr(recolouring, "_as_steps", refuse_steps)
+    assert golden_digest(name, moved) == GOLDEN[name]
