@@ -15,16 +15,18 @@ built.  Only union and join splits push work: the parts go on in reverse
 order above a fold marker, so the first part is explored first and its tree
 folded in first.
 
-Common neighbours are counted in one n x n A@A for the whole run, indexed
-by original label.  Tasks on the stack have disjoint vertex sets, so each
-owns the block of its labels, and each tail move patches that block in
-place, at the move, instead of paying an extra factor n to recompute it.
-Splits write nothing.  A union's parts share no neighbours; a join's other
-parts are common neighbours of every pair in a part, so a join leaves the
-part's block one constant too high, the task's shift, summed over the
-joins above it.  Every dominance test compares a row's entries with its
-diagonal inside one block, so the shift changes no pick; only verify_a2
-subtracts it.
+Whether common neighbours are counted at all is chosen once per graph,
+from its mean degree.  A dense graph counts them in one n x n A@A for the
+whole run, indexed by original label.  Tasks on the stack have disjoint
+vertex sets, so each owns the block of its labels, and each tail move
+patches that block in place, at the move, instead of paying an extra
+factor n to recompute it.  Splits write nothing.  A union's parts share no
+neighbours; a join's other parts are common neighbours of every pair in a
+part, so a join leaves the part's block one constant too high, the task's
+shift, summed over the joins above it.  Every dominance test compares a
+row's entries with its diagonal inside one block, so the shift changes no
+pick; only verify_a2 subtracts it.  A sparse graph builds no A@A and
+patches nothing: it reads every dominator off the masks.
 dom[u] indexes the comparable moves: the smallest v != u in u's task with
 N(u) a subset of N(v), or -1; has_dom is the bitmask of the labels with
 dom[u] >= 0.  A task's next comparable move removes the lowest bit of
@@ -36,21 +38,25 @@ move clears the entries of the labels it removes, so that only live rows
 can point at a label, and refreshes only the rows it patched and the rows
 whose dominator it removed, found by one compare over dom.  (A clique move
 comes only when no vertex of the task has a dominator, so it refreshes
-its anchor's row alone.)  Two refreshes give the same dominators.  When
-the stale rows have few neighbours in the task between them, as on the
-deep sparse tasks of paths and chains, each row w is read off the masks:
-the task's labels other than w, ANDed with the neighbourhood of every
-neighbour of w, leave exactly the v with N(w) a subset of N(v), and the
-lowest is the dominator, for a few big-int operations per neighbour.
-Otherwise, as after most moves on wide dense tasks, whose stale rows
+its anchor's row alone.)  Two refreshes give the same dominators.  A row
+w read off the masks is the task's labels other than w, ANDed with the
+neighbourhood of every neighbour of w: that leaves exactly the v with N(w)
+a subset of N(v), and the lowest is the dominator, for one big-int AND per
+neighbour.  A sparse graph reads its initial index so, and every refresh;
+a refresh's rows have fewer than 2m < 8n neighbours between them, so each
+of the at most n moves costs O(n^2) word operations.  A dense graph reads
+the masks only when the stale rows have few neighbours in the task between
+them.  Otherwise, as after most moves on wide dense tasks, whose stale rows
 have dozens to hundreds of neighbours, the rows of A@A are compared with
 their diagonals over the task's labels, unpacked from its bitmask for that
 compare only.
 The patch runs at every move either way, so the matrix is current for any
 later compare.  Memory is that one A@A, the index and the rows refreshed
-by one move, O(n^2).  verify_a2 checks every new task's block, less its
-shift, every dominator of its labels and every index pick against a fresh
-recomputation, the reference.
+by one move, O(n^2), on a dense graph, and the masks, n^2 bits, and the
+index on a sparse one.  verify_a2 checks the first task's index before any
+move, then every new task's block, less its shift, where there is a
+matrix, and every dominator of its labels and every index pick, against a
+fresh recomputation, the reference.
 
 Components, co-components and pendant cliques are read off neighbourhood
 bitmasks over the original labels, intersected with the task's vertex set.
@@ -71,15 +77,29 @@ from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
 from .errors import StepConsistencyError
 from .graph import Graph, adjacency_square, first_comparable, mask_components, pendant_clique
 
-# A tail move's stale rows are read off the neighbourhood masks when they
-# have at most this many neighbours in the task between them, and compared
-# as rows of A@A otherwise.  On a 2-vCPU x86 VM at n = 300, a mask read
-# costs about 0.25 us per neighbour and an A@A compare 26-31 us whatever
-# the rows, so they break even near 100 neighbours.  32 sits well below
-# that, and above 99% of the 4,955 refreshes one cycle of the benchmark's
-# deep sparse inputs makes; 85% of the 433 refreshes of its wide dense
-# inputs are heavier and compare rows.
+# A dense graph's tail move reads its stale rows off the neighbourhood
+# masks when they have at most this many neighbours in the task between
+# them, and compares them as rows of A@A otherwise.  On a 2-vCPU x86 VM at
+# n = 300, a mask read costs about 0.25 us per neighbour and an A@A compare
+# 26-31 us whatever the rows, so they break even near 100 neighbours.  32
+# sits well below that; 85% of the 433 refreshes one cycle of the
+# benchmark's wide dense inputs makes are heavier and compare rows.
 _LIGHT_REFRESH = 32
+
+# A graph whose mean degree is below this builds no A@A: its whole index is
+# read off the masks.  A mask read costs one big-int AND per neighbour, so
+# that side grows with the degree, while A@A is one BLAS product up front
+# and one row compare per heavy refresh.  Recognising relabelled graphs
+# with masks alone, against A@A, on a 2-vCPU x86 VM with one BLAS thread
+# (minimum of 5-7 runs), took 0.41-0.75 of the time on the benchmark's
+# paths and sparse chains (mean degree 2.0-2.9), and 0.61-0.76 on unions
+# of small random_oat members (n = 300) and on p4_sparse members of mean
+# degree 3.3-7.8.  From 8 to 25 it took 0.54-1.35, depending on the shape,
+# and from 28.5 up 0.95-5.8 (1.27-5.8 on the benchmark's random_oat
+# members).  So below 8 the masks were faster on every shape measured, and
+# they hold no n x n matrix: relabelled P_2000 peaks at 1.5 MiB under
+# tracemalloc against 61 MiB with A@A.
+_SPARSE_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -152,17 +172,23 @@ def _mask_dominator(masks: list[int], alive: int, w: int) -> int:
 def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     """Decide membership; the positive answer carries a replayable tree.
 
-    verify_a2 recomputes the common-neighbour matrix from scratch for every
-    new task, and with it every dominator of the comparable index and the
-    pick at every scan, and fails loudly on any drift; the outcome's
-    a2_checks counts how many comparisons ran.
+    verify_a2 recomputes the common-neighbour matrix from scratch for the
+    first task and every new one, compares it with the task's block where
+    the graph keeps an A@A, checks with it every dominator of the
+    comparable index and the pick at every scan, and fails loudly on any
+    drift; the outcome's a2_checks counts how many comparisons ran.
     """
     masks = g.neighbour_masks
     checks = 0
-    m = adjacency_square(g)
-    m.setflags(write=True)  # a fresh array nothing else holds: the shared buffer
-    everyone = np.arange(g.n)
-    dom = _dominators(m, m.diagonal(), everyone, everyone)
+    full = (1 << g.n) - 1
+    m = None  # no A@A on a sparse graph: every dominator comes off the masks
+    if sum(map(int.bit_count, masks)) < _SPARSE_DEGREE * g.n:
+        dom = np.array([_mask_dominator(masks, full, w) for w in range(g.n)])
+    else:
+        m = adjacency_square(g)
+        m.setflags(write=True)  # a fresh array nothing else holds: the shared buffer
+        everyone = np.arange(g.n)
+        dom = _dominators(m, m.diagonal(), everyone, everyone)
     has_dom = sum(1 << w for w in np.flatnonzero(dom >= 0).tolist())
 
     def check(task: _Task) -> None:
@@ -170,7 +196,9 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
         if verify_a2:
             labels = _labels(task.alive)
             fresh = adjacency_square(g.induced(labels.tolist()))
-            if not np.array_equal(fresh, m[np.ix_(labels, labels)] - task.shift):
+            if m is not None and not np.array_equal(
+                fresh, m[np.ix_(labels, labels)] - task.shift
+            ):
                 raise StepConsistencyError(
                     "incrementally patched A@A drifted from the recomputed matrix"
                 )
@@ -182,7 +210,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 raise StepConsistencyError(
                     "comparable index drifted from the dominators a fresh A@A gives"
                 )
-            checks += 2
+            checks += 2 if m is not None else 1
 
     def split(
         task: _Task, binary: type[Union] | type[Join], parts: list[int], wrappers: list[tuple]
@@ -205,7 +233,9 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             check(children[-1])
         stack.extend(reversed(children))
 
-    stack: list[_Task | _Fold] = [_Task((1 << g.n) - 1, False, 0)]
+    root = _Task(full, False, 0)
+    check(root)
+    stack: list[_Task | _Fold] = [root]
     done: list[BuildTree] = []
     while stack:
         task = stack.pop()
@@ -249,8 +279,9 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 # (diagonal included: those degrees drop by 1).
                 near = masks[u] & alive
                 xs = tuple(iter_bits(near))
-                rows = np.array(xs)
-                m[rows[:, None], rows] -= 1
+                if m is not None:
+                    rows = np.array(xs)
+                    m[rows[:, None], rows] -= 1
                 wrappers.append((Comparable, u, int(dom[u]), xs))
                 alive ^= 1 << u
                 has_dom ^= 1 << u
@@ -271,7 +302,8 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 # Q touched only itself and z: only z's degree drops, by |Q|.
                 # No vertex of the task has a dominator, so none loses one.
                 z, removed = found
-                m[z, z] -= len(removed)
+                if m is not None:
+                    m[z, z] -= len(removed)
                 wrappers.append((CliqueAttach, z, removed))
                 for q in removed:
                     alive ^= 1 << q
@@ -279,11 +311,12 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             # A tail move: the task shrinks where it stands, still connected.
             # Splits keep every vertex's dominator, but here the rows just
             # written, and those whose dominator left, are stale.
-            weight = 0
-            for w in iter_bits(stale):
-                weight += (masks[w] & alive).bit_count()
-                if weight > _LIGHT_REFRESH:
-                    break
+            weight = 0  # with no matrix, every refresh reads the masks
+            if m is not None:
+                for w in iter_bits(stale):
+                    weight += (masks[w] & alive).bit_count()
+                    if weight > _LIGHT_REFRESH:
+                        break
             kept = 0  # the stale rows that still have a dominator
             if weight <= _LIGHT_REFRESH:
                 for w in iter_bits(stale):

@@ -29,6 +29,7 @@ from oatgraph import (
     p4_sparse_third_op,
     random_colouring,
     random_oat,
+    recognition,
     recognize,
     reconfig_stats,
     rename,
@@ -224,8 +225,11 @@ def test_criterion_6_chi_equals_omega():
     announce(f"{name}: PASS - {checked} graphs cross-checked")
 
 
-def test_criterion_7_incremental_a2():
+def test_criterion_7_incremental_a2(monkeypatch):
     name = "criterion 7 (recognize(verify_a2=True): patched A@A == recomputed at every step)"
+    # Sparse members would be recognised off the masks, with no block to
+    # check; below a mean degree of 0 is none, so every member builds A@A.
+    monkeypatch.setattr(recognition, "_SPARSE_DEGREE", 0)
     graphs = 0
     for seed in range(100):
         n = 2 + (seed * 17) % 49

@@ -32,6 +32,7 @@ from oatgraph import (
 )
 
 from conftest import random_graph
+from test_recognition_golden import CASES as GOLDEN_CASES
 
 
 def _relabelled(g: Graph, rng: random.Random) -> tuple[Graph, list[int]]:
@@ -58,6 +59,14 @@ def _nested_join_splits(tree) -> int:
     return most
 
 
+def _verified_on_a2(g: Graph):
+    """recognize(g, verify_a2=True) with A@A built whatever g's mean degree,
+    so that verify_a2 checks every task's block as well as its index."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recognition, "_SPARSE_DEGREE", 0)
+        return recognize(g, verify_a2=True)
+
+
 class TestA2AfterStep:
     """recognize's A@A, less each task's shift, against the recomputation
     verify_a2 runs for every new task."""
@@ -68,7 +77,7 @@ class TestA2AfterStep:
         g = replay(random_oat(n, seed))
         if relabelled:
             g, _ = _relabelled(g, random.Random(seed))
-        out = recognize(g, verify_a2=True)
+        out = _verified_on_a2(g)
         assert out.is_oat
         assert out.a2_checks > 0
 
@@ -83,7 +92,7 @@ class TestA2AfterStep:
         ids=["comparable", "join", "union", "clique"],
     )
     def test_each_move_is_checked(self, g, node):
-        out = recognize(g, verify_a2=True)
+        out = _verified_on_a2(g)
         assert out.is_oat
         assert any(isinstance(t, node) for t in walk_postorder(out.tree))
         assert out.a2_checks > 0
@@ -97,7 +106,7 @@ class TestA2AfterStep:
         ids=["permuted_random_oat_300_0", "p4_sparse_anti_40_path_10"],
     )
     def test_nested_join_shifts_are_checked(self, g):
-        out = recognize(g, verify_a2=True)
+        out = _verified_on_a2(g)
         assert out.is_oat
         assert _nested_join_splits(out.tree) >= 2  # so the tasks' shifts stack
 
@@ -118,45 +127,95 @@ class TestA2AfterStep:
 
 
 def _three_ways(g: Graph) -> list[tuple]:
-    """recognize(g, verify_a2=True) with every refresh on A@A rows, with
-    every refresh on the masks, and at the default threshold: the tree JSON
-    or the stuck vertices of each, and how often the masks were read."""
+    """recognize(g, verify_a2=True) on A@A with every refresh on its rows, on
+    the masks alone, and at the default constants: the tree JSON or the
+    stuck vertices of each, how often the masks were read, and how often
+    recognition built A@A of g itself (verify_a2 squares induced copies)."""
     runs = []
-    for light in (0, g.n * g.n + 1, recognition._LIGHT_REFRESH):
-        reads = []
-        read = recognition._mask_dominator
+    for sparse, light in (
+        (0, 0),  # no mean degree is below 0
+        (g.n, recognition._LIGHT_REFRESH),  # every mean degree is below n
+        (recognition._SPARSE_DEGREE, recognition._LIGHT_REFRESH),
+    ):
+        reads, builds = [], []
+        read, square = recognition._mask_dominator, recognition.adjacency_square
+
+        def squared(h):
+            builds.append(h is g)
+            return square(h)
+
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recognition, "_SPARSE_DEGREE", sparse)
             mp.setattr(recognition, "_LIGHT_REFRESH", light)
             mp.setattr(recognition, "_mask_dominator", lambda *a: reads.append(a) or read(*a))
+            mp.setattr(recognition, "adjacency_square", squared)
             out = recognize(g, verify_a2=True)
-        runs.append((tree_to_json(out.tree) if out.is_oat else out.stuck_vertices, len(reads)))
+        result = tree_to_json(out.tree) if out.is_oat else out.stuck_vertices
+        runs.append((result, len(reads), sum(builds)))
     return runs
 
 
 class TestRefreshSides:
-    """The comparable index refreshed from A@A rows and from the masks."""
+    """The comparable index kept on A@A rows and on the masks."""
 
     @given(st.integers(2, 40), st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_members_agree(self, n, seed):
         g = _relabelled(replay(random_oat(n, seed)), random.Random(seed))[0]
-        (rows, read_at_0), (masks, _), (default, _) = _three_ways(g)
-        assert read_at_0 == 0
+        (rows, read_at_0, built), (masks, _, unbuilt), (default, _, _) = _three_ways(g)
+        assert read_at_0 == 0 and built == 1 and unbuilt == 0
         assert isinstance(rows, dict) and rows == masks == default
 
     @given(st.integers(2, 12), st.sampled_from([0.2, 0.35, 0.5, 0.7]), st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
     def test_random_graphs_agree(self, n, p, seed):
-        (rows, read_at_0), (masks, _), (default, _) = _three_ways(random_graph(n, p, seed))
-        assert read_at_0 == 0
+        (rows, read_at_0, built), (masks, _, unbuilt), (default, _, _) = _three_ways(
+            random_graph(n, p, seed)
+        )
+        assert read_at_0 == 0 and built == 1 and unbuilt == 0
         assert rows == masks == default
 
     def test_a_deep_member_reads_the_masks_at_every_move(self):
         g = _relabelled(classic("path", 60), random.Random(60))[0]
-        (rows, read_at_0), (masks, reads), (default, read_at_default) = _three_ways(g)
+        (rows, read_at_0, _), (masks, reads, _), (default, read_at_default, built) = _three_ways(g)
         # 57 comparable moves, each refreshing at least one row
         assert read_at_0 == 0 and reads >= 57 and read_at_default == reads
+        assert built == 0  # a path is sparse
         assert rows == masks == default
+
+
+class TestMaskRegime:
+    """Graphs of low mean degree recognised with no A@A at all."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            _relabelled(classic("path", 300), random.Random(300))[0],
+            GOLDEN_CASES["permuted_sparse_chain_250"](),
+            Graph(5),
+            Graph(1),
+        ],
+        ids=["permuted_path_300", "permuted_sparse_chain_250", "edgeless_5", "single_vertex"],
+    )
+    def test_gives_the_tree_of_the_a2_regime(self, monkeypatch, g):
+        want = tree_to_json(_verified_on_a2(g).tree)
+
+        def refuse(h):
+            raise AssertionError("recognize built A@A")
+
+        monkeypatch.setattr(recognition, "adjacency_square", refuse)
+        out = recognize(g)
+        assert out.is_oat and tree_to_json(out.tree) == want
+
+    @pytest.mark.parametrize("k, builds", [(8, 0), (9, 1)])
+    def test_a2_from_mean_degree_8(self, monkeypatch, k, builds):
+        # Five disjoint copies of K_k: mean degree k - 1.
+        cliques = itertools.combinations(range(k), 2)
+        g = Graph(5 * k, [(i + a, i + b) for a, b in cliques for i in range(0, 5 * k, k)])
+        made, square = [], recognition.adjacency_square
+        monkeypatch.setattr(recognition, "adjacency_square", lambda h: made.append(h) or square(h))
+        assert recognize(g).is_oat
+        assert len(made) == builds
 
 
 class TestRecognize:
@@ -227,19 +286,22 @@ def test_3000_random_graphs_n7_to_9_agree_with_brute(gnp):
 
 class TestScale:
     def test_path_memory_is_quadratic(self):
-        # Building A@A holds two n x n eight-byte matrices, and tail moves
-        # add no per-move arrays; keeping one induced copy per level, as a
-        # recursive descent does, needs about 160 of them.
-        n = 400
-        g = classic("path", n)
-        tracemalloc.start()
-        try:
-            out = recognize(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.is_oat
-        assert peak < 2.25 * (8 * n * n)
+        # A path is sparse, so recognition builds no A@A: the peak is the
+        # neighbourhood masks (n^2 / 8 bytes), the comparable index and the
+        # tree, about 0.16 and 0.054 of one n x n eight-byte matrix at
+        # n = 400 and 2000.  A@A alone would be one such matrix; keeping
+        # one induced copy per level, as a recursive descent does, needs
+        # about 160 of them.
+        for n in (400, 2000):
+            g = classic("path", n)
+            tracemalloc.start()
+            try:
+                out = recognize(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.is_oat
+            assert peak < 0.25 * (8 * n * n), n
 
     def test_dense_memory_peak(self):
         # Building A@A holds two n x n eight-byte matrices; the masks, the
