@@ -38,25 +38,22 @@ move clears the entries of the labels it removes, so that only live rows
 can point at a label, and refreshes only the rows it patched and the rows
 whose dominator it removed, found by one compare over dom.  (A clique move
 comes only when no vertex of the task has a dominator, so it refreshes
-its anchor's row alone.)  Two refreshes give the same dominators.  A row
-w read off the masks is the task's labels other than w, ANDed with the
-neighbourhood of every neighbour of w: that leaves exactly the v with N(w)
-a subset of N(v), and the lowest is the dominator, for one big-int AND per
-neighbour.  A sparse graph reads its initial index so, and every refresh;
-a refresh's rows have fewer than 2m < 8n neighbours between them, so each
-of the at most n moves costs O(n^2) word operations.  A dense graph reads
-the masks only when the stale rows have few neighbours in the task between
-them.  Otherwise, as after most moves on wide dense tasks, whose stale rows
-have dozens to hundreds of neighbours, the rows of A@A are compared with
-their diagonals over the task's labels, unpacked from its bitmask for that
-compare only.
-The patch runs at every move either way, so the matrix is current for any
-later compare.  Memory is that one A@A, the index and the rows refreshed
-by one move, O(n^2), on a dense graph, and the masks, n^2 bits, and the
-index on a sparse one.  verify_a2 checks the first task's index before any
-move, then every new task's block, less its shift, where there is a
-matrix, and every dominator of its labels and every index pick, against a
-fresh recomputation, the reference.
+its anchor's row alone.)  Each regime refreshes by one rule, and the two
+rules give the same dominators.  A sparse graph reads each stale row w off
+the masks: the task's labels other than w, ANDed with the neighbourhood of
+every neighbour of w, leave exactly the v with N(w) a subset of N(v), and
+the lowest is the dominator, for one big-int AND per neighbour.  It reads
+its initial index so too; a refresh's rows have fewer than 2m < 8n
+neighbours between them, so each of the at most n moves costs O(n^2) word
+operations.  A dense graph compares the stale rows of A@A with their
+diagonals over the task's labels, unpacked from its bitmask for that
+compare only; the move has patched the matrix just before, so the compare
+reads current counts.  Memory is that one A@A, the index and the rows
+refreshed by one move, O(n^2), on a dense graph, and the masks, n^2 bits,
+and the index on a sparse one.  verify_a2 checks the first task's index
+before any move, then every new task's block, less its shift, where there
+is a matrix, and every dominator of its labels and every index pick,
+against a fresh recomputation, the reference.
 
 Components, co-components and pendant cliques are read off neighbourhood
 bitmasks over the original labels, intersected with the task's vertex set.
@@ -77,19 +74,10 @@ from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
 from .errors import StepConsistencyError
 from .graph import Graph, adjacency_square, first_comparable, mask_components, pendant_clique
 
-# A dense graph's tail move reads its stale rows off the neighbourhood
-# masks when they have at most this many neighbours in the task between
-# them, and compares them as rows of A@A otherwise.  On a 2-vCPU x86 VM at
-# n = 300, a mask read costs about 0.25 us per neighbour and an A@A compare
-# 26-31 us whatever the rows, so they break even near 100 neighbours.  32
-# sits well below that; 85% of the 433 refreshes one cycle of the
-# benchmark's wide dense inputs makes are heavier and compare rows.
-_LIGHT_REFRESH = 32
-
 # A graph whose mean degree is below this builds no A@A: its whole index is
 # read off the masks.  A mask read costs one big-int AND per neighbour, so
 # that side grows with the degree, while A@A is one BLAS product up front
-# and one row compare per heavy refresh.  Recognising relabelled graphs
+# and one row compare per refresh.  Recognising relabelled graphs
 # with masks alone, against A@A, on a 2-vCPU x86 VM with one BLAS thread
 # (minimum of 5-7 runs), took 0.41-0.75 of the time on the benchmark's
 # paths and sparse chains (mean degree 2.0-2.9), and 0.61-0.76 on unions
@@ -311,14 +299,8 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             # A tail move: the task shrinks where it stands, still connected.
             # Splits keep every vertex's dominator, but here the rows just
             # written, and those whose dominator left, are stale.
-            weight = 0  # with no matrix, every refresh reads the masks
-            if m is not None:
-                for w in iter_bits(stale):
-                    weight += (masks[w] & alive).bit_count()
-                    if weight > _LIGHT_REFRESH:
-                        break
             kept = 0  # the stale rows that still have a dominator
-            if weight <= _LIGHT_REFRESH:
+            if m is None:
                 for w in iter_bits(stale):
                     dom[w] = d = _mask_dominator(masks, alive, w)
                     if d >= 0:

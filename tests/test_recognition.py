@@ -127,15 +127,15 @@ class TestA2AfterStep:
 
 
 def _three_ways(g: Graph) -> list[tuple]:
-    """recognize(g, verify_a2=True) on A@A with every refresh on its rows, on
-    the masks alone, and at the default constants: the tree JSON or the
-    stuck vertices of each, how often the masks were read, and how often
-    recognition built A@A of g itself (verify_a2 squares induced copies)."""
+    """recognize(g, verify_a2=True) in the A@A regime, in the masks regime,
+    and at the default constants: the tree JSON or the stuck vertices of
+    each, how often the masks were read, and how often recognition built
+    A@A of g itself (verify_a2 squares induced copies)."""
     runs = []
-    for sparse, light in (
-        (0, 0),  # no mean degree is below 0
-        (g.n, recognition._LIGHT_REFRESH),  # every mean degree is below n
-        (recognition._SPARSE_DEGREE, recognition._LIGHT_REFRESH),
+    for sparse in (
+        0,  # no mean degree is below 0
+        g.n,  # every mean degree is below n
+        recognition._SPARSE_DEGREE,
     ):
         reads, builds = [], []
         read, square = recognition._mask_dominator, recognition.adjacency_square
@@ -146,7 +146,6 @@ def _three_ways(g: Graph) -> list[tuple]:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recognition, "_SPARSE_DEGREE", sparse)
-            mp.setattr(recognition, "_LIGHT_REFRESH", light)
             mp.setattr(recognition, "_mask_dominator", lambda *a: reads.append(a) or read(*a))
             mp.setattr(recognition, "adjacency_square", squared)
             out = recognize(g, verify_a2=True)
@@ -155,24 +154,34 @@ def _three_ways(g: Graph) -> list[tuple]:
     return runs
 
 
+def _dense(g: Graph) -> bool:
+    return 2 * g.edge_count >= recognition._SPARSE_DEGREE * g.n
+
+
 class TestRefreshSides:
-    """The comparable index kept on A@A rows and on the masks."""
+    """The comparable index kept on A@A rows and on the masks, one rule per
+    regime."""
 
     @given(st.integers(2, 40), st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
     def test_members_agree(self, n, seed):
         g = _relabelled(replay(random_oat(n, seed)), random.Random(seed))[0]
-        (rows, read_at_0, built), (masks, _, unbuilt), (default, _, _) = _three_ways(g)
+        (rows, read_at_0, built), (masks, _, unbuilt), (default, read_at_default, _) = (
+            _three_ways(g)
+        )
         assert read_at_0 == 0 and built == 1 and unbuilt == 0
+        assert read_at_default == 0 or not _dense(g)
         assert isinstance(rows, dict) and rows == masks == default
 
     @given(st.integers(2, 12), st.sampled_from([0.2, 0.35, 0.5, 0.7]), st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
     def test_random_graphs_agree(self, n, p, seed):
-        (rows, read_at_0, built), (masks, _, unbuilt), (default, _, _) = _three_ways(
-            random_graph(n, p, seed)
+        g = random_graph(n, p, seed)
+        (rows, read_at_0, built), (masks, _, unbuilt), (default, read_at_default, _) = (
+            _three_ways(g)
         )
         assert read_at_0 == 0 and built == 1 and unbuilt == 0
+        assert read_at_default == 0 or not _dense(g)
         assert rows == masks == default
 
     def test_a_deep_member_reads_the_masks_at_every_move(self):
@@ -182,6 +191,20 @@ class TestRefreshSides:
         assert read_at_0 == 0 and reads >= 57 and read_at_default == reads
         assert built == 0  # a path is sparse
         assert rows == masks == default
+
+    @pytest.mark.parametrize("v1, case", [(40, "pendant"), (60, "anti")])
+    def test_dense_p4_sparse_layouts_agree(self, v1, case):
+        # The dense benchmark's p4_sparse members: a clique of v1 + 1
+        # vertices joined to random_oat(10, 0), mean degree 28 or more.
+        g = p4_sparse_third_op(v1, replay(random_oat(10, 0)), case)
+        g = _relabelled(g, random.Random(v1))[0]
+        assert 2 * g.edge_count >= 28 * g.n
+        (rows, read_at_0, built), (masks, reads, unbuilt), (default, read_at_default, _) = (
+            _three_ways(g)
+        )
+        assert read_at_0 == read_at_default == 0 and reads > 0
+        assert built == 1 and unbuilt == 0
+        assert isinstance(rows, dict) and rows == masks == default
 
 
 class TestMaskRegime:
