@@ -187,14 +187,17 @@ def adjacency_square(g: Graph) -> np.ndarray:
     return m
 
 
-def first_comparable(a2: np.ndarray) -> tuple[int, int] | None:
-    """Smallest (u, v), row-major, with u != v and N(u) a subset of N(v).
+def find_comparable_pair(g: Graph, a2: np.ndarray | None = None) -> tuple[int, int] | None:
+    """Smallest (u, v), row-major, with u != v and N(u) a subset of N(v);
+    a2, when given, is g's A@A.
 
     |N(u) & N(v)| = (A@A)[u, v], so the subset test is one comparison per
     pair.  It also rules out u adjacent to v: then v is in N(u) but not in
     N(v), so the count falls short of deg(u).  An isolated u qualifies
     against every other vertex.
     """
+    if a2 is None:
+        a2 = adjacency_square(g)
     cand = a2 == a2.diagonal()[:, None]
     np.fill_diagonal(cand, False)
     flat = int(cand.argmax())
@@ -203,27 +206,17 @@ def first_comparable(a2: np.ndarray) -> tuple[int, int] | None:
     return divmod(flat, a2.shape[0])
 
 
-def find_comparable_pair(g: Graph, a2: np.ndarray | None = None) -> tuple[int, int] | None:
-    """Smallest (u, v) with u, v non-adjacent and N(u) a subset of N(v)."""
-    if a2 is None:
-        a2 = adjacency_square(g)
-    return first_comparable(a2)
-
-
-def pendant_clique(
-    masks: Sequence[int], verts: Iterable[int], alive: int
-) -> tuple[int, tuple[int, ...]] | None:
+def pendant_clique(masks: Sequence[int], alive: int) -> tuple[int, tuple[int, ...]] | None:
     """Smallest (z, Q) in the graph induced on ``alive`` such that every q in
     Q satisfies N[q] = Q + {z}.
 
-    ``verts`` lists the set bits of ``alive`` ascending.  Vertices with the
-    same closed neighbourhood are pairwise adjacent, so grouping by
-    closed-neighbourhood mask finds every candidate Q at once: a group is
-    valid exactly when its shared mask has one extra bit, and that bit is
-    the anchor z.  Ties break on (z, min Q).
+    Vertices with the same closed neighbourhood are pairwise adjacent, so
+    grouping by closed-neighbourhood mask finds every candidate Q at once: a
+    group is valid exactly when its shared mask has one extra bit, and that
+    bit is the anchor z.  Ties break on (z, min Q).
     """
     groups: dict[int, list[int]] = {}
-    for v in verts:
+    for v in iter_bits(alive):
         groups.setdefault((masks[v] & alive) | (1 << v), []).append(v)
     best: tuple[tuple[int, int], tuple[int, tuple[int, ...]]] | None = None
     for mask, q in groups.items():
@@ -241,7 +234,7 @@ def pendant_clique(
 
 def clique_attachment(g: Graph) -> tuple[int, tuple[int, ...]] | None:
     """Smallest (z, Q) such that every q in Q satisfies N[q] = Q + {z}."""
-    return pendant_clique(g.neighbour_masks, range(g.n), (1 << g.n) - 1)
+    return pendant_clique(g.neighbour_masks, (1 << g.n) - 1)
 
 
 @functools.cache

@@ -7,13 +7,15 @@ yields a build tree over the original labels; failure yields the irreducible
 induced subgraph it got stuck on.
 
 It is one loop over an explicit work stack, so its depth is not bounded by
-the interpreter's.  A task is the bitmask of its original labels.
-Comparable and clique moves are tail moves: nothing reads the larger graph
-again, so they shrink the task where it stands and leave a pending
-Comparable or CliqueAttach wrapper, applied once the task's subtree is
-built.  Only union and join splits push work: the parts go on in reverse
-order above a fold marker, so the first part is explored first and its tree
-folded in first.
+the interpreter's.  The stack holds tasks, each the bitmask of its original
+labels, and the nodes still to be made, each as its class and its own
+fields, and one rule makes every node: popped, it takes its class's
+len(_kids) newest trees off a second stack of finished trees.  Comparable
+and clique moves are tail moves: nothing reads the larger graph again, so
+they push their Comparable or CliqueAttach entry and shrink the task where
+it stands.  A union or join split pushes its parts with the first on top,
+and a Union or Join entry below each later part, so the first part is
+explored first and the parts fold left-associatively as they finish.
 
 Whether common neighbours are counted at all is chosen once per graph,
 from its mean degree.  A dense graph counts them in one n x n A@A for the
@@ -30,7 +32,7 @@ patches nothing: it reads every dominator off the masks.
 dom[u] indexes the comparable moves: the smallest v != u in u's task with
 N(u) a subset of N(v), or -1; has_dom is the bitmask of the labels with
 dom[u] >= 0.  A task's next comparable move removes the lowest bit of
-has_dom & alive, the pair first_comparable would pick from the task's
+has_dom & alive, the pair find_comparable_pair picks from the task's
 block.  Splits leave the index valid, since a vertex and its dominator
 share a co-component, and a component too unless the vertex is isolated;
 a union clears an isolated vertex's entry, for it becomes a leaf.  A tail
@@ -72,7 +74,7 @@ import numpy as np
 from ._util import iter_bits
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
 from .errors import StepConsistencyError
-from .graph import Graph, adjacency_square, first_comparable, mask_components, pendant_clique
+from .graph import Graph, adjacency_square, find_comparable_pair, mask_components, pendant_clique
 
 # A graph whose mean degree is below this builds no A@A: its whole index is
 # read off the masks.  A mask read costs one big-int AND per neighbour, so
@@ -109,22 +111,6 @@ class _Task:
     alive: int  # the task's original labels as a bitmask
     connected: bool  # known to induce a connected subgraph
     shift: int  # how far every entry of its A@A block sits above the true count
-
-
-@dataclass(frozen=True)
-class _Fold:
-    """Fold the top `parts` results with `binary`, then apply `wrappers`."""
-
-    binary: type[Union] | type[Join]
-    parts: int
-    wrappers: list[tuple]
-
-
-def _wrap(tree: BuildTree, wrappers: list[tuple]) -> BuildTree:
-    # The first tail move taken is the outermost node.
-    for node, *args in reversed(wrappers):
-        tree = node(tree, *args)
-    return tree
 
 
 def _labels(mask: int) -> np.ndarray:
@@ -200,14 +186,12 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 )
             checks += 2 if m is not None else 1
 
-    def split(
-        task: _Task, binary: type[Union] | type[Join], parts: list[int], wrappers: list[tuple]
-    ) -> None:
+    def split(task: _Task, binary: type[Union] | type[Join], parts: list[int]) -> None:
         nonlocal has_dom
-        # Parts arrive ordered by smallest vertex and are folded
-        # left-associatively, so the first part must come off the stack first.
-        stack.append(_Fold(binary, len(parts), wrappers))
-        children = []
+        # Parts arrive ordered by smallest vertex and fold left-associatively:
+        # in postfix order each later part is followed by the entry that folds
+        # it in, and the stack takes them in reverse, the first part on top.
+        postfix = []
         size = task.alive.bit_count()
         for part in parts:
             shift = task.shift
@@ -217,46 +201,44 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 # An isolated vertex, dominated by any other, becomes a leaf.
                 dom[part.bit_length() - 1] = -1
                 has_dom &= ~part
-            children.append(_Task(part, binary is Union, shift))
-            check(children[-1])
-        stack.extend(reversed(children))
+            child = _Task(part, binary is Union, shift)
+            check(child)
+            postfix += [child, (binary,)] if postfix else [child]
+        stack.extend(reversed(postfix))
 
     root = _Task(full, False, 0)
     check(root)
-    stack: list[_Task | _Fold] = [root]
+    stack: list[_Task | tuple] = [root]
     done: list[BuildTree] = []
     while stack:
         task = stack.pop()
-        if isinstance(task, _Fold):
-            trees = done[-task.parts :]
-            del done[-task.parts :]
-            out = trees[0]
-            for t in trees[1:]:
-                out = task.binary(out, t)
-            done.append(_wrap(out, task.wrappers))
+        if isinstance(task, tuple):  # a node to make: (its class, *its own fields)
+            node, *own = task
+            kids = done[-len(node._kids) :]
+            del done[-len(node._kids) :]
+            done.append(node(*kids, *own))
             continue
-        wrappers = []
         while True:
             alive = task.alive
             if alive & (alive - 1) == 0:
-                done.append(_wrap(Leaf(alive.bit_length() - 1), wrappers))
+                done.append(Leaf(alive.bit_length() - 1))
                 break
             if not task.connected:
                 parts = mask_components(masks, alive)
                 if len(parts) > 1:
-                    split(task, Union, parts, wrappers)
+                    split(task, Union, parts)
                     break
                 task.connected = True
             parts = mask_components(masks, alive, complement=True)
             if len(parts) > 1:
-                split(task, Join, parts, wrappers)
+                split(task, Join, parts)
                 break
             pick = has_dom & alive
             u = (pick & -pick).bit_length() - 1
             if verify_a2:
                 labels = _labels(alive)
                 pair = (u, int(dom[u])) if pick else None
-                fresh = first_comparable(adjacency_square(g.induced(labels.tolist())))
+                fresh = find_comparable_pair(g.induced(labels.tolist()))
                 if pair != (None if fresh is None else tuple(labels[list(fresh)].tolist())):
                     raise StepConsistencyError(
                         f"comparable index picked {pair}, a fresh scan picks {fresh}"
@@ -270,7 +252,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 if m is not None:
                     rows = np.array(xs)
                     m[rows[:, None], rows] -= 1
-                wrappers.append((Comparable, u, int(dom[u]), xs))
+                stack.append((Comparable, u, int(dom[u]), xs))
                 alive ^= 1 << u
                 has_dom ^= 1 << u
                 dom[u] = -1
@@ -278,7 +260,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 for w in (dom == u).nonzero()[0].tolist():
                     stale |= 1 << w
             else:
-                found = pendant_clique(masks, iter_bits(alive), alive)
+                found = pendant_clique(masks, alive)
                 if found is None:
                     labels = list(iter_bits(alive))
                     return RecognitionOutcome(
@@ -292,7 +274,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 z, removed = found
                 if m is not None:
                     m[z, z] -= len(removed)
-                wrappers.append((CliqueAttach, z, removed))
+                stack.append((CliqueAttach, z, removed))
                 for q in removed:
                     alive ^= 1 << q
                 stale = 1 << z

@@ -54,6 +54,16 @@ def path_chain():
     return path_tree
 
 
+def ladder_tree(rungs: int):
+    """A ladder made by hand, 2 * rungs + 1 deep: from Leaf(0), each rung
+    joins the next label a to the tree, then adds a + 1 comparable to a,
+    adjacent to 1 .. a - 1."""
+    t = Leaf(0)
+    for a in range(1, 2 * rungs, 2):
+        t = Comparable(Join(t, Leaf(a)), a + 1, a, tuple(range(1, a)))
+    return t
+
+
 @pytest.fixture
 def shallow_stack(monkeypatch):
     """A 400-frame recursion limit that the code under test cannot raise."""

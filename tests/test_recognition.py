@@ -31,7 +31,7 @@ from oatgraph import (
     walk_postorder,
 )
 
-from conftest import random_graph
+from conftest import ladder_tree, random_graph
 from test_recognition_golden import CASES as GOLDEN_CASES
 
 
@@ -112,7 +112,7 @@ class TestA2AfterStep:
 
     def test_verify_checks_the_comparable_index(self, monkeypatch):
         # The index's pick is compared with a fresh scan, the reference.
-        monkeypatch.setattr(recognition, "first_comparable", lambda a2: None)
+        monkeypatch.setattr(recognition, "find_comparable_pair", lambda g: None)
         with pytest.raises(StepConsistencyError):
             recognize(replay(random_oat(30, 1)), verify_a2=True)
 
@@ -342,8 +342,9 @@ class TestScale:
         assert peak < 2.25 * (8 * n * n)
 
     def test_needs_no_recursion_room(self, monkeypatch):
-        # 600 levels of moves under a 400-frame limit that cannot be raised.
-        g = classic("path", 600)
+        # 600 levels of moves, and 401 of joins and moves on a dense graph,
+        # under a 400-frame limit that cannot be raised.
+        graphs = [classic("path", 600), replay(ladder_tree(200))]
         set_limit, old = sys.setrecursionlimit, sys.getrecursionlimit()
 
         def refuse(limit):
@@ -352,11 +353,12 @@ class TestScale:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         set_limit(400)
         try:
-            out = recognize(g)
+            outs = [recognize(g) for g in graphs]
         finally:
             set_limit(old)
-        assert out.is_oat
-        assert validate(out.tree, g)
+        for g, out in zip(graphs, outs):
+            assert out.is_oat
+            assert validate(out.tree, g)
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ from oatgraph import (
 )
 from oatgraph import buildtree, recolouring
 
-from conftest import moved_colouring, path_tree
+from conftest import ladder_tree, moved_colouring, path_tree
 from test_recolouring_golden import GOLDEN, digest as golden_digest, shared_anchor_tree
 
 S3 = Palette((1, 2, 3))
@@ -516,31 +516,36 @@ class TestOneCertificatePass:
 
 
 class TestDeepCertificate:
-    """A 600-deep comparable chain, the tree recognize gives P_600, walked
-    under a 400-frame recursion limit that cannot be raised."""
-
-    N = 600
+    """Deep certificates walked under a 400-frame recursion limit that
+    cannot be raised: a 600-deep comparable chain, the tree recognize gives
+    P_600, and a 401-deep ladder of joins and comparable nodes."""
 
     @pytest.fixture
-    def walk_input(self, path_chain, moved):
-        t = path_chain(self.N)
-        g = replay(t)
-        S = Palette.default(3)
-        return t, g, S, moved(t, g, S, "deep-a", 20 * g.n), moved(t, g, S, "deep-b", 20 * g.n)
+    def walk_inputs(self, path_chain, moved):
+        inputs = []
+        # A try on the ladder's dense graph reads about 400 neighbours, so it
+        # gets 2n tries where the path gets 20n.
+        for t, tries in ((path_chain(600), 20), (ladder_tree(200), 2)):
+            g = replay(t)
+            chi = chi_omega(t)[0]
+            S = Palette.default(chi + 1)
+            alpha, beta = (moved(t, g, S, seed, tries * g.n) for seed in ("deep-a", "deep-b"))
+            inputs.append((t, g, S, chi, alpha, beta))
+        return inputs
 
-    def test_to_canonical(self, walk_input, shallow_stack):
-        t, g, S, alpha, _ = walk_input
-        seq = to_canonical(t, alpha, S, S.colours[:2])
-        assert verify_sequence(g, seq).valid
-        assert seq.final().assignment == canonical_colouring(t, S.prefix(2)).assignment
-        assert len(seq) <= 4 * self.N**2
+    def test_to_canonical(self, walk_inputs, shallow_stack):
+        for t, g, S, chi, alpha, _ in walk_inputs:
+            seq = to_canonical(t, alpha, S, S.colours[:chi])
+            assert verify_sequence(g, seq).valid
+            assert seq.final().assignment == canonical_colouring(t, S.prefix(chi)).assignment
+            assert len(seq) <= 4 * g.n**2
 
-    def test_find_path(self, walk_input, shallow_stack):
-        t, g, S, alpha, beta = walk_input
-        seq = find_path(t, alpha, beta, S)
-        assert verify_sequence(g, seq).valid
-        assert seq.final() == beta
-        assert len(seq) <= 4 * self.N**2
+    def test_find_path(self, walk_inputs, shallow_stack):
+        for t, g, S, _, alpha, beta in walk_inputs:
+            seq = find_path(t, alpha, beta, S)
+            assert verify_sequence(g, seq).valid
+            assert seq.final() == beta
+            assert len(seq) <= 4 * g.n**2
 
 
 def relabelled(g: Graph, seed: str) -> Graph:
