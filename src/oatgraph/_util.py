@@ -1,6 +1,7 @@
 """Small shared helpers."""
 
 from collections.abc import Iterator
+from dataclasses import FrozenInstanceError
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -14,3 +15,14 @@ def iter_bits(mask: int) -> Iterator[int]:
 def is_int(x: object) -> bool:
     """True for an int that is not a bool: JSON true and false are no numbers."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+class Frozen:
+    """Refuses to assign or delete attributes, as a frozen dataclass does;
+    a subclass sets its own with object.__setattr__ or through self.__dict__."""
+
+    def __setattr__(self, name: str, value: object):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

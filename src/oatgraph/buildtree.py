@@ -7,12 +7,11 @@ reconstructs the graph, chi_omega reads off the chromatic and clique numbers,
 and canonical_colouring produces the reference colouring every recolouring
 path is routed through.
 
-Each operation is declared once, on its node class: its name in the tree
-JSON, its child fields and its own label fields.  Equality, repr,
-tree_to_json and tree_from_json all read that table, and none of them
-recurses, so trees of any depth compare, print and serialise.  Each node
-carries its chromatic number chi and its vertex set as an int bitmask verts,
-both computed once when it is made.
+Each operation is declared once, on its node class: its JSON name and its
+child and label fields, their only declaration.  A tree's flat form, its
+postorder of (node class, *labels) entries, makes the trees of recognize and
+tree_from_json and carries equality, pickle and copy; nothing here recurses.
+Each node holds its chromatic number chi and its vertex bitmask verts.
 
 The edges each operation adds are written once too, as one update of the
 vertices' neighbour bitmasks that replay applies node by node and
@@ -26,56 +25,65 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._util import is_int, iter_bits
+from ._util import Frozen, is_int, iter_bits
 from .colouring import Colouring, Palette
 from .errors import MalformedTreeError, PaletteError
 from .graph import Graph, _check_dense_budget
 
 
-def _has(verts: int, v: int) -> bool:
-    return v >= 0 and verts >> v & 1 == 1
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class _Node:
+class _Node(Frozen):
     """What every node computes once when it is made: its vertex set as an
     int bitmask (bit v set means vertex v) and its chromatic number.
 
-    Each subclass declares its operation: _op, its name in the tree JSON;
-    _kids, its child fields; _own, its label fields, each with the JSON type
-    it takes (int, or list for a list of ints).  The constructor and the
-    JSON object both list the children, then the labels.
-
-    Equality, hashing and repr do not recurse, so deep trees work too: two
-    trees are equal when their postorders agree node by node on type and on
-    each node's own fields.
+    Each subclass declares its operation, its fields' only declaration: _op,
+    its name in the tree JSON; _kids, its child fields; _own, its label
+    fields, each with its JSON type (int, or list or sorted for a list of
+    ints kept in order or sorted).  The constructor binds those names by
+    position or name, and the subclass's _rule checks the labels and returns
+    verts and chi.  Construction in recognize and tree_from_json, equality,
+    pickling and copying read postorder entries and never recurse.
     """
 
-    verts: int = field(init=False, repr=False)
-    chi: int = field(init=False, repr=False)
-    _op = ""
     _kids = ()
     _own = {}
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        names = (*self._kids, *self._own)
+        if kwargs or len(args) != len(names):
+            fields = dict(zip(names, args), **kwargs)
+            if not len(args) + len(kwargs) == len(fields) == len(names) or kwargs.keys() - names:
+                raise TypeError(f"{type(self).__name__}() takes each of the fields {names} once")
+            args = [fields[f] for f in names]
+        set_field = object.__setattr__  # field by field, as a dataclass: nodes stay compact
+        for f, val in zip(names, args):
+            kind = self._own.get(f)  # None for a child
+            if kind is int:
+                val = operator.index(val)
+            elif kind:
+                val = tuple(kind(map(operator.index, val)))
+            set_field(self, f, val)
+        verts, chi = self._rule()
+        set_field(self, "verts", verts)
+        set_field(self, "chi", chi)
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
             return NotImplemented
-        for a, b in itertools.zip_longest(walk_postorder(self), walk_postorder(other)):
-            if type(a) is not type(b) or any(getattr(a, f) != getattr(b, f) for f in a._own):
-                return False
-        return True
+        return all(a == b for a, b in itertools.zip_longest(_postorder(self), _postorder(other)))
 
     def __hash__(self):
         return hash((type(self), self.verts, self.chi))
 
+    def __reduce__(self):
+        return _fold, (list(_postorder(self)),)
+
     def __repr__(self):
-        # The dataclass repr, e.g. Comparable(child=Leaf(v=0), u=1, v=0, X=()),
-        # written from a stack of pending text and nodes.
+        # The constructor call by name, e.g. Comparable(child=Leaf(v=0), u=1,
+        # v=0, X=()), written from a stack of pending text and nodes.
         out: list[str] = []
         todo: list[Any] = [self]
         while todo:
@@ -94,10 +102,10 @@ class _Node:
 
 def _added(op: str, child: int, *labels: int) -> int:
     """The bitmask of the labels a node adds to a child whose vertex bitmask
-    is child.  Each label must be an integer, non-negative, within the dense
-    budget, and new: not repeated and not in the child."""
+    is child.  Each label must be non-negative, within the dense budget, and
+    new: not repeated and not in the child."""
     bits = 0
-    for x in map(operator.index, labels):
+    for x in labels:
         if x < 0:
             raise MalformedTreeError(f"{op} node: new vertex {x} is negative")
         _check_dense_budget(x + 1)  # before 1 << x
@@ -110,109 +118,81 @@ def _added(op: str, child: int, *labels: int) -> int:
     return bits
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+def _anchor(op: str, child: int, a: int) -> None:
+    """Refuse anchor a unless it is a vertex of the child bitmask."""
+    if a < 0 or not child >> a & 1:
+        raise MalformedTreeError(f"{op} node: anchor {a} not in child")
+
+
 class Leaf(_Node):
-    v: int
     _op = "leaf"
     _own = {"v": int}
 
-    def __post_init__(self):
-        verts = _added(self._op, 0, self.v)
-        object.__setattr__(self, "v", verts.bit_length() - 1)  # v as an int
-        object.__setattr__(self, "verts", verts)
-        object.__setattr__(self, "chi", 1)
+    def _rule(self):
+        return _added(self._op, 0, self.v), 1
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(_Node):
     """Two vertex-disjoint children; a subclass names its _op and _chi rule."""
 
-    left: BuildTree
-    right: BuildTree
     _kids = ("left", "right")
 
-    def __post_init__(self):
+    def _rule(self):
         overlap = self.left.verts & self.right.verts
         if overlap:
             raise MalformedTreeError(
                 f"{self._op} children share vertices {list(iter_bits(overlap))}"
             )
-        object.__setattr__(self, "verts", self.left.verts | self.right.verts)
-        object.__setattr__(self, "chi", self._chi(self.left.chi, self.right.chi))
+        return self.left.verts | self.right.verts, self._chi(self.left.chi, self.right.chi)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Union(_Binary):
     _op = "union"
     _chi = max
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Join(_Binary):
     _op = "join"
     _chi = operator.add
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Comparable(_Node):
     """Add vertex u, non-adjacent to anchor v, with neighbours X ⊆ N(v)."""
 
-    child: BuildTree
-    u: int
-    v: int
-    X: tuple[int, ...]
     _op = "comparable"
     _kids = ("child",)
-    _own = {"u": int, "v": int, "X": list}
+    _own = {"u": int, "v": int, "X": sorted}
 
-    def __post_init__(self):
-        cverts = self.child.verts
-        bit = _added(self._op, cverts, self.u)
-        u = bit.bit_length() - 1
-        v = operator.index(self.v)
-        X = tuple(sorted(map(operator.index, self.X)))
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "X", X)
-        if not _has(cverts, v):
-            raise MalformedTreeError(f"comparable node: anchor {v} not in child")
+    def _rule(self):
+        cverts, u, v, X = self.child.verts, self.u, self.v, self.X
+        bit = _added(self._op, cverts, u)
+        _anchor(self._op, cverts, v)
         if v in X:
             raise MalformedTreeError(f"comparable node ({u}, {v}): anchor cannot appear in X")
         if len(set(X)) != len(X):
             raise MalformedTreeError(f"comparable node ({u}, {v}): X has duplicates {X}")
-        stray = [x for x in X if not _has(cverts, x)]
+        stray = [x for x in X if x < 0 or not cverts >> x & 1]
         if stray:
             raise MalformedTreeError(
                 f"comparable node ({u}, {v}): X reaches outside child: {stray}"
             )
-        object.__setattr__(self, "verts", cverts | bit)
-        object.__setattr__(self, "chi", self.child.chi)
+        return cverts | bit, self.child.chi
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CliqueAttach(_Node):
     """Attach clique Q (in stored order) with every edge to anchor z."""
 
-    child: BuildTree
-    z: int
-    Q: tuple[int, ...]
     _op = "clique"
     _kids = ("child",)
     _own = {"z": int, "Q": list}
 
-    def __post_init__(self):
-        Q = tuple(map(operator.index, self.Q))
-        if not Q:
+    def _rule(self):
+        if not self.Q:
             raise MalformedTreeError("clique node: Q must be non-empty")
         cverts = self.child.verts
-        qverts = _added(self._op, cverts, *Q)
-        z = operator.index(self.z)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "Q", Q)
-        if not _has(cverts, z):
-            raise MalformedTreeError(f"clique node: anchor {z} not in child")
-        object.__setattr__(self, "verts", cverts | qverts)
-        object.__setattr__(self, "chi", max(self.child.chi, len(Q) + 1))
+        qverts = _added(self._op, cverts, *self.Q)
+        _anchor(self._op, cverts, self.z)
+        return cverts | qverts, max(self.child.chi, len(self.Q) + 1)
 
 
 BuildTree = Leaf | Union | Join | Comparable | CliqueAttach
@@ -229,6 +209,22 @@ def walk_postorder(t: BuildTree) -> Iterator[BuildTree]:
         stack.append((node, True))
         for f in reversed(node._kids):
             stack.append((getattr(node, f), False))
+
+
+def _postorder(t: BuildTree) -> Iterator[tuple]:
+    """t's flat form: per node, children first, its class and own labels."""
+    for node in walk_postorder(t):
+        yield (type(node), *(getattr(node, f) for f in node._own))
+
+
+def _fold(entries: Iterable[tuple]) -> BuildTree:
+    """The tree whose flat form is entries: each node takes the len(_kids) newest trees."""
+    done: list[BuildTree] = []
+    for cls, *own in entries:
+        first = len(done) - len(cls._kids)
+        done[first:] = [cls(*done[first:], *own)]
+    (tree,) = done
+    return tree
 
 
 def chi_omega(t: BuildTree) -> tuple[int, int]:
@@ -268,15 +264,21 @@ def _add_op(nbrs: dict[int, int], node: BuildTree) -> None:
         nbrs[node.z] |= clique & ~(1 << node.z)
 
 
+def _vertex_count(t: BuildTree) -> int:
+    """t's vertex count n; its vertices must be 0..n-1."""
+    n = t.verts.bit_count()
+    if t.verts != (1 << n) - 1:
+        raise MalformedTreeError(f"tree vertices {list(iter_bits(t.verts))} are not 0..{n - 1}")
+    return n
+
+
 def _replay(t: BuildTree) -> tuple[Graph, list[int]]:
     """replay's graph, and every vertex in the order the tree adds it: a
     subtree's vertices are one slice, a union's or join's left side first."""
     nbrs: dict[int, int] = {}
     for node in walk_postorder(t):
         _add_op(nbrs, node)
-    n = len(nbrs)
-    if t.verts != (1 << n) - 1:
-        raise MalformedTreeError(f"tree vertices {sorted(nbrs)} are not 0..{n - 1}")
+    n = _vertex_count(t)
     width = (n + 7) // 8
     rows = np.frombuffer(b"".join(nbrs[v].to_bytes(width, "little") for v in range(n)), np.uint8)
     adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
@@ -316,9 +318,7 @@ def canonical_colouring(t: BuildTree, colours: Palette | Sequence[int]) -> Colou
     pal = colours if isinstance(colours, Palette) else Palette(tuple(colours))
     if len(pal) != t.chi:
         raise PaletteError(f"canonical colouring needs exactly {t.chi} colours, got {len(pal)}")
-    n = t.verts.bit_count()
-    if t.verts != (1 << n) - 1:
-        raise MalformedTreeError(f"tree vertices {list(iter_bits(t.verts))} are not 0..{n - 1}")
+    n = _vertex_count(t)
     out = [0] * n
     work: list[tuple[str, BuildTree, tuple[int, ...]]] = [("colour", t, pal.colours)]
     while work:
@@ -369,8 +369,8 @@ _OPS = {
 }
 
 
-def tree_from_json(obj: Any) -> BuildTree:
-    done: list[BuildTree] = []
+def _json_postorder(obj: Any) -> Iterator[tuple]:
+    """A tree JSON object's flat form, each node checked as the walk reaches it."""
     work: list[tuple[Any, Any]] = [(obj, None)]  # an object, and its class once expanded
     while work:
         d, cls = work.pop()
@@ -391,18 +391,13 @@ def tree_from_json(obj: Any) -> BuildTree:
             for f in reversed(cls._kids):
                 work.append((d[f], None))
             continue
-        args = []
-        if cls._kids:
-            args = done[-len(cls._kids) :]
-            del done[-len(cls._kids) :]
         for f, kind in cls._own.items():
-            val = d[f]
-            if kind is int and not is_int(val):
-                raise MalformedTreeError(f"{cls._op} node field {f!r} must be an integer, got {val!r}")
-            if kind is list and not (isinstance(val, list) and all(map(is_int, val))):
-                raise MalformedTreeError(
-                    f"{cls._op} node field {f!r} must be a list of integers, got {val!r}"
-                )
-            args.append(val)
-        done.append(cls(*args))
-    return done[0]
+            x = d[f]
+            if not (is_int(x) if kind is int else isinstance(x, list) and all(map(is_int, x))):
+                want = "an integer" if kind is int else "a list of integers"
+                raise MalformedTreeError(f"{cls._op} node field {f!r} must be {want}, got {x!r}")
+        yield (cls, *(d[f] for f in cls._own))
+
+
+def tree_from_json(obj: Any) -> BuildTree:
+    return _fold(_json_postorder(obj))

@@ -198,12 +198,21 @@ def find_comparable_pair(g: Graph, a2: np.ndarray | None = None) -> tuple[int, i
     """
     if a2 is None:
         a2 = adjacency_square(g)
-    cand = a2 == a2.diagonal()[:, None]
-    np.fill_diagonal(cand, False)
-    flat = int(cand.argmax())
-    if not cand.flat[flat]:
-        return None
-    return divmod(flat, a2.shape[0])
+    everyone = np.arange(g.n)
+    dom = _dominators(a2, a2.diagonal(), everyone, everyone)
+    u = int((dom >= 0).argmax())
+    return (u, int(dom[u])) if dom[u] >= 0 else None
+
+
+def _dominators(
+    block: np.ndarray, diag: np.ndarray, rows: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """For each row u, the smallest label v != u with N(u) a subset of N(v),
+    or -1.  block[i] counts row i's common neighbours with each of labels,
+    and diag[i] with itself, its degree."""
+    cand = block == diag[:, None]
+    cand &= labels != rows[:, None]
+    return np.where(cand.any(axis=1), labels[cand.argmax(axis=1)], -1)
 
 
 def pendant_clique(masks: Sequence[int], alive: int) -> tuple[int, tuple[int, ...]] | None:

@@ -9,8 +9,8 @@ induced subgraph it got stuck on.
 It is one loop over an explicit work stack, so its depth is not bounded by
 the interpreter's.  The stack holds tasks, each the bitmask of its original
 labels, and the nodes still to be made, each as its class and its own
-fields, and one rule makes every node: popped, it takes its class's
-len(_kids) newest trees off a second stack of finished trees.  Comparable
+fields.  Popped, an entry joins the leaves in one list, the tree's
+postorder, which _fold makes into the tree at the end.  Comparable
 and clique moves are tail moves: nothing reads the larger graph again, so
 they push their Comparable or CliqueAttach entry and shrink the task where
 it stands.  A union or join split pushes its parts with the first on top,
@@ -72,9 +72,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import iter_bits
-from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
+from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union, _fold
 from .errors import StepConsistencyError
-from .graph import Graph, adjacency_square, find_comparable_pair, mask_components, pendant_clique
+from .graph import Graph, _dominators, adjacency_square, find_comparable_pair
+from .graph import mask_components, pendant_clique
 
 # A graph whose mean degree is below this builds no A@A: its whole index is
 # read off the masks.  A mask read costs one big-int AND per neighbour, so
@@ -117,17 +118,6 @@ def _labels(mask: int) -> np.ndarray:
     """The set bits of mask as an ascending label array, unpacked in C."""
     raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little"))
-
-
-def _dominators(
-    block: np.ndarray, diag: np.ndarray, rows: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """For each row u, the smallest label v != u with N(u) a subset of N(v),
-    or -1.  block[i] counts row i's common neighbours with each of labels,
-    and diag[i] with itself, its degree."""
-    cand = block == diag[:, None]
-    cand &= labels != rows[:, None]
-    return np.where(cand.any(axis=1), labels[cand.argmax(axis=1)], -1)
 
 
 def _mask_dominator(masks: list[int], alive: int, w: int) -> int:
@@ -209,19 +199,16 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     root = _Task(full, False, 0)
     check(root)
     stack: list[_Task | tuple] = [root]
-    done: list[BuildTree] = []
+    entries: list[tuple] = []  # the tree's flat form, folded at the end
     while stack:
         task = stack.pop()
-        if isinstance(task, tuple):  # a node to make: (its class, *its own fields)
-            node, *own = task
-            kids = done[-len(node._kids) :]
-            del done[-len(node._kids) :]
-            done.append(node(*kids, *own))
+        if isinstance(task, tuple):  # a node's entry: (its class, *its own fields)
+            entries.append(task)
             continue
         while True:
             alive = task.alive
             if alive & (alive - 1) == 0:
-                done.append(Leaf(alive.bit_length() - 1))
+                entries.append((Leaf, alive.bit_length() - 1))
                 break
             if not task.connected:
                 parts = mask_components(masks, alive)
@@ -296,5 +283,5 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             has_dom = has_dom & ~stale | kept
             task.alive = alive
             check(task)
-    (tree,) = done
+    tree = _fold(entries)
     return RecognitionOutcome(tree=tree, stuck=None, stuck_vertices=None, a2_checks=checks)

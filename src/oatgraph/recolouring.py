@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from ._util import is_int
+from ._util import Frozen, is_int
 from .buildtree import (
     BuildTree,
     CliqueAttach,
@@ -70,7 +70,7 @@ def _as_steps(pairs: Iterable[tuple[int, int]]) -> tuple[Step, ...]:
     return tuple(map(tuple.__new__, repeat(Step), pairs))
 
 
-class RecolouringSequence:
+class RecolouringSequence(Frozen):
     """A start colouring plus single-vertex recolouring steps.
 
     The steps are kept as two columns of plain ints, step i moving vertex
@@ -98,12 +98,6 @@ class RecolouringSequence:
     @cached_property
     def steps(self) -> tuple[Step, ...]:
         return _as_steps(zip(self._vs, self._cs))
-
-    def __setattr__(self, name: str, value: Any):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -261,9 +255,9 @@ def _start(t: BuildTree, S: Palette, *ends: Colouring) -> list[int]:
     if len(S) < t.chi + 1:
         raise PaletteTooSmallError(f"need at least {t.chi + 1} working colours, got {len(S)}")
     g, order = _replay(t)
-    for end in ends:
+    for end, name in zip(ends, ("starting", "target")):
         if not end.is_proper(g):  # raises if end covers other than g.n vertices
-            raise ColouringError("starting colouring is not proper")
+            raise ColouringError(f"{name} colouring is not proper")
         _check_on_palette(set(end.assignment), S)
     return order
 

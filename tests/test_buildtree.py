@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -29,6 +32,8 @@ from oatgraph import (
     validate,
     walk_postorder,
 )
+
+from conftest import ladder_tree, path_tree
 
 P3_TREE = Join(Union(Leaf(0), Leaf(2)), Leaf(1))
 EDGE = Join(Leaf(0), Leaf(1))
@@ -89,6 +94,54 @@ class TestNodeValidation:
     def test_clique_keeps_stored_order(self):
         t = CliqueAttach(Leaf(0), 0, (2, 1))
         assert t.Q == (2, 1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Leaf(),
+            lambda: Leaf(0, 1),
+            lambda: Union(Leaf(0)),
+            lambda: Comparable(Leaf(0), 1, 0),
+            lambda: CliqueAttach(Leaf(0), 0, (1,), ()),
+            lambda: Leaf(0, v=0),
+            lambda: Comparable(Leaf(0), 1, 0, X=(), u=1),
+            lambda: Leaf(w=0),
+            lambda: Join(Leaf(0), right=Leaf(1), middle=Leaf(2)),
+        ],
+        ids=[
+            "too-few",
+            "too-many",
+            "binary-too-few",
+            "comparable-too-few",
+            "clique-too-many",
+            "repeated",
+            "repeated-by-keyword",
+            "unknown",
+            "unknown-beside-known",
+        ],
+    )
+    def test_refuses_wrong_arity_and_names_with_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            Leaf(0),
+            Union(Leaf(0), Leaf(1)),
+            EDGE,
+            Comparable(EDGE, 2, 0, (1,)),
+            CliqueAttach(EDGE, 1, (2,)),
+        ],
+        ids=lambda node: type(node).__name__,
+    )
+    def test_fields_are_frozen(self, node):
+        for f in (*node._kids, *node._own, "verts", "chi", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, f, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, f)
+        assert node == tree_from_json(tree_to_json(node))
 
     # One fault per construction, each named by the node's op at the start of
     # its message; a label beyond the dense budget is in TestNodeData.
@@ -163,6 +216,20 @@ class TestNodeData:
             tracemalloc.stop()
         assert peak < 2**20
 
+    # Comparable's X check reads each label off the child's bitmask: a label
+    # far beyond the dense budget or a negative one is outside the child, not
+    # a shift that builds a huge int.
+    @pytest.mark.parametrize("label", [10**12, -1])
+    def test_refuses_neighbour_outside_child_before_allocating(self, label):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedTreeError, match="X reaches outside child"):
+                Comparable(Leaf(0), 1, 0, (label,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestDeepTrees:
     N = 3000
@@ -187,6 +254,15 @@ class TestDeepTrees:
         assert text.endswith(", u=1, v=3, X=(2,)), u=0, v=2, X=(1,))")
         assert text.count("Comparable(") == self.N - 3
 
+    @pytest.mark.parametrize(
+        "make", [lambda: path_tree(5000), lambda: ladder_tree(200)], ids=["path", "ladder"]
+    )
+    def test_pickle_and_copy_round_trip_under_shallow_stack(self, make, shallow_stack):
+        t = make()
+        for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert type(clone) is type(t) and clone == t
+            assert clone.verts == t.verts and clone.chi == t.chi
+
     def test_path_chain_holds_under_2_mib(self, path_chain):
         tracemalloc.start()
         try:
@@ -203,6 +279,11 @@ class TestRepr:
         assert repr(Comparable(Leaf(0), 1, 0, ())) == "Comparable(child=Leaf(v=0), u=1, v=0, X=())"
         assert repr(P3_TREE) == "Join(left=Union(left=Leaf(v=0), right=Leaf(v=2)), right=Leaf(v=1))"
         assert repr(CliqueAttach(Leaf(0), 0, (2, 1))) == "CliqueAttach(child=Leaf(v=0), z=0, Q=(2, 1))"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_evaluates_back_to_an_equal_tree(self, seed):
+        t = random_oat(40, seed)
+        assert eval(repr(t)) == t
 
 
 class TestReplay:

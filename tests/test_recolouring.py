@@ -443,7 +443,7 @@ TIGHT = "need at least 3 working colours, got 2"
         pytest.param(
             lambda: find_path(EDGE, Colouring((1, 2), S3), Colouring((2, 2), S3), S3),
             ColouringError,
-            "starting colouring is not proper",
+            "target colouring is not proper",
             id="find_path-improper-beta",
         ),
         pytest.param(
