@@ -10,15 +10,17 @@ path is routed through.
 Each operation is declared once, on its node class: its JSON name and its
 child and label fields, their only declaration.  A tree's flat form, its
 postorder of (node class, *labels) entries, makes the trees of recognize and
-tree_from_json and carries equality, pickle and copy; nothing here recurses.
-Each node holds its chromatic number chi and its vertex bitmask verts.
+tree_from_json and carries equality and pickle; nothing here recurses.
+Nodes are immutable, so a copy of a tree is the tree itself.  Each node
+holds its chromatic number chi and its vertex bitmask verts.
 
 The edges each operation adds are written once too, as one update of the
 vertices' neighbour bitmasks that replay applies node by node and
 random_oat applies as it builds.  Those bitmasks are kept in the order the
 operations add the vertices, children before parents, so every subtree's
 vertices are one contiguous run of that build order: replay finds a join's
-two sides as the newest runs, and hands the order to the recolouring walk.
+two sides as the newest runs, hands the bitmasks to the graph it returns
+and the order to the recolouring walk.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from __future__ import annotations
 import itertools
 import operator
 from typing import Any, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from ._util import Frozen, is_int, iter_bits
 from .colouring import Colouring, Palette
@@ -44,8 +44,8 @@ class _Node(Frozen):
     fields, each with its JSON type (int, or list or sorted for a list of
     ints kept in order or sorted).  The constructor binds those names by
     position or name, and the subclass's _rule checks the labels and returns
-    verts and chi.  Construction in recognize and tree_from_json, equality,
-    pickling and copying read postorder entries and never recurse.
+    verts and chi.  Construction in recognize and tree_from_json, equality
+    and pickling read postorder entries and never recurse.
     """
 
     _kids = ()
@@ -80,6 +80,12 @@ class _Node(Frozen):
 
     def __reduce__(self):
         return _fold, (list(_postorder(self)),)
+
+    def __copy__(self):
+        return self  # immutable, as a tuple is
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self):
         # The constructor call by name, e.g. Comparable(child=Leaf(v=0), u=1,
@@ -279,12 +285,9 @@ def _replay(t: BuildTree) -> tuple[Graph, list[int]]:
     for node in walk_postorder(t):
         _add_op(nbrs, node)
     n = _vertex_count(t)
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(nbrs[v].to_bytes(width, "little") for v in range(n)), np.uint8)
-    adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little").astype(bool)
-    # symmetric with a false diagonal by construction: _add_op sets both ends
-    # of every edge and never a vertex's own bit
-    return Graph._from_validated(adj), list(nbrs)
+    # symmetric with no vertex its own neighbour by construction: _add_op
+    # sets both ends of every edge and never a vertex's own bit
+    return Graph._from_masks([nbrs[v] for v in range(n)]), list(nbrs)
 
 
 def replay(t: BuildTree) -> Graph:

@@ -144,11 +144,14 @@ def cmd_recognize(args: argparse.Namespace) -> int:
                 print(f"{verts[u]} {verts[v]}")
         return 1
     chi, omega = chi_omega(out.tree)
-    doc = tree_to_json(out.tree)
+    if args.json or args.tree_out is not None:
+        tree = _json_text(tree_to_json(out.tree))
     if args.tree_out is not None:
-        _write_text(args.tree_out, _json_text(doc) + "\n")
+        _write_text(args.tree_out, tree + "\n")
     if args.json:
-        _emit({"oat": True, "chi": chi, "omega": omega, "tree": doc})
+        # _emit of the report with the tree last, the tree's text spliced in
+        head = _json_text({"format_version": 1, "oat": True, "chi": chi, "omega": omega})
+        sys.stdout.write(head[:-1] + ', "tree": ' + tree + "}\n")
     else:
         print(f"recognised: {g.n} vertices, chi = omega = {chi}")
         if args.tree_out is not None:

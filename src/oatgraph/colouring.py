@@ -11,8 +11,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from ._util import is_int
 from .errors import ColouringError, PaletteError
 
@@ -93,12 +91,18 @@ class Colouring:
         return {c: tuple(vs) for c, vs in classes.items()}
 
     def is_proper(self, g: Graph) -> bool:
-        """True when no edge of g joins two vertices of the same colour."""
+        """True when no edge of g joins two vertices of the same colour: no
+        vertex's neighbourhood bitmask meets the bitmask of its colour's
+        holders."""
         if g.n != self.n:
             raise ColouringError(f"colouring covers {self.n} vertices, graph has {g.n}")
-        arr = np.asarray(self.assignment)
-        same = arr[:, None] == arr[None, :]
-        return not bool((same & g.adj).any())
+        held: dict[int, int] = {}
+        for v, c in enumerate(self.assignment):
+            held[c] = held.get(c, 0) | 1 << v
+        for mask, c in zip(g.neighbour_masks, self.assignment):
+            if mask & held[c]:
+                return False
+        return True
 
     def __getitem__(self, v: int) -> int:
         return self.assignment[v]

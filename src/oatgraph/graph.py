@@ -3,6 +3,9 @@
 Graphs are small and dense enough here that an n-by-n boolean matrix plus
 per-vertex bitmasks beats adjacency lists: components, common-neighbour
 counts and neighbourhood comparisons all become vectorised operations.
+A neighbourhood bitmask is an int with bit v set for each neighbour v;
+this module alone converts between bitmasks and arrays
+(``Graph.neighbour_masks``, ``Graph._from_masks``, ``_labels``).
 
 ``Graph(n, edges)`` and the plain edge-list reader take their edges as a
 whole: they turn them into two int64 endpoint arrays, check those with
@@ -119,6 +122,18 @@ class Graph:
             self._masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return self._masks
 
+    @classmethod
+    def _from_masks(cls, masks: list[int]) -> Graph:
+        """The graph whose neighbour_masks is masks, kept as given.  masks
+        must be symmetric, with no vertex its own neighbour."""
+        n = len(masks)
+        width = (n + 7) // 8
+        rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+        adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
+        g = cls._from_validated(adj.astype(bool))
+        g._masks = masks
+        return g
+
     def induced(self, verts: Iterable[int]) -> Graph:
         """Induced subgraph on the given vertices, relabelled by their sort order."""
         idx = sorted(set(verts))
@@ -135,6 +150,12 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _labels(mask: int) -> np.ndarray:
+    """The set bits of mask as an ascending label array, unpacked in C."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little"))
 
 
 def mask_components(masks: Sequence[int], unseen: int, *, complement: bool = False) -> list[int]:

@@ -75,13 +75,20 @@ _NODE_BUDGET = 2_000_000
 
 def _check_node_budget(n: int, k: int) -> None:
     """Raise SizeBudgetError when the k^n assignments build_reconfig would
-    enumerate exceed _NODE_BUDGET; callable before any palette exists."""
+    enumerate, or the k^n * n * (k-1) recolourings it would try from them,
+    exceed _NODE_BUDGET; callable before any palette exists."""
     bound = k**n
     if bound > _NODE_BUDGET:
         # a count of thousands of digits says no more than k^n, and str() refuses it
         shown = f" = {bound}" if bound < 10**40 else ""
         raise SizeBudgetError(
             f"{k}^{n}{shown} assignments exceed the budget of {_NODE_BUDGET}", bound=bound
+        )
+    moves = bound * n * (k - 1)
+    if k > 1 and moves > _NODE_BUDGET:
+        raise SizeBudgetError(
+            f"{k}^{n} * {n} * {k - 1} = {moves} recolourings exceed the budget of {_NODE_BUDGET}",
+            bound=moves,
         )
 
 

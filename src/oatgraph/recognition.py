@@ -74,7 +74,7 @@ import numpy as np
 from ._util import iter_bits
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union, _fold
 from .errors import StepConsistencyError
-from .graph import Graph, _dominators, adjacency_square, find_comparable_pair
+from .graph import Graph, _dominators, _labels, adjacency_square, find_comparable_pair
 from .graph import mask_components, pendant_clique
 
 # A graph whose mean degree is below this builds no A@A: its whole index is
@@ -112,12 +112,6 @@ class _Task:
     alive: int  # the task's original labels as a bitmask
     connected: bool  # known to induce a connected subgraph
     shift: int  # how far every entry of its A@A block sits above the true count
-
-
-def _labels(mask: int) -> np.ndarray:
-    """The set bits of mask as an ascending label array, unpacked in C."""
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little"))
 
 
 def _mask_dominator(masks: list[int], alive: int, w: int) -> int:

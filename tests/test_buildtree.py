@@ -263,6 +263,12 @@ class TestDeepTrees:
             assert type(clone) is type(t) and clone == t
             assert clone.verts == t.verts and clone.chi == t.chi
 
+    def test_copy_is_the_tree_itself_under_shallow_stack(self, shallow_stack):
+        t = path_tree(5000)
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert copy.deepcopy([t, t]) == [t, t]
+
     def test_path_chain_holds_under_2_mib(self, path_chain):
         tracemalloc.start()
         try:
@@ -329,6 +335,18 @@ class TestReplay:
                 assert np.array_equal(g.adj, g.adj.T)
                 assert not g.adj.diagonal().any()
                 assert Graph.from_adjacency(g.adj) == g
+
+    @given(st.integers(1, 80), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_kept_masks_agree_with_the_matrix(self, n, seed):
+        # replay keeps the bitmasks it unpacked its matrix from
+        g = replay(random_oat(n, seed))
+        assert g.neighbour_masks == Graph.from_adjacency(g.adj).neighbour_masks
+
+    def test_kept_masks_agree_with_the_matrix_on_a_deep_path(self):
+        g = replay(path_tree(2000))
+        assert g.neighbour_masks == Graph.from_adjacency(g.adj).neighbour_masks
+        assert g.edges() == [(u, u + 1) for u in range(1999)]
 
     def test_walk_postorder_children_first(self):
         seen = list(walk_postorder(P3_TREE))

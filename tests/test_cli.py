@@ -7,6 +7,7 @@ import pytest
 
 from oatgraph import (
     Colouring,
+    Graph,
     Palette,
     classic,
     colouring_to_json,
@@ -23,6 +24,7 @@ from oatgraph import (
     tree_to_json,
     verify_sequence,
 )
+from oatgraph import cli
 from oatgraph.cli import main
 
 
@@ -77,6 +79,22 @@ class TestRecognize:
         # the file holds the line's tree verbatim, in size linear in the depth
         assert text.endswith("\n") and line.endswith(', "tree": ' + text[:-1] + "}\n")
         assert len(text.encode()) < 50_000
+
+    @pytest.mark.parametrize(
+        "flags, encodes",
+        [([], 0), (["--json"], 1), (["--tree-out"], 1), (["--json", "--tree-out"], 1)],
+    )
+    def test_tree_encoded_once_and_only_when_asked(
+        self, tmp_path, capsys, monkeypatch, flags, encodes
+    ):
+        texts = []
+        encode = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda doc: texts.append(encode(doc)) or texts[-1])
+        argv = ["recognize", write_graph(tmp_path, fixture("domino").graph)]
+        for flag in flags:
+            argv += [flag, str(tmp_path / "tree.json")] if flag == "--tree-out" else [flag]
+        assert main(argv) == 0
+        assert sum('"op": ' in text for text in texts) == encodes
 
     def test_rejects_fig4_with_stuck_edges(self, tmp_path, capsys):
         g = fixture("fig4_dh_not_oat").graph
@@ -255,6 +273,16 @@ class TestOracle:
         assert captured.err.count("\n") == 1
         # a million-colour palette alone would take tens of MiB
         assert peak < 1 << 20
+
+    def test_many_colours_on_one_vertex_exit_2_with_one_line(self, tmp_path, capsys):
+        gp = write_graph(tmp_path, Graph(1))
+        assert main(["oracle", gp, "--k", "1000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 1000000^1 * 1 * 999999 = ")
+        assert captured.err.count("\n") == 1
+        assert main(["oracle", gp, "--k", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["nodes"] == 3
 
     def test_budget_message_names_a_huge_count_by_its_power(self, tmp_path, capsys):
         # 4^8000 has 4,817 digits, more than str() of an int will write

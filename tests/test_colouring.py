@@ -1,5 +1,8 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oatgraph import (
     Colouring,
@@ -9,6 +12,10 @@ from oatgraph import (
     PaletteError,
     colouring_from_json,
     colouring_to_json,
+    format_graph,
+    parse_graph,
+    random_oat,
+    replay,
 )
 
 
@@ -68,6 +75,35 @@ class TestColouring:
 
     def test_getitem(self):
         assert Colouring((5, 7), Palette((5, 7)))[1] == 7
+
+
+@st.composite
+def graph_from_each_source(draw) -> Graph:
+    """A graph on 1-40 vertices: built by Graph(n, edges), parsed from its
+    format_graph text, or replayed from a random_oat tree."""
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 10**6))
+    source = draw(st.sampled_from(["built", "parsed", "replayed"]))
+    if source == "replayed":
+        return replay(random_oat(n, seed))
+    p = draw(st.floats(0, 1))
+    rng = random.Random(seed)
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    return parse_graph(format_graph(g)) if source == "parsed" else g
+
+
+class TestIsProperProperty:
+    @given(graph_from_each_source(), st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_every_edge(self, g, k, data):
+        # mostly improper: colours drawn uniformly, edges ignored
+        a = tuple(data.draw(st.lists(st.integers(1, k), min_size=g.n, max_size=g.n)))
+        expected = all(a[u] != a[v] for u, v in g.edges())
+        assert Colouring(a, Palette.default(k)).is_proper(g) is expected
+
+    def test_vertex_count_mismatch_keeps_its_message(self):
+        with pytest.raises(ColouringError, match="colouring covers 2 vertices, graph has 3"):
+            Colouring((1, 2), Palette.default(2)).is_proper(Graph(3))
 
 
 class TestJson:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,21 @@ class TestBuildReconfig:
             build_reconfig(classic("path", 30), Palette.default(4))
         assert info.value.bound == 4**30
         assert str(4**30) in str(info.value)
+
+    def test_recolourings_past_the_budget_are_refused_before_any_node(self):
+        g, S = Graph(1), Palette.default(100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError) as info:
+                build_reconfig(g, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.bound == 100_000 * 99_999
+        assert str(info.value) == (
+            "100000^1 * 1 * 99999 = 9999900000 recolourings exceed the budget of 2000000"
+        )
+        assert peak < 1 << 20
 
     def test_distance_and_membership(self):
         r = build_reconfig(classic("path", 2), Palette.default(3))
