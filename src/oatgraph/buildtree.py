@@ -20,7 +20,10 @@ random_oat applies as it builds.  Those bitmasks are kept in the order the
 operations add the vertices, children before parents, so every subtree's
 vertices are one contiguous run of that build order: replay finds a join's
 two sides as the newest runs, hands the bitmasks to the graph it returns
-and the order to the recolouring walk.
+and the order to the recolouring walk.  A tree is replayed once: its first
+successful replay keeps those bitmasks and that order on the root, where
+replay, validate, find_path and to_canonical read them back.  The kept
+replay is no field, so equality, hashing, repr and pickle never see it.
 """
 
 from __future__ import annotations
@@ -278,16 +281,25 @@ def _vertex_count(t: BuildTree) -> int:
     return n
 
 
-def _replay(t: BuildTree) -> tuple[Graph, list[int]]:
+def _replay(t: BuildTree) -> tuple[Graph, tuple[int, ...]]:
     """replay's graph, and every vertex in the order the tree adds it: a
-    subtree's vertices are one slice, a union's or join's left side first."""
-    nbrs: dict[int, int] = {}
-    for node in walk_postorder(t):
-        _add_op(nbrs, node)
-    n = _vertex_count(t)
+    subtree's vertices are one slice, a union's or join's left side first.
+
+    The first replay of t that succeeds is kept on t, its bitmasks and build
+    order, so each later call reads it back; each call's graph holds its own
+    copy of the mask list.  A tree that fails to replay keeps nothing.  The
+    replay depends on t alone, so calls that race keep equal replays."""
+    kept = t.__dict__.get("_replayed")
+    if kept is None:
+        nbrs: dict[int, int] = {}
+        for node in walk_postorder(t):
+            _add_op(nbrs, node)
+        n = _vertex_count(t)
+        kept = t.__dict__["_replayed"] = ([nbrs[v] for v in range(n)], tuple(nbrs))
+    masks, order = kept
     # symmetric with no vertex its own neighbour by construction: _add_op
     # sets both ends of every edge and never a vertex's own bit
-    return Graph._from_masks([nbrs[v] for v in range(n)]), list(nbrs)
+    return Graph._from_masks(list(masks)), order
 
 
 def replay(t: BuildTree) -> Graph:

@@ -1,17 +1,18 @@
-"""Dense undirected graphs and the structural scans used throughout.
+"""Undirected graphs and the structural scans used throughout.
 
-Graphs are small and dense enough here that an n-by-n boolean matrix plus
-per-vertex bitmasks beats adjacency lists: components, common-neighbour
-counts and neighbourhood comparisons all become vectorised operations.
-A neighbourhood bitmask is an int with bit v set for each neighbour v;
-this module alone converts between bitmasks and arrays
-(``Graph.neighbour_masks``, ``Graph._from_masks``, ``_labels``).
+A graph is its vertex count n and one neighbourhood bitmask per vertex: an
+int with bit u set for each neighbour u of v.  Components, pendant cliques,
+properness and replay work on those bitmasks alone; the scans that want
+arrays (A@A, ``edges``, ``induced``, ``format_graph`` and the read-only
+``Graph.adj``) unpack them when they run.  This module alone converts
+between bitmasks and arrays (``_pack``, ``_unpack``, ``_labels``).
 
 ``Graph(n, edges)`` and the plain edge-list reader take their edges as a
 whole: they turn them into two int64 endpoint arrays, check those with
-array operations and fill the adjacency with two fancy-index stores
+array operations and fill a boolean matrix with two fancy-index stores
 (``_add_edges``), so no Python bytecode runs per edge unless an edge is
-faulty.  A plain edge list (ASCII digits, blanks, ``\\r`` and ``\\n``
+faulty.  Every reader packs its filled matrix into the bitmasks and drops
+it.  A plain edge list (ASCII digits, blanks, ``\\r`` and ``\\n``
 only, two short unsigned integers per line) is read so, in one C-level
 pass over its bytes.  Every other text, and every faulty one, goes
 through the general reader, one line at a time; it is the only reader
@@ -31,11 +32,13 @@ import numpy as np
 from ._util import iter_bits
 from .errors import GraphFormatError, SizeBudgetError
 
-# Peak memory of recognising an n-vertex graph, in units of its n*n boolean
-# adjacency plus one n*n int64 A@A.  Building A@A holds two n*n eight-byte
-# matrices, the float64 product and its int64 copy; the moves then patch
-# that one copy in place.  The rest is headroom for the adjacency itself,
-# the per-vertex bitmasks and the index and rows of one move.
+# Peak memory of recognising an n-vertex graph, in units of one n*n boolean
+# matrix plus one n*n int64 A@A.  A reader fills the boolean matrix before
+# it packs the graph's bitmasks, and A@A unpacks one again; building A@A
+# holds two n*n eight-byte matrices, the float64 product and its int64
+# copy, and the moves then patch that one copy in place.  The rest is
+# headroom for the bitmasks, n*n/8 bytes, and the index and rows of one
+# move.
 _DENSE_FOOTPRINT_FACTOR = 4
 
 # Graph(n, edges) takes its edges this many at a time, so that a lazy edge
@@ -45,9 +48,9 @@ _EDGE_CHUNK = 1 << 16
 
 
 class Graph:
-    """Undirected graph on vertices 0..n-1 with a read-only adjacency matrix."""
+    """Undirected graph on vertices 0..n-1, held as its neighbourhood bitmasks."""
 
-    __slots__ = ("n", "adj", "_masks")
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -68,10 +71,8 @@ class Graph:
                     raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
                 raise ValueError(f"self-loop at vertex {u}")
             _add_edges(adj, us, vs)
-        adj.setflags(write=False)
         self.n: int = n
-        self.adj: np.ndarray = adj
-        self._masks: list[int] | None = None
+        self._masks: list[int] = _pack(adj)
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> Graph:
@@ -84,55 +85,53 @@ class Graph:
             raise ValueError("adjacency matrix has a self-loop on its diagonal")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency matrix must be symmetric")
-        return cls._from_validated(adj.copy())
+        return cls._from_masks(_pack(adj))
 
     @classmethod
-    def _from_validated(cls, adj: np.ndarray) -> Graph:
+    def _from_masks(cls, masks: list[int]) -> Graph:
+        """The graph whose neighbour_masks is masks, kept as given.  masks
+        must be symmetric, with no vertex its own neighbour; a symmetric
+        boolean matrix with a clear diagonal gives them through _pack."""
         g = object.__new__(cls)
-        adj.setflags(write=False)
-        g.n = adj.shape[0]
-        g.adj = adj
-        g._masks = None
+        g.n = len(masks)
+        g._masks = masks
         return g
 
     @property
+    def adj(self) -> np.ndarray:
+        """The adjacency matrix, read-only, unpacked from the bitmasks at each read."""
+        return _unpack(self._masks, self.n)
+
+    @property
+    def neighbour_masks(self) -> list[int]:
+        """Per-vertex neighbourhood bitmasks (bit v set means adjacent to v)."""
+        return self._masks
+
+    @property
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return sum(map(int.bit_count, self._masks)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending lexicographic."""
         us, vs = np.nonzero(np.triu(self.adj))
         return [(int(u), int(v)) for u, v in zip(us, vs)]
 
+    def _vertex(self, v: int) -> int:
+        """v as a plain int; a vertex outside 0..n-1 is refused."""
+        v = operator.index(v)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return v
+
     def degree(self, v: int) -> int:
-        return int(self.adj[v].sum())
+        return self._masks[self._vertex(v)].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
+        return bool(self._masks[self._vertex(u)] >> self._vertex(v) & 1)
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         """v's neighbours, ascending."""
-        return tuple(iter_bits(self.neighbour_masks[v]))
-
-    @property
-    def neighbour_masks(self) -> list[int]:
-        """Per-vertex neighbourhood bitmasks (bit v set means adjacent to v)."""
-        if self._masks is None:
-            packed = np.packbits(self.adj, axis=1, bitorder="little")
-            self._masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        return self._masks
-
-    @classmethod
-    def _from_masks(cls, masks: list[int]) -> Graph:
-        """The graph whose neighbour_masks is masks, kept as given.  masks
-        must be symmetric, with no vertex its own neighbour."""
-        n = len(masks)
-        width = (n + 7) // 8
-        rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-        adj = np.unpackbits(rows.reshape(n, width), axis=1, count=n, bitorder="little")
-        g = cls._from_validated(adj.astype(bool))
-        g._masks = masks
-        return g
+        return tuple(iter_bits(self._masks[self._vertex(v)]))
 
     def induced(self, verts: Iterable[int]) -> Graph:
         """Induced subgraph on the given vertices, relabelled by their sort order."""
@@ -141,15 +140,32 @@ class Graph:
             raise ValueError("induced subgraph needs at least one vertex")
         if idx[0] < 0 or idx[-1] >= self.n:
             raise ValueError(f"vertices {idx} out of range for n={self.n}")
-        return Graph._from_validated(self.adj[np.ix_(idx, idx)].copy())
+        rows = _unpack([self._masks[v] for v in idx], self.n)
+        return Graph._from_masks(_pack(rows[:, idx]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.adj, other.adj)
+        return self.n == other.n and self._masks == other._masks
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _pack(adj: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a bitmask: bit j of row i is adj[i, j]."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack(masks: Sequence[int], n: int) -> np.ndarray:
+    """The bitmasks, each below 2**n, as the rows of a read-only boolean matrix."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    rows = bits.view(bool)
+    rows.setflags(write=False)
+    return rows
 
 
 def _labels(mask: int) -> np.ndarray:
@@ -366,7 +382,7 @@ def _parse_plain(text: str) -> Graph | None:
     _add_edges(adj, us, vs)
     if np.count_nonzero(adj) != 2 * m:
         return None  # a duplicate edge
-    return Graph._from_validated(adj)
+    return Graph._from_masks(_pack(adj))
 
 
 def parse_graph(text: str) -> Graph:
@@ -447,7 +463,7 @@ def _parse_general(text: str) -> Graph:
     us, vs = np.divmod(np.fromiter(seen, dtype=np.int64, count=len(seen)), n)
     adj = np.zeros((n, n), dtype=bool)
     _add_edges(adj, us, vs)
-    return Graph._from_validated(adj)
+    return Graph._from_masks(_pack(adj))
 
 
 def format_graph(g: Graph) -> str:

@@ -23,16 +23,18 @@ groups the vertices by the colour they hold and moves each class onto its
 colour's image, at most twice per vertex.
 
 to_canonical and find_path share one entry check (room in the working
-palette, then each end proper and on it), which replays the certificate
-once and so also lists its vertices in build order; find_path shares both
-between its two halves.  A join reads its vertices as a slice of that
-order, and its rename maps the palettes its two sides were made canonical
-over onto its own palette, so it needs no further pass over the
-certificate.  The walk and the hooks keep explicit work stacks, so tree
-depth never meets the recursion limit.  A sequence is its initial
-colouring plus two int columns, the vertices and their new colours: the
-walk, rename and the JSON reader fill them directly, verification and
-serialisation read them, and a Step is made only when .steps is read.
+palette, then each end proper and on it), which reads the certificate's
+replay and so also its vertices in build order; find_path shares both
+between its two halves.  A tree is replayed on the first call that reads it
+and keeps that replay, so every later call on the same tree reuses it.  A
+join reads its vertices as a slice of that order, and its rename maps the
+palettes its two sides were made canonical over onto its own palette, so it
+needs no further pass over the certificate.  The walk and the hooks keep
+explicit work stacks, so tree depth never meets the recursion limit.  A
+sequence is its initial colouring plus two int columns, the vertices and
+their new colours: the walk, rename and the JSON reader fill them directly,
+verification and serialisation read them, and a Step is made only when
+.steps is read.
 """
 
 from __future__ import annotations
@@ -249,7 +251,7 @@ def _check_on_palette(colours: Iterable[int], S: Palette) -> None:
             raise PaletteError(f"colour {col} outside working palette {S.colours}")
 
 
-def _start(t: BuildTree, S: Palette, *ends: Colouring) -> list[int]:
+def _start(t: BuildTree, S: Palette, *ends: Colouring) -> tuple[int, ...]:
     """The build order of t, once S has room for a walk and each end is a
     proper colouring of t's graph over S."""
     if len(S) < t.chi + 1:
@@ -264,7 +266,7 @@ def _start(t: BuildTree, S: Palette, *ends: Colouring) -> list[int]:
 
 def _walk(
     t: BuildTree,
-    order: list[int],
+    order: tuple[int, ...],
     alpha: Colouring,
     S: Palette,
     c_root: tuple[int, ...],

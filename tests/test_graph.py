@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import warnings
 
 import numpy as np
@@ -270,6 +271,58 @@ class TestConstruction:
         h = g.induced([3, 2, 0])
         assert h.n == 3
         assert h.edges() == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_accessors_refuse_a_vertex_out_of_range(self, bad):
+        # -1 is not read as vertex n-1, and n is refused like -1
+        g = Graph(3, [(0, 1), (1, 2)])
+        calls = (g.neighbours, g.degree, lambda v: g.has_edge(v, 1), lambda v: g.has_edge(1, v))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n=3$"):
+                call(bad)
+
+
+def check_against_matrix(g, n, edges, rng):
+    """Every reader of g against a boolean matrix built here from edges."""
+    want = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        want[u, v] = want[v, u] = True
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if want[u, v]]
+    assert g.n == n
+    assert g.adj.dtype == bool and np.array_equal(g.adj, want)
+    assert g.edges() == pairs
+    assert g.edge_count == len(pairs)
+    assert [g.degree(v) for v in range(n)] == want.sum(axis=1).tolist()
+    assert [[g.has_edge(u, v) for v in range(n)] for u in range(n)] == want.tolist()
+    assert format_graph(g) == "".join(f"{u} {v}\n" for u, v in [(n, len(pairs)), *pairs])
+    sub = sorted(rng.sample(range(n), rng.randint(1, n)))
+    assert np.array_equal(g.induced(sub).adj, want[np.ix_(sub, sub)])
+    assert g == Graph.from_adjacency(want) == Graph(n, pairs)
+    if n > 1:
+        u, v = sorted(rng.sample(range(n), 2))
+        flipped = want.copy()
+        flipped[u, v] = flipped[v, u] = not want[u, v]
+        assert g != Graph.from_adjacency(flipped)
+    assert g != Graph(n + 1, pairs)
+
+
+class TestMasksOnly:
+    """A graph holds only its bitmasks; what it reports must match the
+    matrix of its edge list."""
+
+    @pytest.mark.parametrize("parse, text, n, edges", per_reader(ACCEPTED))
+    def test_accepted_texts(self, parse, text, n, edges):
+        check_against_matrix(parse(text), n, edges, random.Random(text))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 65, 130])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_seeded_gnp(self, n, p):
+        for seed in range(2):
+            rng = random.Random(f"masks-{n}-{p}-{seed}")
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            rng.shuffle(edges)
+            check_against_matrix(Graph(n, edges), n, edges, rng)
+            check_against_matrix(parse_graph(format_graph(Graph(n, edges))), n, edges, rng)
 
 
 class TestParsing:

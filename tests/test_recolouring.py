@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import pickle
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from oatgraph import (
     Graph,
     Join,
     Leaf,
+    MalformedTreeError,
     Palette,
     PaletteError,
     PaletteTooSmallError,
@@ -39,6 +41,7 @@ from oatgraph import (
     to_canonical,
     tree_from_json,
     tree_to_json,
+    validate,
     verify_sequence,
 )
 from oatgraph import buildtree, recolouring
@@ -513,6 +516,110 @@ class TestOneCertificatePass:
         chi = len(S) - 1
         assert len(to_canonical(t, alpha, S, S.colours[-chi:])) > 0
         assert counted == {"replay": 1}
+
+
+class TestStoredReplay:
+    """A tree keeps its first successful replay, so later calls on it apply
+    no operation again; a pickled copy carries no kept replay and replays
+    afresh, so it gives what a first call gives."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"ops": 0}
+        add_op = buildtree._add_op
+
+        def counting(*args):
+            calls["ops"] += 1
+            return add_op(*args)
+
+        monkeypatch.setattr(buildtree, "_add_op", counting)
+        return calls
+
+    @pytest.fixture
+    def walk_input(self, moved):
+        t = random_oat(40, 3)
+        g = replay(t)
+        S = Palette.default(chi_omega(t)[0] + 1)
+        alpha, beta = (moved(t, g, S, seed, 4 * g.n) for seed in ("kept-a", "kept-b"))
+        return pickle.loads(pickle.dumps(t)), g, alpha, beta, S
+
+    def calls(self, g, alpha, beta, S):
+        chi = len(S) - 1
+        return {
+            "find_path": lambda tree: find_path(tree, alpha, beta, S),
+            "to_canonical": lambda tree: to_canonical(tree, alpha, S, S.colours[-chi:]),
+            "validate": lambda tree: validate(tree, g),
+            "replay": replay,
+        }
+
+    @pytest.mark.parametrize("name", ["find_path", "to_canonical", "validate", "replay"])
+    def test_a_second_call_replays_nothing(self, walk_input, counted, name):
+        t, *rest = walk_input
+        call = self.calls(*rest)[name]
+        first = call(t)
+        ops = counted["ops"]
+        assert ops == len(list(buildtree.walk_postorder(t)))
+        second = call(t)
+        assert counted["ops"] == ops
+        assert second == first == call(pickle.loads(pickle.dumps(t)))
+        assert counted["ops"] == 2 * ops  # the copy replays afresh
+
+    def test_every_call_after_the_first_reads_the_kept_replay(self, walk_input, counted):
+        t, *rest = walk_input
+        calls = self.calls(*rest)
+        replay(t)
+        ops = counted["ops"]
+        results = {name: call(t) for name, call in calls.items()}
+        assert counted["ops"] == ops
+        fresh = pickle.loads(pickle.dumps(t))
+        assert results == {name: call(fresh) for name, call in calls.items()}
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            # X = [1] is no neighbour of the anchor 0
+            buildtree.Comparable(Union(Leaf(0), Leaf(1)), u=2, v=0, X=[1]),
+            # vertices 0 and 2, not 0..1
+            Union(Leaf(0), Leaf(2)),
+        ],
+        ids=["x_outside_anchor", "gap_in_labels"],
+    )
+    def test_a_malformed_tree_raises_on_every_call(self, tree, counted):
+        S = Palette.default(tree.chi + 1)
+        colouring = Colouring((1,) * tree.verts.bit_length(), S)
+        for _ in range(2):
+            for call in (
+                lambda: replay(tree),
+                lambda: find_path(tree, colouring, colouring, S),
+                lambda: to_canonical(tree, colouring, S, S.colours[: tree.chi]),
+            ):
+                ops = counted["ops"]
+                with pytest.raises(MalformedTreeError):
+                    call()
+                assert counted["ops"] > ops  # replayed again, nothing kept
+            assert not validate(tree, Graph(tree.verts.bit_length()))
+
+    def test_mutating_a_replayed_graph_changes_no_later_result(self, walk_input):
+        t, g, alpha, beta, S = walk_input
+        path = find_path(t, alpha, beta, S)
+        mutated = replay(t)
+        mutated.neighbour_masks[0] ^= 1 << 1
+        mutated.neighbour_masks.reverse()
+        assert mutated != g
+        assert replay(t) == g
+        assert validate(t, g)
+        assert not validate(t, mutated)
+        assert find_path(t, alpha, beta, S) == path
+
+    def test_the_kept_replay_never_shows(self, walk_input):
+        t = walk_input[0]
+        before = (repr(t), hash(t), pickle.dumps(t))
+        replay(t)
+        fresh = pickle.loads(pickle.dumps(t))
+        assert (repr(t), hash(t), pickle.dumps(t)) == before
+        assert t == fresh and fresh == t
+        assert hash(fresh) == hash(t)
+        assert pickle.dumps(fresh) == before[2]
 
 
 class TestDeepCertificate:
