@@ -14,13 +14,13 @@ tree_from_json and carries equality and pickle; nothing here recurses.
 Nodes are immutable, so a copy of a tree is the tree itself.  Each node
 holds its chromatic number chi and its vertex bitmask verts.
 
-The edges each operation adds are written once too, as one update of the
-vertices' neighbour bitmasks that replay applies node by node and
-random_oat applies as it builds.  Those bitmasks are kept in the order the
-operations add the vertices, children before parents, so every subtree's
-vertices are one contiguous run of that build order: replay finds a join's
-two sides as the newest runs, hands the bitmasks to the graph it returns
-and the order to the recolouring walk.  A tree is replayed once: its first
+Each node class holds its edge rule, _apply, beside its label rule: one
+update of the vertices' neighbour bitmasks, which replay and random_oat
+call node by node.  Those bitmasks are kept in the order the operations
+add the vertices, children before parents, so every subtree's vertices are
+one contiguous run of that build order: a join finds its two sides as the
+newest runs, and replay hands the bitmasks to the graph it returns and the
+order to the recolouring walk.  A tree is replayed once: its first
 successful replay keeps those bitmasks and that order on the root, where
 replay, validate, find_path and to_canonical read them back.  The kept
 replay is no field, so equality, hashing, repr and pickle never see it.
@@ -47,8 +47,9 @@ class _Node(Frozen):
     fields, each with its JSON type (int, or list or sorted for a list of
     ints kept in order or sorted).  The constructor binds those names by
     position or name, and the subclass's _rule checks the labels and returns
-    verts and chi.  Construction in recognize and tree_from_json, equality
-    and pickling read postorder entries and never recurse.
+    verts and chi, and its _apply adds its edges.  Construction in recognize
+    and tree_from_json, equality and pickling read postorder entries and
+    never recurse.
     """
 
     _kids = ()
@@ -72,6 +73,9 @@ class _Node(Frozen):
         verts, chi = self._rule()
         set_field(self, "verts", verts)
         set_field(self, "chi", chi)
+
+    def _apply(self, nbrs: dict[int, int]) -> None:
+        """Add this node's edges to nbrs, the bitmasks so far in build order; a union adds none."""
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -140,6 +144,9 @@ class Leaf(_Node):
     def _rule(self):
         return _added(self._op, 0, self.v), 1
 
+    def _apply(self, nbrs):
+        nbrs[self.v] = 0
+
 
 class _Binary(_Node):
     """Two vertex-disjoint children; a subclass names its _op and _chi rule."""
@@ -164,6 +171,14 @@ class Join(_Binary):
     _op = "join"
     _chi = operator.add
 
+    def _apply(self, nbrs):
+        # nbrs ends with the right side, and before that the left
+        newest = reversed(nbrs)
+        for b in itertools.islice(newest, self.right.verts.bit_count()):
+            nbrs[b] |= self.left.verts
+        for a in itertools.islice(newest, self.left.verts.bit_count()):
+            nbrs[a] |= self.right.verts
+
 
 class Comparable(_Node):
     """Add vertex u, non-adjacent to anchor v, with neighbours X ⊆ N(v)."""
@@ -187,6 +202,19 @@ class Comparable(_Node):
             )
         return cverts | bit, self.child.chi
 
+    def _apply(self, nbrs):
+        u_bit, x_bits = 1 << self.u, 0
+        for x in self.X:
+            x_bits |= 1 << x
+            nbrs[x] |= u_bit
+        missing = x_bits & ~nbrs[self.v]  # a failed replay's nbrs is dropped
+        if missing:
+            raise MalformedTreeError(
+                f"comparable node ({self.u}, {self.v}): X must lie in the anchor's"
+                f" neighbourhood, missing {list(iter_bits(missing))}"
+            )
+        nbrs[self.u] = x_bits
+
 
 class CliqueAttach(_Node):
     """Attach clique Q (in stored order) with every edge to anchor z."""
@@ -202,6 +230,12 @@ class CliqueAttach(_Node):
         qverts = _added(self._op, cverts, *self.Q)
         _anchor(self._op, cverts, self.z)
         return cverts | qverts, max(self.child.chi, len(self.Q) + 1)
+
+    def _apply(self, nbrs):
+        clique = (self.verts & ~self.child.verts) | 1 << self.z  # Q and z
+        for q in self.Q:
+            nbrs[q] = clique & ~(1 << q)
+        nbrs[self.z] |= clique & ~(1 << self.z)
 
 
 BuildTree = Leaf | Union | Join | Comparable | CliqueAttach
@@ -241,38 +275,6 @@ def chi_omega(t: BuildTree) -> tuple[int, int]:
     return t.chi, t.chi
 
 
-def _add_op(nbrs: dict[int, int], node: BuildTree) -> None:
-    """Apply node's operation to nbrs, each vertex's neighbours as a bitmask,
-    whose keys are the vertices so far in build order; node's children are
-    already applied."""
-    if isinstance(node, Leaf):
-        nbrs[node.v] = 0
-    elif isinstance(node, Join):
-        # nbrs ends with the join's right side, and before that its left
-        newest = reversed(nbrs)
-        for b in itertools.islice(newest, node.right.verts.bit_count()):
-            nbrs[b] |= node.left.verts
-        for a in itertools.islice(newest, node.left.verts.bit_count()):
-            nbrs[a] |= node.right.verts
-    elif isinstance(node, Comparable):
-        missing = [x for x in node.X if not nbrs[node.v] >> x & 1]
-        if missing:
-            raise MalformedTreeError(
-                f"comparable node ({node.u}, {node.v}): X must lie in the anchor's"
-                f" neighbourhood, missing {missing}"
-            )
-        u_bit, x_bits = 1 << node.u, 0
-        for x in node.X:
-            x_bits |= 1 << x
-            nbrs[x] |= u_bit
-        nbrs[node.u] = x_bits
-    elif isinstance(node, CliqueAttach):
-        clique = (node.verts & ~node.child.verts) | 1 << node.z  # Q and z
-        for q in node.Q:
-            nbrs[q] = clique & ~(1 << q)
-        nbrs[node.z] |= clique & ~(1 << node.z)
-
-
 def _vertex_count(t: BuildTree) -> int:
     """t's vertex count n; its vertices must be 0..n-1."""
     n = t.verts.bit_count()
@@ -293,12 +295,11 @@ def _replay(t: BuildTree) -> tuple[Graph, tuple[int, ...]]:
     if kept is None:
         nbrs: dict[int, int] = {}
         for node in walk_postorder(t):
-            _add_op(nbrs, node)
+            node._apply(nbrs)
         n = _vertex_count(t)
         kept = t.__dict__["_replayed"] = ([nbrs[v] for v in range(n)], tuple(nbrs))
     masks, order = kept
-    # symmetric with no vertex its own neighbour by construction: _add_op
-    # sets both ends of every edge and never a vertex's own bit
+    # each _apply sets both ends of an edge and never a vertex's own bit: masks fit _from_masks
     return Graph._from_masks(list(masks)), order
 
 

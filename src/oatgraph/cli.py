@@ -205,7 +205,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
     if args.tree_out is not None and family != "random_oat":
         raise ValueError(f"--tree-out is for random_oat only; {family} has no build tree")
+    if args.r_file is not None and family != "p4_sparse":
+        raise ValueError(f"--r-file is for p4_sparse only; {family} has no joined part")
     if family in FIXTURE_NAMES:
+        if args.param is not None:
+            raise ValueError(f"{family} is a fixture and takes no size parameter")
         g = fixture(family).graph
     elif family in CLASSIC_FAMILIES:
         if args.param is None:

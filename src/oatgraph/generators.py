@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from ._util import iter_bits
-from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union, _add_op
+from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union
 from .graph import Graph, _check_dense_budget, parse_graph
 
 FIXTURE_NAMES = ("domino", "house", "gem", "fig2_imperfect", "fig4_dh_not_oat")
@@ -104,7 +104,7 @@ def random_oat(n: int, seed: int) -> BuildTree:
                 child = build(size - q_size)
                 z = rng.choice(range(start, len(nbrs)))
                 node = CliqueAttach(child, z, tuple(range(len(nbrs), len(nbrs) + q_size)))
-        _add_op(nbrs, node)
+        node._apply(nbrs)
         return node
 
     return build(n)

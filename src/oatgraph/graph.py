@@ -5,14 +5,14 @@ int with bit u set for each neighbour u of v.  Components, pendant cliques,
 properness and replay work on those bitmasks alone; the scans that want
 arrays (A@A, ``edges``, ``induced``, ``format_graph`` and the read-only
 ``Graph.adj``) unpack them when they run.  This module alone converts
-between bitmasks and arrays (``_pack``, ``_unpack``, ``_labels``).
+between bitmasks and arrays (``_pack``, ``_unpack``, ``_labels``, ``_mask``).
 
 ``Graph(n, edges)`` and the plain edge-list reader take their edges as a
-whole: they turn them into two int64 endpoint arrays, check those with
-array operations and fill a boolean matrix with two fancy-index stores
-(``_add_edges``), so no Python bytecode runs per edge unless an edge is
-faulty.  Every reader packs its filled matrix into the bitmasks and drops
-it.  A plain edge list (ASCII digits, blanks, ``\\r`` and ``\\n``
+whole, as two int64 endpoint arrays checked with array operations, so no
+Python bytecode runs per edge unless an edge is faulty.  They and the
+general reader hand their endpoint arrays to one fill (``_fill``): two
+fancy-index stores into a boolean matrix, packed into the bitmasks and
+dropped.  A plain edge list (ASCII digits, blanks, ``\\r`` and ``\\n``
 only, two short unsigned integers per line) is read so, in one C-level
 pass over its bytes.  Every other text, and every faulty one, goes
 through the general reader, one line at a time; it is the only reader
@@ -25,7 +25,7 @@ import functools
 import itertools
 import operator
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,23 +56,8 @@ class Graph:
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         _check_dense_budget(n)
-        adj = np.zeros((n, n), dtype=bool)
-        stream = iter(edges)
-        while chunk := list(itertools.islice(stream, _EDGE_CHUNK)):
-            if set(map(len, chunk)) != {2}:
-                item = next(e for e in chunk if len(e) != 2)
-                raise ValueError(f"edge {item!r} is not a (u, v) pair")
-            ends = _vertex_array(list(map(operator.index, itertools.chain.from_iterable(chunk))), n)
-            us, vs = ends[0::2], ends[1::2]
-            wrong = np.flatnonzero((us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs))
-            if len(wrong):
-                u, v = chunk[wrong[0]]
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-                raise ValueError(f"self-loop at vertex {u}")
-            _add_edges(adj, us, vs)
         self.n: int = n
-        self._masks: list[int] = _pack(adj)
+        self._masks: list[int] = _fill(n, _endpoints(edges, n))
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> Graph:
@@ -172,6 +157,11 @@ def _labels(mask: int) -> np.ndarray:
     """The set bits of mask as an ascending label array, unpacked in C."""
     raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little"))
+
+
+def _mask(labels: np.ndarray) -> int:
+    """_labels' inverse, summed in Python: most arrays turned back hold 0-2 labels."""
+    return sum(1 << w for w in labels.tolist())
 
 
 def mask_components(masks: Sequence[int], unseen: int, *, complement: bool = False) -> list[int]:
@@ -304,20 +294,35 @@ def _check_dense_budget(n: int) -> None:
         )
 
 
-def _vertex_array(values: list[int], n: int) -> np.ndarray:
-    """values as an int64 array.  A value beyond int64 is out of range for
-    any n, so it is clipped to -1 or n, which keeps it out of range on the
-    same side."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object).clip(-1, n).astype(np.int64)
+def _endpoints(edges: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Graph(n, edges)'s edges as checked endpoint arrays, _EDGE_CHUNK at a time."""
+    stream = iter(edges)
+    while chunk := list(itertools.islice(stream, _EDGE_CHUNK)):
+        if set(map(len, chunk)) != {2}:
+            item = next(e for e in chunk if len(e) != 2)
+            raise ValueError(f"edge {item!r} is not a (u, v) pair")
+        flat = list(map(operator.index, itertools.chain.from_iterable(chunk)))
+        try:
+            ends = np.array(flat, dtype=np.int64)
+        except OverflowError:  # beyond int64 is out of range for any n: clip it, keeping its side
+            ends = np.array(flat, dtype=object).clip(-1, n).astype(np.int64)
+        us, vs = ends[0::2], ends[1::2]
+        wrong = np.flatnonzero((us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs))
+        if len(wrong):
+            u, v = chunk[wrong[0]]
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            raise ValueError(f"self-loop at vertex {u}")
+        yield us, vs
 
 
-def _add_edges(adj: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
-    """Set the edges (us[i], vs[i]) of adj in both directions."""
-    adj[us, vs] = True
-    adj[vs, us] = True
+def _fill(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
+    """n vertices' bitmasks with each chunk's checked edges: the readers' one n x n fill."""
+    adj = np.zeros((n, n), dtype=bool)
+    for us, vs in chunks:
+        adj[us, vs] = True
+        adj[vs, us] = True
+    return _pack(adj)
 
 
 # Byte classes of a plain edge list; every byte outside them is _OTHER.
@@ -378,11 +383,8 @@ def _parse_plain(text: str) -> Graph | None:
         return None
     if m and not ((us < vs).all() and (vs < n).all()):
         return None
-    adj = np.zeros((n, n), dtype=bool)
-    _add_edges(adj, us, vs)
-    if np.count_nonzero(adj) != 2 * m:
-        return None  # a duplicate edge
-    return Graph._from_masks(_pack(adj))
+    g = Graph._from_masks(_fill(n, [(us, vs)]))
+    return g if g.edge_count == m else None  # else a duplicate edge
 
 
 def parse_graph(text: str) -> Graph:
@@ -461,9 +463,7 @@ def _parse_general(text: str) -> Graph:
             raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
         seen.add(u * n + v)
     us, vs = np.divmod(np.fromiter(seen, dtype=np.int64, count=len(seen)), n)
-    adj = np.zeros((n, n), dtype=bool)
-    _add_edges(adj, us, vs)
-    return Graph._from_masks(_pack(adj))
+    return Graph._from_masks(_fill(n, [(us, vs)]))
 
 
 def format_graph(g: Graph) -> str:

@@ -74,7 +74,7 @@ import numpy as np
 from ._util import iter_bits
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union, _fold
 from .errors import StepConsistencyError
-from .graph import Graph, _dominators, _labels, adjacency_square, find_comparable_pair
+from .graph import Graph, _dominators, _labels, _mask, adjacency_square, find_comparable_pair
 from .graph import mask_components, pendant_clique
 
 # A graph whose mean degree is below this builds no A@A: its whole index is
@@ -147,7 +147,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
         m.setflags(write=True)  # a fresh array nothing else holds: the shared buffer
         everyone = np.arange(g.n)
         dom = _dominators(m, m.diagonal(), everyone, everyone)
-    has_dom = sum(1 << w for w in np.flatnonzero(dom >= 0).tolist())
+    has_dom = _mask(np.flatnonzero(dom >= 0))
 
     def check(task: _Task) -> None:
         nonlocal checks
@@ -163,7 +163,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             at = np.arange(len(labels))
             want = _dominators(fresh, fresh.diagonal(), at, at)
             want = np.where(want >= 0, labels[want], -1)
-            flags = sum(1 << w for w in labels[want >= 0].tolist())
+            flags = _mask(labels[want >= 0])
             if not np.array_equal(dom[labels], want) or has_dom & task.alive != flags:
                 raise StepConsistencyError(
                     "comparable index drifted from the dominators a fresh A@A gives"
@@ -231,15 +231,13 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 near = masks[u] & alive
                 xs = tuple(iter_bits(near))
                 if m is not None:
-                    rows = np.array(xs)
+                    rows = _labels(near)
                     m[rows[:, None], rows] -= 1
                 stack.append((Comparable, u, int(dom[u]), xs))
                 alive ^= 1 << u
                 has_dom ^= 1 << u
                 dom[u] = -1
-                stale = near
-                for w in (dom == u).nonzero()[0].tolist():
-                    stale |= 1 << w
+                stale = near | _mask((dom == u).nonzero()[0])
             else:
                 found = pendant_clique(masks, alive)
                 if found is None:
@@ -273,7 +271,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 labels = _labels(alive)
                 new = _dominators(m[rows][:, labels], m[rows, rows], rows, labels)
                 dom[rows] = new
-                kept = sum(1 << w for w in rows[new >= 0].tolist())
+                kept = _mask(rows[new >= 0])
             has_dom = has_dom & ~stale | kept
             task.alive = alive
             check(task)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import pickle
 import random
@@ -352,6 +353,63 @@ class TestReplay:
         seen = list(walk_postorder(P3_TREE))
         assert seen[-1] is P3_TREE
         assert isinstance(seen[0], Leaf)
+
+
+def defined_neighbours(t) -> list[tuple[int, ...]]:
+    """Each vertex's neighbours in t's graph, ascending, from the four
+    definitions, each node adding its own edges: a join links every left
+    vertex to every right one, a comparable u meets exactly X, and an
+    attached clique Q is complete and meets z."""
+    verts: dict[int, set[int]] = {}  # each subtree's vertices, by the id of its root
+    edges = set()
+    for node in walk_postorder(t):
+        if isinstance(node, Leaf):
+            own = {node.v}
+        elif isinstance(node, (Union, Join)):
+            left, right = verts.pop(id(node.left)), verts.pop(id(node.right))
+            if isinstance(node, Join):
+                edges.update(itertools.product(left, right))
+            own = left | right
+        elif isinstance(node, Comparable):
+            edges.update((node.u, x) for x in node.X)
+            own = verts.pop(id(node.child)) | {node.u}
+        else:
+            edges.update(itertools.combinations([node.z, *node.Q], 2))
+            own = verts.pop(id(node.child)) | set(node.Q)
+        verts[id(node)] = own
+    nbrs = [set() for _ in range(t.verts.bit_count())]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return [tuple(sorted(s)) for s in nbrs]
+
+
+def neighbours(g: Graph) -> list[tuple[int, ...]]:
+    """Each vertex's neighbours, read off its own bitmask: an edge set at
+    one end only shows."""
+    return [g.neighbours(v) for v in range(g.n)]
+
+
+class TestEdgeRules:
+    """replay's neighbourhoods against defined_neighbours, on generated,
+    recognised and deep trees; each TestReplay case checks one small tree."""
+
+    @given(st.integers(1, 60), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_members_and_the_trees_recognised_from_them(self, n, seed):
+        t = random_oat(n, seed)
+        g = replay(t)
+        assert neighbours(g) == defined_neighbours(t)
+        perm = random.Random(seed).sample(range(n), n)
+        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        found = recognize(h).tree
+        assert neighbours(replay(found)) == defined_neighbours(found) == neighbours(h)
+
+    @pytest.mark.parametrize(
+        "t", [path_tree(600), ladder_tree(100)], ids=["path_600", "ladder_100"]
+    )
+    def test_deep_trees(self, t):
+        assert neighbours(replay(t)) == defined_neighbours(t)
 
 
 class TestChiOmega:

@@ -490,6 +490,15 @@ def test_empty_r_file_exits_2_with_one_line(capsys):
             )
             for argv in (["path", "3"], ["domino"], ["p4_sparse", "2"], ["moebius", "5"])
         ),
+        *(
+            (
+                ["gen", *argv, "--r-file", "G"],
+                f"--r-file is for p4_sparse only; {argv[0]} has no joined part",
+            )
+            for argv in (["path", "3"], ["domino"], ["random_oat", "5"], ["moebius", "5"])
+        ),
+        (["gen", "domino", "5"], "domino is a fixture and takes no size parameter"),
+        (["gen", "gem", "0"], "gem is a fixture and takes no size parameter"),
     ],
 )
 def test_refusal_exits_2_with_its_one_line(tmp_path, capsys, argv, line):

@@ -526,13 +526,16 @@ class TestStoredReplay:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = {"ops": 0}
-        add_op = buildtree._add_op
 
-        def counting(*args):
-            calls["ops"] += 1
-            return add_op(*args)
+        def counting(apply):
+            def counted_apply(node, nbrs):
+                calls["ops"] += 1
+                return apply(node, nbrs)
 
-        monkeypatch.setattr(buildtree, "_add_op", counting)
+            return counted_apply
+
+        for cls in (Leaf, Union, Join, buildtree.Comparable, CliqueAttach):
+            monkeypatch.setattr(cls, "_apply", counting(cls._apply))
         return calls
 
     @pytest.fixture
