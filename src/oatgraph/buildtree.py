@@ -10,7 +10,8 @@ path is routed through.
 Each operation is declared once, on its node class: its JSON name and its
 child and label fields, their only declaration.  A tree's flat form, its
 postorder of (node class, *labels) entries, makes the trees of recognize and
-tree_from_json and carries equality and pickle; nothing here recurses.
+tree_from_json and carries equality and pickle; nothing here recurses.  One
+pre-order writer over the same fields writes a tree's repr and its JSON text.
 Nodes are immutable, so a copy of a tree is the tree itself.  Each node
 holds its chromatic number chi and its vertex bitmask verts.
 
@@ -29,8 +30,9 @@ replay is no field, so equality, hashing, repr and pickle never see it.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ._util import Frozen, is_int, iter_bits
 from .colouring import Colouring, Palette
@@ -95,22 +97,8 @@ class _Node(Frozen):
         return self
 
     def __repr__(self):
-        # The constructor call by name, e.g. Comparable(child=Leaf(v=0), u=1,
-        # v=0, X=()), written from a stack of pending text and nodes.
-        out: list[str] = []
-        todo: list[Any] = [self]
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            parts = [f"{type(item).__name__}("]
-            for i, f in enumerate((*item._kids, *item._own)):
-                val = getattr(item, f)
-                parts += [f"{', ' if i else ''}{f}=", val if f in item._kids else repr(val)]
-            parts.append(")")
-            todo.extend(reversed(parts))
-        return "".join(out)
+        # The constructor call by name, e.g. Comparable(child=Leaf(v=0), u=1, v=0, X=())
+        return _text(self, "{0.__class__.__name__}(", "{}=", repr, ")")
 
 
 def _added(op: str, child: int, *labels: int) -> int:
@@ -254,6 +242,27 @@ def walk_postorder(t: BuildTree) -> Iterator[BuildTree]:
             stack.append((getattr(node, f), False))
 
 
+def _text(t: BuildTree, head: str, key: str, label: Callable[[Any], str], close: str) -> str:
+    """t's text, node by node in pre-order from a stack of pending text and
+    nodes: head.format(node), then its fields, children first, joined by
+    ", ", each as key.format(name) and the child's text or label(value),
+    then close."""
+    out: list[str] = []
+    todo: list[Any] = [t]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        parts = [head.format(item)]
+        for i, f in enumerate((*item._kids, *item._own)):
+            val = getattr(item, f)
+            parts += [(", " if i else "") + key.format(f), val if f in item._kids else label(val)]
+        parts.append(close)
+        todo.extend(reversed(parts))
+    return "".join(out)
+
+
 def _postorder(t: BuildTree) -> Iterator[tuple]:
     """t's flat form: per node, children first, its class and own labels."""
     for node in walk_postorder(t):
@@ -326,8 +335,8 @@ def validate(t: BuildTree, g: Graph) -> bool:
 def canonical_colouring(t: BuildTree, colours: Palette | Sequence[int]) -> Colouring:
     """The canonical colouring over an ordered palette of exactly chi colours.
 
-    Each node colours with exactly chi(node) colours handed down to it:
-    union children take prefixes, join children split the palette, a
+    Each node colours with the first chi(node) colours handed down to it:
+    union children share the palette, join children split it, a
     comparable vertex copies its anchor, and an attached clique takes the
     first |Q| colours that remain after removing the anchor's colour.
     """
@@ -343,23 +352,23 @@ def canonical_colouring(t: BuildTree, colours: Palette | Sequence[int]) -> Colou
             out[node.u] = out[node.v]
         elif kind == "fill":
             cstar = out[node.z]
-            avail = [x for x in c if x != cstar]
+            avail = (x for x in c if x != cstar)
             for q, col in zip(node.Q, avail):
                 out[q] = col
         elif isinstance(node, Leaf):
             out[node.v] = c[0]
         elif isinstance(node, Union):
-            work.append(("colour", node.right, c[: node.right.chi]))
-            work.append(("colour", node.left, c[: node.left.chi]))
+            work.append(("colour", node.right, c))
+            work.append(("colour", node.left, c))
         elif isinstance(node, Join):
             work.append(("colour", node.right, c[node.left.chi :]))
-            work.append(("colour", node.left, c[: node.left.chi]))
+            work.append(("colour", node.left, c))
         elif isinstance(node, Comparable):
             work.append(("echo", node, ()))
             work.append(("colour", node.child, c))
         else:
             work.append(("fill", node, c))
-            work.append(("colour", node.child, c[: node.child.chi]))
+            work.append(("colour", node.child, c))
     return Colouring(tuple(out), pal)
 
 
@@ -376,6 +385,12 @@ def tree_to_json(t: BuildTree) -> dict[str, Any]:
             obj[f] = val if kind is int else list(val)
         built.append(obj)
     return built.pop()
+
+
+def _tree_text(t: BuildTree) -> str:
+    """json.dumps(tree_to_json(t)), byte for byte, written from the nodes at
+    any depth, with no dict made per node."""
+    return _text(t, '{{"op": "{0._op}", ', '"{}": ', json.dumps, "}")
 
 
 # Each JSON op name, with its node class and the fields its object holds.

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from ._util import is_int
-from .buildtree import canonical_colouring, chi_omega, replay, tree_to_json
+from .buildtree import _tree_text, canonical_colouring, chi_omega, replay
 from .colouring import Colouring, Palette, colouring_from_json, colouring_to_json
 from .errors import ColouringError, GraphFormatError, OatGraphError, SizeBudgetError
 from .generators import (
@@ -81,32 +81,8 @@ def _read_colouring(path: str, palette: Palette) -> Colouring:
     return Colouring(loaded.assignment, palette)
 
 
-def _json_text(doc: dict) -> str:
-    """json.dumps(doc), byte for byte, without recursing per level of nested
-    objects, so a build tree of any depth can be written.  Objects are
-    walked on an explicit stack; every other value, lists included, goes to
-    the json encoder whole."""
-    encode = json.JSONEncoder().encode
-    parts: list[str] = []
-    todo: list[tuple[Any, bool]] = [(doc, False)]  # (value, False), or (text, True)
-    while todo:
-        val, is_text = todo.pop()
-        if is_text:
-            parts.append(val)
-        elif not isinstance(val, dict) or not val:
-            parts.append(encode(val))
-        else:
-            items: list[tuple[Any, bool]] = []
-            for i, (key, sub) in enumerate(val.items()):
-                items.append((f"{', ' if i else '{'}{encode(key)}: ", True))
-                items.append((sub, False))
-            items.append(("}", True))
-            todo.extend(reversed(items))
-    return "".join(parts)
-
-
 def _emit(doc: dict) -> None:
-    sys.stdout.write(_json_text({"format_version": 1, **doc}) + "\n")
+    sys.stdout.write(json.dumps({"format_version": 1, **doc}) + "\n")
 
 
 def _emit_sequence(seq: RecolouringSequence) -> None:
@@ -114,7 +90,7 @@ def _emit_sequence(seq: RecolouringSequence) -> None:
     from the sequence's int columns a slice at a time: no dict is made per
     step, and the text of one slice is the most held at once."""
     write = sys.stdout.write
-    head = _json_text({"format_version": 1, "initial": colouring_to_json(seq.initial)})
+    head = json.dumps({"format_version": 1, "initial": colouring_to_json(seq.initial)})
     write(head[:-1] + ', "steps": [')  # the head without its closing brace
     step = '{{"v": {}, "c": {}}}'.format
     vs, cs = seq._vs, seq._cs
@@ -145,12 +121,12 @@ def cmd_recognize(args: argparse.Namespace) -> int:
         return 1
     chi, omega = chi_omega(out.tree)
     if args.json or args.tree_out is not None:
-        tree = _json_text(tree_to_json(out.tree))
+        tree = _tree_text(out.tree)
     if args.tree_out is not None:
         _write_text(args.tree_out, tree + "\n")
     if args.json:
         # _emit of the report with the tree last, the tree's text spliced in
-        head = _json_text({"format_version": 1, "oat": True, "chi": chi, "omega": omega})
+        head = json.dumps({"format_version": 1, "oat": True, "chi": chi, "omega": omega})
         sys.stdout.write(head[:-1] + ', "tree": ' + tree + "}\n")
     else:
         print(f"recognised: {g.n} vertices, chi = omega = {chi}")
@@ -205,8 +181,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
     if args.tree_out is not None and family != "random_oat":
         raise ValueError(f"--tree-out is for random_oat only; {family} has no build tree")
+    if args.seed is not None and family != "random_oat":
+        raise ValueError(f"--seed is for random_oat only; {family} takes no seed")
     if args.r_file is not None and family != "p4_sparse":
         raise ValueError(f"--r-file is for p4_sparse only; {family} has no joined part")
+    if args.case is not None and family != "p4_sparse":
+        raise ValueError(f"--case is for p4_sparse only; {family} has no cases")
     if family in FIXTURE_NAMES:
         if args.param is not None:
             raise ValueError(f"{family} is a fixture and takes no size parameter")
@@ -218,15 +198,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif family == "random_oat":
         if args.param is None:
             raise ValueError("random_oat needs a vertex count")
-        tree = random_oat(args.param, args.seed)
+        tree = random_oat(args.param, args.seed or 0)
         if args.tree_out is not None:
-            _write_text(args.tree_out, _json_text(tree_to_json(tree)) + "\n")
+            _write_text(args.tree_out, _tree_text(tree) + "\n")
         g = replay(tree)
     elif family == "p4_sparse":
         if args.param is None:
             raise ValueError("p4_sparse needs the size of the edgeless part")
         r = _read_graph(args.r_file) if args.r_file is not None else None
-        g = p4_sparse_third_op(args.param, r, args.case)
+        g = p4_sparse_third_op(args.param, r, args.case or "pendant")
     else:
         known = ", ".join(CLASSIC_FAMILIES + FIXTURE_NAMES + ("random_oat", "p4_sparse"))
         raise ValueError(f"unknown family {family!r}; choose from {known}")
@@ -296,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a generated graph in the edge-list format")
     p.add_argument("family", help="path/cycle/complete/complete_bipartite_minus_matching, a fixture name, random_oat, or p4_sparse")
     p.add_argument("param", type=int, nargs="?", help="size parameter where the family needs one")
-    p.add_argument("--seed", type=int, default=0, help="seed for random_oat")
-    p.add_argument("--case", choices=("pendant", "anti"), default="pendant", help="p4_sparse flavour")
+    p.add_argument("--seed", type=int, help="seed for random_oat (default 0)")
+    p.add_argument("--case", choices=("pendant", "anti"), help="p4_sparse flavour (default pendant)")
     p.add_argument("--r-file", help="graph file for the joined part of p4_sparse")
     p.add_argument("--tree-out", help="for random_oat: also write the build tree JSON")
     p.set_defaults(func=cmd_gen)

@@ -79,7 +79,7 @@ def random_oat(n: int, seed: int) -> BuildTree:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    _check_dense_budget(n)  # replay makes an n x n matrix of this tree
+    _check_dense_budget(n)  # the graph this tree replays to must fit, checked before any label
     rng = random.Random(f"random-oat-{n}-{seed}")
     nbrs: dict[int, int] = {}  # neighbour bitmasks in build order, as replay keeps them
 

@@ -335,13 +335,13 @@ def _walk(
                 push((twin, c, None))
 
     def walk(node: BuildTree, lo: int, s_node: tuple[int, ...], c_node: tuple[int, ...]):
-        """Make the subtree at node, whose vertices start at order[lo], canonical."""
+        """Make the subtree at node, from order[lo], canonical over c_node[: node.chi]."""
         if isinstance(node, Leaf):
             recolour((node.v,), c_node[0])
         elif isinstance(node, Union):
             mid = lo + node.left.verts.bit_count()
-            work.append((walk, node.right, mid, s_node, c_node[: node.right.chi]))
-            work.append((walk, node.left, lo, s_node, c_node[: node.left.chi]))
+            work.append((walk, node.right, mid, s_node, c_node))
+            work.append((walk, node.left, lo, s_node, c_node))
         elif isinstance(node, Join):
             left, right = node.left, node.right
             mid = lo + left.verts.bit_count()
@@ -379,12 +379,12 @@ def _walk(
         else:
             guards[node.z].append((node.Q, s_node))
             work.append((clique_done, node, s_node, c_node))
-            work.append((walk, node.child, lo, s_node, c_node[: node.child.chi]))
+            work.append((walk, node.child, lo, s_node, c_node))
 
     def clique_done(node: CliqueAttach, s_node: tuple[int, ...], c_node: tuple[int, ...]):
         guards[node.z].pop()
         cstar = state[node.z]
-        to = dict(zip([state[q] for q in node.Q], [c for c in c_node if c != cstar]))
+        to = dict(zip([state[q] for q in node.Q], (c for c in c_node if c != cstar)))
         _rename_plan(node.Q, state, to, tuple(x for x in s_node if x != cstar), recolour)
 
     # Each entry is a function and its arguments, the next one last.

@@ -33,6 +33,7 @@ from oatgraph import (
     validate,
     walk_postorder,
 )
+from oatgraph.buildtree import _tree_text
 
 from conftest import ladder_tree, path_tree
 
@@ -291,6 +292,35 @@ class TestRepr:
     def test_evaluates_back_to_an_equal_tree(self, seed):
         t = random_oat(40, seed)
         assert eval(repr(t)) == t
+
+
+class TestText:
+    """The node table's one pre-order writer, as the tree JSON's text against
+    json.dumps(tree_to_json(t)), and as repr against eval where Python's
+    parser reads it: it refuses more than 200 nested brackets, so the deep
+    trees check the shared walk through the JSON text alone."""
+
+    @given(st.integers(1, 59), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_members_and_the_trees_recognised_from_them(self, n, seed):
+        t = random_oat(n, seed)
+        perm = random.Random(seed).sample(range(n), n)
+        h = Graph(n, [(perm[u], perm[v]) for u, v in replay(t).edges()])
+        for tree in (t, recognize(h).tree):
+            assert _tree_text(tree) == json.dumps(tree_to_json(tree))
+            assert eval(repr(tree)) == tree
+
+    @pytest.mark.parametrize(
+        "t", [path_tree(600), ladder_tree(100)], ids=["path_600", "ladder_100"]
+    )
+    def test_deep_trees(self, t):
+        assert _tree_text(t) == json.dumps(tree_to_json(t))
+
+    def test_deep_chain_under_shallow_stack(self, shallow_stack):
+        text = _tree_text(path_tree(1500))
+        assert text.startswith('{"op": "comparable", "child": {"op": "comparable", "child": ')
+        assert text.endswith(', "u": 1, "v": 3, "X": [2]}, "u": 0, "v": 2, "X": [1]}')
+        assert text.count('"op": "comparable"') == 1497
 
 
 class TestReplay:

@@ -88,8 +88,8 @@ class TestRecognize:
         self, tmp_path, capsys, monkeypatch, flags, encodes
     ):
         texts = []
-        encode = cli._json_text
-        monkeypatch.setattr(cli, "_json_text", lambda doc: texts.append(encode(doc)) or texts[-1])
+        encode = cli._tree_text
+        monkeypatch.setattr(cli, "_tree_text", lambda t: texts.append(encode(t)) or texts[-1])
         argv = ["recognize", write_graph(tmp_path, fixture("domino").graph)]
         for flag in flags:
             argv += [flag, str(tmp_path / "tree.json")] if flag == "--tree-out" else [flag]
@@ -499,6 +499,20 @@ def test_empty_r_file_exits_2_with_one_line(capsys):
         ),
         (["gen", "domino", "5"], "domino is a fixture and takes no size parameter"),
         (["gen", "gem", "0"], "gem is a fixture and takes no size parameter"),
+        *(
+            (
+                ["gen", *argv, "--seed", "5"],
+                f"--seed is for random_oat only; {argv[0]} takes no seed",
+            )
+            for argv in (["path", "3"], ["domino"], ["p4_sparse", "2"], ["moebius", "5"])
+        ),
+        *(
+            (
+                ["gen", *argv, "--case", "anti"],
+                f"--case is for p4_sparse only; {argv[0]} has no cases",
+            )
+            for argv in (["path", "3"], ["domino"], ["random_oat", "5"], ["moebius", "5"])
+        ),
     ],
 )
 def test_refusal_exits_2_with_its_one_line(tmp_path, capsys, argv, line):

@@ -1,11 +1,12 @@
 """The command line's exit contract under generated input.
 
-cli.main runs in-process on recognize, canonical, recolor, verify and gen,
-fed edge-list texts mutated from edge_list_cases.py, colouring and sequence
-JSON with wrong types, huge ints, NaN, duplicate keys and deep nesting, and
-unwritable --tree-out paths.  Whatever the input, README's contract holds:
-exit 0, 1 or 2; on exit 2 exactly one "error: ..." line on stderr and
-nothing on stdout; and never an exception out of main.
+cli.main runs in-process on recognize, canonical, recolor, verify, oracle
+and gen, fed edge-list texts mutated from edge_list_cases.py, colouring and
+sequence JSON with wrong types, huge ints, NaN, duplicate keys and deep
+nesting, --k values from 0 to 10^12, and unwritable --tree-out paths.
+Whatever the input, README's contract holds: exit 0, 1 or 2; on exit 2
+exactly one "error: ..." line on stderr and nothing on stdout; and never an
+exception out of main.
 """
 
 import io
@@ -15,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from oatgraph import fixture, format_graph
+from oatgraph import classic, fixture, format_graph
 from oatgraph.cli import main
 
 from edge_list_cases import ACCEPTED, LONG, MALFORMED
@@ -28,6 +29,12 @@ ALPHABET = "0123456789-+_. x\t\r\n\x0b\x0c\x1c\x1f\x85\xa0\u2028\u0663\uff12"
 # The domino (chi 2) and a proper colouring of it over 1..3.
 DOMINO = format_graph(fixture("domino").graph)
 PROPER = [1, 2, 1, 2, 2, 1]
+
+# K_6, the oracle's graph for --k: below 6 colours it has no colouring, at 6
+# its 720 are all frozen, and from 7 the oracle's budget refuses it, so every
+# k gives a census in well under a second.  On the domino the budget admits
+# k = 6, whose census of 13,230 colourings takes 90 s on a 2-vCPU VM.
+K6 = format_graph(classic("complete", 6))
 
 # One settings for every test: few enough examples to take a few seconds.
 fuzz = settings(
@@ -163,6 +170,7 @@ def where(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
     colouring = {"palette": [1, 2, 3], "assignment": PROPER}
     (d / "domino.graph").write_text(DOMINO)
+    (d / "k6.graph").write_text(K6)
     (d / "domino-colouring.json").write_text(json.dumps(colouring))
     (d / "domino-walk.json").write_text(json.dumps({"initial": colouring, "steps": []}))
     return d
@@ -172,7 +180,7 @@ def where(tmp_path_factory):
 @given(
     text=edge_lists(),
     head=mostly(st.just(b""), st.just(b"\xff")),  # \xff: no UTF-8 text
-    command=st.sampled_from(["recognize", "canonical", "verify", "gen"]),
+    command=st.sampled_from(["recognize", "canonical", "verify", "oracle", "gen"]),
 )
 def test_edge_lists(where, text, head, command):
     path = where / "g.graph"
@@ -182,6 +190,8 @@ def test_edge_lists(where, text, head, command):
         "recognize": ["recognize", g, "--json"],
         "canonical": ["canonical", g],
         "verify": ["verify", g, str(where / "domino-walk.json")],
+        # one colour: at most one colouring, however many vertices the text names
+        "oracle": ["oracle", g, "--k", "1"],
         "gen": ["gen", "p4_sparse", "2", "--r-file", g],
     }[command]
     assert_contract(argv)
@@ -195,6 +205,21 @@ def test_colouring_json(where, doc, side):
     good = str(where / "domino-colouring.json")
     files = {"--from": good, "--to": good, side: str(bad)}
     assert_contract(["recolor", str(where / "domino.graph"), *sum(files.items(), ())])
+
+
+@fuzz
+@given(
+    k=st.one_of(st.integers(0, 8), st.integers(0, 10**12)),
+    command=st.sampled_from(["recolor", "oracle", "oracle --frozen"]),
+)
+def test_k(where, k, command):
+    domino, colouring = str(where / "domino.graph"), str(where / "domino-colouring.json")
+    argv = {
+        "recolor": ["recolor", domino, "--from", colouring, "--to", colouring],
+        "oracle": ["oracle", str(where / "k6.graph")],
+        "oracle --frozen": ["oracle", str(where / "k6.graph"), "--frozen"],
+    }[command]
+    assert_contract([*argv, "--k", str(k)])
 
 
 @fuzz
