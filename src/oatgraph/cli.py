@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 = success, 1 = negative domain answer (not a recognisable
-graph, invalid sequence), 2 = usage or format error.  Machine-readable
-outputs are JSON on stdout and carry "format_version": 1; progress notes
-go to stderr.
+graph, invalid sequence), 2 = usage or format error, or output that cannot
+be written.  Machine-readable outputs are JSON on stdout and carry
+"format_version": 1; progress notes go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -169,11 +170,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     _check_node_budget(g.n, args.k)  # before a k-colour palette is built
     r = build_reconfig(g, Palette.default(args.k))
-    stats = reconfig_stats(r)
-    if args.frozen:
-        _emit({"frozen_count": stats.frozen_count, "frozen": [list(a) for a in stats.frozen]})
+    if args.frozen:  # no BFS, so no census budget
+        frozen = r.frozen
+        _emit({"frozen_count": len(frozen), "frozen": [list(a) for a in frozen]})
     else:
-        _emit(stats.to_json())
+        _emit(reconfig_stats(r).to_json())
     return 0
 
 
@@ -297,9 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     except (OatGraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader of stdout is gone, as after `| head`.  What is still
+        # buffered goes to devnull, so that the flush at exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write to stdout: its reader closed it", file=sys.stderr)
         return 2
 
 

@@ -5,7 +5,8 @@ int with bit u set for each neighbour u of v.  Components, pendant cliques,
 properness and replay work on those bitmasks alone; the scans that want
 arrays (A@A, ``edges``, ``induced``, ``format_graph`` and the read-only
 ``Graph.adj``) unpack them when they run.  This module alone converts
-between bitmasks and arrays (``_pack``, ``_unpack``, ``_labels``, ``_mask``).
+between bitmasks and arrays (``_pack``, ``_unpack``, ``_labels``,
+``_indicator``, ``_mask``).
 
 ``Graph(n, edges)`` and the plain edge-list reader take their edges as a
 whole, as two int64 endpoint arrays checked with array operations, so no
@@ -32,13 +33,15 @@ import numpy as np
 from ._util import iter_bits
 from .errors import GraphFormatError, SizeBudgetError
 
-# Peak memory of recognising an n-vertex graph, in units of one n*n boolean
-# matrix plus one n*n int64 A@A.  A reader fills the boolean matrix before
-# it packs the graph's bitmasks, and A@A unpacks one again; building A@A
-# holds two n*n eight-byte matrices, the float64 product and its int64
-# copy, and the moves then patch that one copy in place.  The rest is
-# headroom for the bitmasks, n*n/8 bytes, and the index and rows of one
-# move.
+# A graph of n vertices is refused when _DENSE_FOOTPRINT_FACTOR * 9 n^2
+# bytes, 36 n^2, exceed physical memory.  Measured under tracemalloc on
+# random_oat members of 500 to 2000 vertices, recognition peaks at 8-14 n^2
+# bytes: building A@A holds two n x n four-byte matrices (the float32
+# adjacency and its product, then the product and its int32 copy), and a
+# refresh holds A@A, its stale rows and their gathered columns.  Reading a
+# dense member's plain edge list peaks at 14-25 n^2 bytes, since its byte
+# arrays grow with the text.  At 4 the budget sits well above both peaks;
+# a lower factor would admit larger graphs, a change to the budget itself.
 _DENSE_FOOTPRINT_FACTOR = 4
 
 # Graph(n, edges) takes its edges this many at a time, so that a lazy edge
@@ -159,6 +162,12 @@ def _labels(mask: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little"))
 
 
+def _indicator(mask: int, n: int) -> np.ndarray:
+    """mask's bits 0..n-1 as a 0/1 uint8 array over all n labels."""
+    raw = mask.to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little")
+
+
 def _mask(labels: np.ndarray) -> int:
     """_labels' inverse, summed in Python: most arrays turned back hold 0-2 labels."""
     return sum(1 << w for w in labels.tolist())
@@ -204,12 +213,22 @@ def complement_components(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def adjacency_square(g: Graph) -> np.ndarray:
-    """A@A, read-only int64: entry (u, v) counts common neighbours."""
-    # float64 matmul hits BLAS and stays exact for counts below 2**53.
-    a = g.adj.astype(np.float64)
+    """A@A, read-only int32: entry (u, v) counts common neighbours.
+
+    The product runs in float32 through BLAS.  Every count, and every
+    partial sum on the way to it, is an integer of at most n - 1, and
+    float32 holds each integer up to 2**24 exactly, so the product is exact
+    for n <= 2**24; the dense budget admits no n near that, and a larger
+    one is refused here.
+    """
+    if g.n > 1 << 24:
+        raise SizeBudgetError(
+            f"A@A in float32 is exact up to n = 2**24, got n = {g.n}", bound=1 << 24
+        )
+    a = g.adj.astype(np.float32)
     m = a @ a
-    del a  # so that no more than two n x n eight-byte matrices are alive
-    m = m.astype(np.int64)
+    del a  # so that no more than two n x n four-byte matrices are alive
+    m = m.astype(np.int32)
     m.setflags(write=False)
     return m
 

@@ -69,6 +69,11 @@ class ReconfigGraph:
         d = self.bfs_from(self.index_of(a))[self.index_of(b)]
         return None if d < 0 else d
 
+    @property
+    def frozen(self) -> tuple[tuple[int, ...], ...]:
+        """The isolated nodes: colourings no single-vertex move leaves."""
+        return tuple(a for a, nbrs in zip(self.nodes, self.adjacency) if not nbrs)
+
 
 _NODE_BUDGET = 2_000_000
 
@@ -90,6 +95,14 @@ def _check_node_budget(n: int, k: int) -> None:
             f"{k}^{n} * {n} * {k - 1} = {moves} recolourings exceed the budget of {_NODE_BUDGET}",
             bound=moves,
         )
+
+
+# reconfig_stats runs one BFS from each of N colourings over E moves, about
+# N (N + E) steps.  On a 2-vCPU x86 VM it ran 12-18 million steps a second
+# (edgeless graphs on 6 and 7 vertices over 3 colours, the domino over 4),
+# so this budget is a few seconds of BFS; an edgeless 8-vertex graph over 3
+# colours, 6,561 colourings and 387 million steps, took 22.7 s.
+_STATS_BUDGET = 40_000_000
 
 
 def build_reconfig(g: Graph, S: Palette) -> ReconfigGraph:
@@ -147,9 +160,19 @@ def reconfig_stats(r: ReconfigGraph) -> ReconfigStats:
     """Exact connectivity, diameters, and frozen nodes by BFS from every node.
 
     Components are numbered in order of their first node: a node that no
-    earlier node's BFS reached starts the next one.
+    earlier node's BFS reached starts the next one.  A census of more than
+    _STATS_BUDGET BFS steps is refused with SizeBudgetError before the
+    first BFS.
     """
     total = len(r.nodes)
+    moves = sum(map(len, r.adjacency)) // 2
+    steps = total * (total + moves)
+    if steps > _STATS_BUDGET:
+        raise SizeBudgetError(
+            f"a BFS from each of {total} colourings over {moves} moves, "
+            f"{steps} steps, exceeds the census budget of {_STATS_BUDGET}",
+            bound=steps,
+        )
     comp_ids = [-1] * total
     comp_diam: list[int] = []
     for i in range(total):
@@ -163,8 +186,7 @@ def reconfig_stats(r: ReconfigGraph) -> ReconfigStats:
         comp_diam[cid] = max(comp_diam[cid], max(dist))
     connected = len(comp_diam) <= 1
     diameter = comp_diam[0] if connected and total else None
-    frozen = tuple(r.nodes[i] for i in range(total) if not r.adjacency[i])
-    return ReconfigStats(total, connected, diameter, tuple(comp_diam), frozen)
+    return ReconfigStats(total, connected, diameter, tuple(comp_diam), r.frozen)
 
 
 def is_frozen(g: Graph, colouring: Colouring) -> bool:

@@ -18,17 +18,22 @@ and a Union or Join entry below each later part, so the first part is
 explored first and the parts fold left-associatively as they finish.
 
 Whether common neighbours are counted at all is chosen once per graph,
-from its mean degree.  A dense graph counts them in one n x n A@A for the
-whole run, indexed by original label.  Tasks on the stack have disjoint
-vertex sets, so each owns the block of its labels, and each tail move
-patches that block in place, at the move, instead of paying an extra
-factor n to recompute it.  Splits write nothing.  A union's parts share no
-neighbours; a join's other parts are common neighbours of every pair in a
-part, so a join leaves the part's block one constant too high, the task's
-shift, summed over the joins above it.  Every dominance test compares a
-row's entries with its diagonal inside one block, so the shift changes no
-pick; only verify_a2 subtracts it.  A sparse graph builds no A@A and
-patches nothing: it reads every dominator off the masks.
+from its mean degree.  A dense graph counts them in one n x n int32 A@A
+for the whole run, indexed by original label.  Tasks on the stack have
+disjoint vertex sets, so each owns the block of its labels, and each tail
+move patches that block in place, at the move, instead of paying an extra
+factor n to recompute it.  A comparable move takes 1 off every pair in
+N(u) x N(u).  When N(u) is wide, more than n / _WIDE_MOVE labels, it
+subtracts the outer product of N(u)'s 0/1 indicator from the whole matrix
+at once: the product is zero outside N(u) x N(u), and N(u) lies in u's
+task, so no other task's block changes.  A narrower move patches the
+N(u) x N(u) block by fancy indexing.  Splits write nothing.  A union's
+parts share no neighbours; a join's other parts are common neighbours of
+every pair in a part, so a join leaves the part's block one constant too
+high, the task's shift, summed over the joins above it.  Every dominance
+test compares a row's entries with its diagonal inside one block, so the
+shift changes no pick; only verify_a2 subtracts it.  A sparse graph
+builds no A@A and patches nothing: it reads every dominator off the masks.
 dom[u] indexes the comparable moves: the smallest v != u in u's task with
 N(u) a subset of N(v), or -1; has_dom is the bitmask of the labels with
 dom[u] >= 0.  A task's next comparable move removes the lowest bit of
@@ -48,14 +53,15 @@ the lowest is the dominator, for one big-int AND per neighbour.  It reads
 its initial index so too; a refresh's rows have fewer than 2m < 8n
 neighbours between them, so each of the at most n moves costs O(n^2) word
 operations.  A dense graph compares the stale rows of A@A with their
-diagonals over the task's labels, unpacked from its bitmask for that
-compare only; the move has patched the matrix just before, so the compare
-reads current counts.  Memory is that one A@A, the index and the rows
-refreshed by one move, O(n^2), on a dense graph, and the masks, n^2 bits,
-and the index on a sparse one.  verify_a2 checks the first task's index
-before any move, then every new task's block, less its shift, where there
-is a matrix, and every dominator of its labels and every index pick,
-against a fresh recomputation, the reference.
+diagonals over the task's labels, the rows gathered whole and their
+columns compressed by the task's 0/1 indicator for that compare only; the
+move has patched the matrix just before, so the compare reads current
+counts.  Memory is that one A@A, the index and the rows refreshed by one
+move, O(n^2), on a dense graph, and the masks, n^2 bits, and the index on
+a sparse one.  verify_a2 checks the first task's index before any move,
+then every new task's block, less its shift, where there is a matrix, and
+every dominator of its labels and every index pick, against a fresh
+recomputation, the reference.
 
 Components, co-components and pendant cliques are read off neighbourhood
 bitmasks over the original labels, intersected with the task's vertex set.
@@ -74,8 +80,8 @@ import numpy as np
 from ._util import iter_bits
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union, _fold
 from .errors import StepConsistencyError
-from .graph import Graph, _dominators, _labels, _mask, adjacency_square, find_comparable_pair
-from .graph import mask_components, pendant_clique
+from .graph import Graph, _dominators, _indicator, _labels, _mask, adjacency_square
+from .graph import find_comparable_pair, mask_components, pendant_clique
 
 # A graph whose mean degree is below this builds no A@A: its whole index is
 # read off the masks.  A mask read costs one big-int AND per neighbour, so
@@ -91,6 +97,21 @@ from .graph import mask_components, pendant_clique
 # they hold no n x n matrix: relabelled P_2000 peaks at 1.5 MiB under
 # tracemalloc against 61 MiB with A@A.
 _SPARSE_DEGREE = 8
+
+# A comparable move patches A@A with one whole-matrix subtract of N(u)'s
+# outer product when _WIDE_MOVE |N(u)| > n, else with a fancy-indexed
+# N(u) x N(u) patch.  The subtract costs the same at any |N(u)|, while the
+# patch grows with |N(u)|^2 at several times the cost per entry.  The outer
+# product of a uint8 indicator is n^2 bytes; at n = 2000 its subtract took
+# 1.9 ms, an int32 one 4.2 ms.  Swept on a 2-vCPU x86 VM with one BLAS
+# thread (minimum of 3-7 runs), the dense benchmark's inputs took 71.8 ms in
+# all with no subtract, 68.8, 69.4 and 71.1 ms at 4, 8 and 16, and 72.1 ms
+# with a subtract at every move; random_oat(2000, 0) took 2.94 s with no
+# subtract, 1.55, 1.48-1.58, 1.43 and 1.49 s at 4, 8, 16 and 32, and 1.64 s
+# with a subtract at every move, and random_oat(500, 11) 103, 57-60 and
+# 57 ms with none, at 8 and at every move.  Between 4 and 32 the choice is
+# within the noise; at either end it is not.
+_WIDE_MOVE = 8
 
 
 @dataclass(frozen=True)
@@ -230,7 +251,10 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 # (diagonal included: those degrees drop by 1).
                 near = masks[u] & alive
                 xs = tuple(iter_bits(near))
-                if m is not None:
+                if m is not None and _WIDE_MOVE * near.bit_count() > g.n:
+                    b = _indicator(near, g.n)
+                    np.subtract(m, np.multiply.outer(b, b), out=m)
+                elif m is not None:
                     rows = _labels(near)
                     m[rows[:, None], rows] -= 1
                 stack.append((Comparable, u, int(dom[u]), xs))
@@ -268,8 +292,9 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                         kept |= 1 << w
             else:
                 rows = _labels(stale)
-                labels = _labels(alive)
-                new = _dominators(m[rows][:, labels], m[rows, rows], rows, labels)
+                cols = _indicator(alive, g.n).view(bool)
+                block = np.compress(cols, m[rows], axis=1)
+                new = _dominators(block, m[rows, rows], rows, np.flatnonzero(cols))
                 dom[rows] = new
                 kept = _mask(rows[new >= 0])
             has_dom = has_dom & ~stale | kept

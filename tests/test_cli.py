@@ -284,6 +284,33 @@ class TestOracle:
         assert main(["oracle", gp, "--k", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["nodes"] == 3
 
+    def test_census_past_its_bfs_budget_exits_2_but_frozen_answers(self, tmp_path, capsys):
+        # 3^8 = 6,561 colourings are within the build budget, but a BFS from
+        # each takes 387,420,489 steps; --frozen runs no BFS.
+        gp = write_graph(tmp_path, Graph(8))
+        assert main(["oracle", gp, "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a BFS from each of 6561 colourings over 52488 moves, "
+            "387420489 steps, exceeds the census budget of 40000000\n"
+        )
+        assert main(["oracle", gp, "--k", "3", "--frozen"]) == 0
+        assert json.loads(capsys.readouterr().out)["frozen_count"] == 0
+
+    def test_census_within_its_bfs_budget_answers(self, tmp_path, capsys):
+        # 729 colourings, each vertex recoloured at most once on a shortest walk
+        gp = write_graph(tmp_path, Graph(6))
+        assert main(["oracle", gp, "--k", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {
+            "format_version": 1,
+            "nodes": 729,
+            "connected": True,
+            "diameter": 6,
+            "frozen_count": 0,
+        }
+
     def test_budget_message_names_a_huge_count_by_its_power(self, tmp_path, capsys):
         # 4^8000 has 4,817 digits, more than str() of an int will write
         gp = tmp_path / "p8000.graph"
@@ -594,6 +621,25 @@ def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_closed_stdout_exits_2_with_one_line(tmp_path):
+    # P_400's walk between these 3-colourings is 79,800 steps, far more text
+    # than a pipe holds, so recolor is still writing when the reader closes.
+    n = 400
+    gp = write_graph(tmp_path, classic("path", n))
+    S = Palette.default(3)
+    a = write_colouring(tmp_path, tuple(1 + i % 3 for i in range(n)), S, "a.json")
+    b = write_colouring(tmp_path, tuple([1, 3, 2][i % 3] for i in range(n)), S, "b.json")
+    argv = [sys.executable, "-m", "oatgraph", "recolor", gp, "--from", a, "--to", b]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert head.startswith(b'{"format_version": 1, "initial": ')
+    assert code == 2
+    assert err == "error: cannot write to stdout: its reader closed it\n"
 
 
 def test_console_script_smoke(tmp_path):

@@ -509,7 +509,15 @@ class TestAdjacencySquare:
         want = g.adj.astype(np.int64) @ g.adj.astype(np.int64)
         assert np.array_equal(a2, want)
         assert np.array_equal(a2.diagonal(), g.adj.sum(axis=1))
-        assert a2.dtype == np.int64 and not a2.flags.writeable
+        assert a2.dtype == np.int32 and not a2.flags.writeable
+
+    def test_refuses_counts_float32_cannot_hold(self):
+        # Only n is read before the refusal, so no matrix is made.
+        class Huge:
+            n = (1 << 24) + 1
+
+        with pytest.raises(SizeBudgetError, match=r"exact up to n = 2\*\*24"):
+            adjacency_square(Huge())
 
 
 class TestComparablePair:

@@ -101,6 +101,13 @@ class TestBuildReconfig:
         )
         assert peak < 1 << 20
 
+    def test_census_past_its_bfs_budget_is_refused_after_the_build(self):
+        r = build_reconfig(Graph(8), Palette.default(3))
+        assert r.node_count == 6561 and len(r.frozen) == 0
+        with pytest.raises(SizeBudgetError) as info:
+            reconfig_stats(r)
+        assert info.value.bound == 6561 * (6561 + 6561 * 8)
+
     def test_distance_and_membership(self):
         r = build_reconfig(classic("path", 2), Palette.default(3))
         assert r.distance((1, 2), (2, 1)) == 3
