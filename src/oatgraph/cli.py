@@ -296,6 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # One BLAS thread, unless the caller chose a count: OpenBLAS reads this
+    # when numpy is first imported, which in a command comes after this
+    # line, and its idle workers otherwise spin on after the A@A product,
+    # using CPU time the rest of the command does not get back.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)

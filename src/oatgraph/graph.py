@@ -6,7 +6,9 @@ properness and replay work on those bitmasks alone; the scans that want
 arrays (A@A, ``edges``, ``induced``, ``format_graph`` and the read-only
 ``Graph.adj``) unpack them when they run.  This module alone converts
 between bitmasks and arrays (``_pack``, ``_unpack``, ``_labels``,
-``_indicator``, ``_mask``).
+``_indicator``, ``_mask``).  numpy is imported inside the functions that
+build arrays, when they first run, so importing this module, or oatgraph,
+loads none: a command that needs no array never pays for the import.
 
 ``Graph(n, edges)`` and the plain edge-list reader take their edges as a
 whole, as two int64 endpoint arrays checked with array operations, so no
@@ -15,9 +17,12 @@ general reader hand their endpoint arrays to one fill (``_fill``): two
 fancy-index stores into a boolean matrix, packed into the bitmasks and
 dropped.  A plain edge list (ASCII digits, blanks, ``\\r`` and ``\\n``
 only, two short unsigned integers per line) is read so, in one C-level
-pass over its bytes.  Every other text, and every faulty one, goes
-through the general reader, one line at a time; it is the only reader
-that raises.
+pass over its bytes, once numpy is loaded or when the text is long.  A
+short plain text read while numpy is not yet imported is checked by one
+regular-expression match instead, its fields read by ``int`` and each
+edge end set by one big-int OR, with no array at all.  Every other text,
+and every faulty one, goes through the general reader, one line at a
+time; it is the only reader that raises.
 """
 
 from __future__ import annotations
@@ -26,12 +31,16 @@ import functools
 import itertools
 import operator
 import os
+import re
+import sys
 from collections.abc import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._util import iter_bits
 from .errors import GraphFormatError, SizeBudgetError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # A graph of n vertices is refused when _DENSE_FOOTPRINT_FACTOR * 9 n^2
 # bytes, 36 n^2, exceed physical memory.  Measured under tracemalloc on
@@ -64,6 +73,8 @@ class Graph:
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> Graph:
+        import numpy as np
+
         adj = np.asarray(adj, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got shape {adj.shape}")
@@ -101,6 +112,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending lexicographic."""
+        import numpy as np
+
         us, vs = np.nonzero(np.triu(self.adj))
         return [(int(u), int(v)) for u, v in zip(us, vs)]
 
@@ -142,12 +155,16 @@ class Graph:
 
 def _pack(adj: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as a bitmask: bit j of row i is adj[i, j]."""
+    import numpy as np
+
     packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _unpack(masks: Sequence[int], n: int) -> np.ndarray:
     """The bitmasks, each below 2**n, as the rows of a read-only boolean matrix."""
+    import numpy as np
+
     width = (n + 7) // 8
     raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
     bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
@@ -158,12 +175,16 @@ def _unpack(masks: Sequence[int], n: int) -> np.ndarray:
 
 def _labels(mask: int) -> np.ndarray:
     """The set bits of mask as an ascending label array, unpacked in C."""
+    import numpy as np
+
     raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little"))
 
 
 def _indicator(mask: int, n: int) -> np.ndarray:
     """mask's bits 0..n-1 as a 0/1 uint8 array over all n labels."""
+    import numpy as np
+
     raw = mask.to_bytes((n + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little")
 
@@ -225,6 +246,8 @@ def adjacency_square(g: Graph) -> np.ndarray:
         raise SizeBudgetError(
             f"A@A in float32 is exact up to n = 2**24, got n = {g.n}", bound=1 << 24
         )
+    import numpy as np
+
     a = g.adj.astype(np.float32)
     m = a @ a
     del a  # so that no more than two n x n four-byte matrices are alive
@@ -242,6 +265,8 @@ def find_comparable_pair(g: Graph, a2: np.ndarray | None = None) -> tuple[int, i
     N(v), so the count falls short of deg(u).  An isolated u qualifies
     against every other vertex.
     """
+    import numpy as np
+
     if a2 is None:
         a2 = adjacency_square(g)
     everyone = np.arange(g.n)
@@ -256,6 +281,8 @@ def _dominators(
     """For each row u, the smallest label v != u with N(u) a subset of N(v),
     or -1.  block[i] counts row i's common neighbours with each of labels,
     and diag[i] with itself, its degree."""
+    import numpy as np
+
     cand = block == diag[:, None]
     cand &= labels != rows[:, None]
     return np.where(cand.any(axis=1), labels[cand.argmax(axis=1)], -1)
@@ -315,6 +342,8 @@ def _check_dense_budget(n: int) -> None:
 
 def _endpoints(edges: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Graph(n, edges)'s edges as checked endpoint arrays, _EDGE_CHUNK at a time."""
+    import numpy as np
+
     stream = iter(edges)
     while chunk := list(itertools.islice(stream, _EDGE_CHUNK)):
         if set(map(len, chunk)) != {2}:
@@ -337,6 +366,8 @@ def _endpoints(edges: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[np.nd
 
 def _fill(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
     """n vertices' bitmasks with each chunk's checked edges: the readers' one n x n fill."""
+    import numpy as np
+
     adj = np.zeros((n, n), dtype=bool)
     for us, vs in chunks:
         adj[us, vs] = True
@@ -346,12 +377,78 @@ def _fill(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
 
 # Byte classes of a plain edge list; every byte outside them is _OTHER.
 _OTHER, _BREAK, _BLANK, _DIGIT = range(4)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[list(b"\r\n")] = _BREAK
-_BYTE_CLASS[list(b" \t")] = _BLANK
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
 # Digits a plain field may have: 18 never reach int64's limit.
 _PLAIN_DIGITS = 18
+
+# A plain text, as one regular expression: lines of blanks, or of two
+# fields of 1-18 digits between blanks, each line ended by \r\n, a lone \r
+# or \n.  Every text has at most one parse under it (blanks, digits and
+# breaks each run until the next class begins, and a lone \r is one not
+# followed by \n), so a failed match gives back at most its line's blanks
+# and digits: the match stays linear in the text.
+_PLAIN_LINE = r"[ \t]*(?:[0-9]{1,%d}[ \t]+[0-9]{1,%d}[ \t]*)?" % (_PLAIN_DIGITS, _PLAIN_DIGITS)
+_PLAIN_TEXT = re.compile(r"%s(?:(?:\r\n|\r(?!\n)|\n)%s)*" % (_PLAIN_LINE, _PLAIN_LINE))
+
+# parse_graph reads a plain text of at most this many characters with
+# _parse_ints while numpy is not yet imported: it then costs less than the
+# import it spares.  At this cap, on a 2-vCPU x86 VM (minimum of 9 runs, a
+# range over separate runs), _parse_ints read P_6775 (65,533 characters)
+# in 6-11 ms and random_oat(171, 0) (52,357) in 4.5-8.7 ms, against 60-70
+# ms for importing numpy; with numpy loaded, _parse_plain read them in
+# 21-34 ms (its n x n fill) and 0.8-1.5 ms.
+_INT_READ_CAP = 1 << 16
+
+
+@functools.cache
+def _byte_class() -> np.ndarray:
+    """_parse_plain's table from each byte to its class, built on first use."""
+    import numpy as np
+
+    table = np.full(256, _OTHER, dtype=np.uint8)
+    table[list(b"\r\n")] = _BREAK
+    table[list(b" \t")] = _BLANK
+    table[list(b"0123456789")] = _DIGIT
+    return table
+
+
+def _header_fits(n: int, m: int, found: int) -> bool:
+    """Whether a plain text's header 'n m' has a vertex, promises the found
+    edge lines and names a graph the dense budget admits."""
+    if n < 1 or m != found:
+        return False
+    try:
+        _check_dense_budget(n)
+    except SizeBudgetError:
+        return False
+    return True
+
+
+def _parse_ints(text: str) -> Graph | None:
+    """_parse_plain without numpy: the same graph on the same texts, else None.
+
+    The format is one match of _PLAIN_TEXT, a C-level scan; on a plain text
+    ``str.split`` gives exactly the fields, and ``int`` reads them.  Each
+    edge end then sets its bit by one big-int OR.  It runs the same header,
+    budget, range, order and duplicate checks as _parse_plain, and any
+    fault gives None, so that the general reader words the error.
+    """
+    if _PLAIN_TEXT.fullmatch(text) is None:
+        return None
+    values = list(map(int, text.split()))
+    if len(values) < 2:
+        return None
+    n, m = values[0], values[1]
+    us, vs = values[2::2], values[3::2]
+    if not _header_fits(n, m, len(us)):
+        return None
+    if m and not (all(map(operator.lt, us, vs)) and max(vs) < n):
+        return None
+    masks = [0] * n
+    for u, v in zip(us, vs):
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    g = Graph._from_masks(masks)
+    return g if g.edge_count == m else None  # else a duplicate edge
 
 
 def _parse_plain(text: str) -> Graph | None:
@@ -368,10 +465,12 @@ def _parse_plain(text: str) -> Graph | None:
     fault, gives None, so that the general reader decides and words the
     error.
     """
+    import numpy as np
+
     if not text.isascii():
         return None
     raw = text.encode("ascii")
-    cls = _BYTE_CLASS.take(np.frombuffer(raw, dtype=np.uint8))
+    cls = _byte_class().take(np.frombuffer(raw, dtype=np.uint8))
     if not cls.all():
         return None
     # A token starts where the zero-padded token mask rises and ends
@@ -394,11 +493,7 @@ def _parse_plain(text: str) -> Graph | None:
         return None
     n, m = int(values[0]), int(values[1])
     us, vs = values[2::2], values[3::2]
-    if n < 1 or m != len(us):
-        return None
-    try:
-        _check_dense_budget(n)
-    except SizeBudgetError:
+    if not _header_fits(n, m, len(us)):
         return None
     if m and not ((us < vs).all() and (vs < n).all()):
         return None
@@ -413,19 +508,25 @@ def parse_graph(text: str) -> Graph:
     blank lines are skipped and each field is read by ``int``.
 
     A plain text, ASCII digits, blanks, ``\\r`` and ``\\n`` with two fields
-    of at most 18 digits on every non-blank line, is read in one
-    C-level pass over its bytes (``_parse_plain``).  Every other text, and
-    every plain text with a fault, goes through the general reader
-    (``_parse_general``), which reads one line at a time and is the only
-    source of errors.  Both give the same graph for any text they both
-    accept.
+    of at most 18 digits on every non-blank line, is read by one of two
+    readers that give up on any fault.  While numpy is not yet imported, a
+    text of at most _INT_READ_CAP characters is read by ``int`` over its
+    fields (``_parse_ints``), so that a small graph is read without
+    importing numpy; any other is read in one C-level pass over its bytes
+    (``_parse_plain``).  Every other text, and every plain text with a
+    fault, goes through the general reader (``_parse_general``), which
+    reads one line at a time and is the only source of errors.  All three
+    give the same graph for any text they accept.
 
     The header and the count of non-blank lines after it are checked
     first.  Then errors name the first faulty edge line, and within one
     line the faults rank: field count, integers, range, order, duplicate.
     A duplicate repeats an earlier line's edge.
     """
-    g = _parse_plain(text)
+    if len(text) <= _INT_READ_CAP and "numpy" not in sys.modules:
+        g = _parse_ints(text)
+    else:
+        g = _parse_plain(text)
     return g if g is not None else _parse_general(text)
 
 
@@ -438,6 +539,8 @@ def _parse_general(text: str) -> Graph:
     kept as ints u*n + v: no container per edge outlives its line's split,
     so the cyclic garbage collector has none to count and traverse.
     """
+    import numpy as np
+
     lines = text.splitlines()
     for lineno, header in enumerate(lines, 1):
         header = header.strip()
@@ -487,6 +590,8 @@ def _parse_general(text: str) -> Graph:
 
 def format_graph(g: Graph) -> str:
     """Serialise to the plain edge-list format, edges ascending."""
+    import numpy as np
+
     us, vs = np.nonzero(np.triu(g.adj))
     lines = [f"{g.n} {len(us)}", *map("{} {}".format, us.tolist(), vs.tolist())]
     return "\n".join(lines) + "\n"

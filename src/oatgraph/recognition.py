@@ -35,15 +35,16 @@ test compares a row's entries with its diagonal inside one block, so the
 shift changes no pick; only verify_a2 subtracts it.  A sparse graph
 builds no A@A and patches nothing: it reads every dominator off the masks.
 dom[u] indexes the comparable moves: the smallest v != u in u's task with
-N(u) a subset of N(v), or -1; has_dom is the bitmask of the labels with
-dom[u] >= 0.  A task's next comparable move removes the lowest bit of
+N(u) a subset of N(v), or -1, in a Python list; has_dom is the bitmask of
+the labels with dom[u] >= 0, and dominated[v] that of the labels w with
+dom[w] == v.  A task's next comparable move removes the lowest bit of
 has_dom & alive, the pair find_comparable_pair picks from the task's
 block.  Splits leave the index valid, since a vertex and its dominator
 share a co-component, and a component too unless the vertex is isolated;
 a union clears an isolated vertex's entry, for it becomes a leaf.  A tail
 move clears the entries of the labels it removes, so that only live rows
 can point at a label, and refreshes only the rows it patched and the rows
-whose dominator it removed, found by one compare over dom.  (A clique move
+whose dominator it removed, read off dominated.  (A clique move
 comes only when no vertex of the task has a dominator, so it refreshes
 its anchor's row alone.)  Each regime refreshes by one rule, and the two
 rules give the same dominators.  A sparse graph reads each stale row w off
@@ -58,10 +59,12 @@ columns compressed by the task's 0/1 indicator for that compare only; the
 move has patched the matrix just before, so the compare reads current
 counts.  Memory is that one A@A, the index and the rows refreshed by one
 move, O(n^2), on a dense graph, and the masks, n^2 bits, and the index on
-a sparse one.  verify_a2 checks the first task's index before any move,
-then every new task's block, less its shift, where there is a matrix, and
-every dominator of its labels and every index pick, against a fresh
-recomputation, the reference.
+a sparse one.  numpy is imported only by the A@A regime and verify_a2, so
+a sparse graph is recognised without it.  verify_a2 checks the first
+task's index before any move, then every new task's block, less its
+shift, where there is a matrix, and every dominator of its labels and
+every index pick, against a fresh recomputation, the reference, and every
+dominated set against the labels dom points at it.
 
 Components, co-components and pendant cliques are read off neighbourhood
 bitmasks over the original labels, intersected with the task's vertex set.
@@ -73,9 +76,8 @@ a tail move only the co-component scan reruns.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._util import iter_bits
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union, _fold
@@ -154,25 +156,53 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     verify_a2 recomputes the common-neighbour matrix from scratch for the
     first task and every new one, compares it with the task's block where
     the graph keeps an A@A, checks with it every dominator of the
-    comparable index and the pick at every scan, and fails loudly on any
-    drift; the outcome's a2_checks counts how many comparisons ran.
+    comparable index and the pick at every scan, checks each label's
+    dominated set against the labels whose dominator it is, and fails
+    loudly on any drift; the outcome's a2_checks counts how many
+    comparisons ran.
     """
     masks = g.neighbour_masks
     checks = 0
     full = (1 << g.n) - 1
     m = None  # no A@A on a sparse graph: every dominator comes off the masks
     if sum(map(int.bit_count, masks)) < _SPARSE_DEGREE * g.n:
-        dom = np.array([_mask_dominator(masks, full, w) for w in range(g.n)])
+        first = [_mask_dominator(masks, full, w) for w in range(g.n)]
     else:
+        import numpy as np
+
         m = adjacency_square(g)
         m.setflags(write=True)  # a fresh array nothing else holds: the shared buffer
         everyone = np.arange(g.n)
-        dom = _dominators(m, m.diagonal(), everyone, everyone)
-    has_dom = _mask(np.flatnonzero(dom >= 0))
+        first = _dominators(m, m.diagonal(), everyone, everyone).tolist()
+    dom = [-1] * g.n
+    dominated = [0] * g.n  # dominated[v]: the labels w with dom[w] == v, as a bitmask
+    has_dom = 0
+
+    def point(rows: Iterable[int], new: Iterable[int]) -> None:
+        """dom[w] = d for each w, d of rows and new, with dominated and
+        has_dom kept in step."""
+        nonlocal has_dom
+        for w, d in zip(rows, new):
+            old = dom[w]
+            if old == d:
+                continue
+            dom[w] = d
+            bit = 1 << w
+            if old >= 0:
+                dominated[old] ^= bit
+            if d >= 0:
+                dominated[d] |= bit
+                has_dom |= bit
+            else:
+                has_dom &= ~bit
+
+    point(range(g.n), first)
 
     def check(task: _Task) -> None:
         nonlocal checks
         if verify_a2:
+            import numpy as np
+
             labels = _labels(task.alive)
             fresh = adjacency_square(g.induced(labels.tolist()))
             if m is not None and not np.array_equal(
@@ -185,14 +215,21 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             want = _dominators(fresh, fresh.diagonal(), at, at)
             want = np.where(want >= 0, labels[want], -1)
             flags = _mask(labels[want >= 0])
-            if not np.array_equal(dom[labels], want) or has_dom & task.alive != flags:
+            if [dom[w] for w in labels.tolist()] != want.tolist() or has_dom & task.alive != flags:
                 raise StepConsistencyError(
                     "comparable index drifted from the dominators a fresh A@A gives"
+                )
+            inverse = [0] * g.n
+            for w, d in enumerate(dom):
+                if d >= 0:
+                    inverse[d] |= 1 << w
+            if inverse != dominated:
+                raise StepConsistencyError(
+                    "dominated sets drifted from the labels whose dominator each label is"
                 )
             checks += 2 if m is not None else 1
 
     def split(task: _Task, binary: type[Union] | type[Join], parts: list[int]) -> None:
-        nonlocal has_dom
         # Parts arrive ordered by smallest vertex and fold left-associatively:
         # in postfix order each later part is followed by the entry that folds
         # it in, and the stack takes them in reverse, the first part on top.
@@ -204,8 +241,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 shift += size - part.bit_count()
             elif part & (part - 1) == 0:
                 # An isolated vertex, dominated by any other, becomes a leaf.
-                dom[part.bit_length() - 1] = -1
-                has_dom &= ~part
+                point([part.bit_length() - 1], [-1])
             child = _Task(part, binary is Union, shift)
             check(child)
             postfix += [child, (binary,)] if postfix else [child]
@@ -239,7 +275,7 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             u = (pick & -pick).bit_length() - 1
             if verify_a2:
                 labels = _labels(alive)
-                pair = (u, int(dom[u])) if pick else None
+                pair = (u, dom[u]) if pick else None
                 fresh = find_comparable_pair(g.induced(labels.tolist()))
                 if pair != (None if fresh is None else tuple(labels[list(fresh)].tolist())):
                     raise StepConsistencyError(
@@ -257,11 +293,10 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
                 elif m is not None:
                     rows = _labels(near)
                     m[rows[:, None], rows] -= 1
-                stack.append((Comparable, u, int(dom[u]), xs))
+                stack.append((Comparable, u, dom[u], xs))
                 alive ^= 1 << u
-                has_dom ^= 1 << u
-                dom[u] = -1
-                stale = near | _mask((dom == u).nonzero()[0])
+                point([u], [-1])
+                stale = near | dominated[u]
             else:
                 found = pendant_clique(masks, alive)
                 if found is None:
@@ -284,20 +319,16 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
             # A tail move: the task shrinks where it stands, still connected.
             # Splits keep every vertex's dominator, but here the rows just
             # written, and those whose dominator left, are stale.
-            kept = 0  # the stale rows that still have a dominator
             if m is None:
-                for w in iter_bits(stale):
-                    dom[w] = d = _mask_dominator(masks, alive, w)
-                    if d >= 0:
-                        kept |= 1 << w
+                rows = list(iter_bits(stale))
+                new = [_mask_dominator(masks, alive, w) for w in rows]
             else:
-                rows = _labels(stale)
+                at = _labels(stale)
                 cols = _indicator(alive, g.n).view(bool)
-                block = np.compress(cols, m[rows], axis=1)
-                new = _dominators(block, m[rows, rows], rows, np.flatnonzero(cols))
-                dom[rows] = new
-                kept = _mask(rows[new >= 0])
-            has_dom = has_dom & ~stale | kept
+                block = np.compress(cols, m[at], axis=1)
+                rows = at.tolist()
+                new = _dominators(block, m[at, at], at, np.flatnonzero(cols)).tolist()
+            point(rows, new)
             task.alive = alive
             check(task)
     tree = _fold(entries)

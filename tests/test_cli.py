@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -658,3 +659,125 @@ def test_console_script_smoke(tmp_path):
         text=True,
     )
     assert proc.returncode == 1
+
+
+# A child that runs one CLI command through cli.main, with numpy imported
+# first or not, and writes on the last line of stderr whether numpy was
+# loaded by the end and how many threads OpenBLAS runs (None where numpy is
+# not loaded or its OpenBLAS cannot be asked).
+_CHILD = r"""
+import ctypes, glob, os, sys
+from pathlib import Path
+
+def blas_threads():
+    if "numpy" not in sys.modules:
+        return None
+    root = Path(sys.modules["numpy"].__file__).parent
+    for path in glob.glob(str(root.parent / "numpy.libs" / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
+
+if sys.argv.pop(1) == "numpy-first":
+    import numpy
+from oatgraph.cli import main
+try:
+    code = main()
+finally:
+    report = ["numpy" in sys.modules, blas_threads(), os.environ.get("OPENBLAS_NUM_THREADS")]
+    print(*report, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_child(argv, numpy_first=False, env=None):
+    """(exit code, stdout, whether numpy was loaded, OpenBLAS threads or
+    None, OPENBLAS_NUM_THREADS at the end) of one command in a new process."""
+    first = "numpy-first" if numpy_first else "plain"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, first, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    loaded, threads, setting = proc.stderr.splitlines()[-1].split()
+    threads = None if threads == "None" else int(threads)
+    return proc.returncode, proc.stdout, loaded == "True", threads, setting
+
+
+class TestStartWithoutNumpy:
+    """A command that needs no array does not import numpy, and whether
+    numpy was imported first changes no byte of any output."""
+
+    def test_import_oatgraph_loads_no_numpy(self):
+        code = "import sys, oatgraph; print([m for m in sys.modules if m.startswith('numpy')])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_path_commands_import_no_numpy_and_write_the_same_bytes(self, tmp_path):
+        n = 60
+        gp = write_graph(tmp_path, classic("path", n))
+        S = Palette.default(3)
+        a = write_colouring(tmp_path, tuple(1 + i % 3 for i in range(n)), S, "a.json")
+        b = write_colouring(tmp_path, tuple([1, 3, 2][i % 3] for i in range(n)), S, "b.json")
+        walk = tmp_path / "walk.json"
+        runs = []
+        for numpy_first in (False, True):
+            tree = tmp_path / f"tree-{numpy_first}.json"
+            recognized = run_child(
+                ["recognize", gp, "--json", "--tree-out", str(tree)], numpy_first
+            )
+            recoloured = run_child(["recolor", gp, "--from", a, "--to", b], numpy_first)
+            walk.write_text(recoloured[1])
+            verified = run_child(["verify", gp, str(walk)], numpy_first)
+            for code, out, loaded, _, _ in (recognized, recoloured, verified):
+                assert (code, loaded) == (0, numpy_first)
+                assert out.startswith('{"format_version": 1')
+            runs.append((recognized[1], recoloured[1], verified[1], tree.read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_dense_member_gives_the_same_bytes_either_way(self, tmp_path):
+        # Mean degree above 8: recognition imports numpy for A@A, after the
+        # text was read without it.
+        g = replay(random_oat(120, 0))
+        assert 2 * g.edge_count >= 8 * g.n
+        gp = write_graph(tmp_path, g)
+        runs = []
+        for numpy_first in (False, True):
+            tree = tmp_path / f"tree-{numpy_first}.json"
+            recognized = run_child(
+                ["recognize", gp, "--json", "--tree-out", str(tree)], numpy_first
+            )
+            canonical = run_child(["canonical", gp], numpy_first)
+            runs.append((recognized[:3], canonical[:3], tree.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0][0] == 0 and runs[0][0][2] is True
+
+
+class TestBlasThreads:
+    """The CLI runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS says otherwise."""
+
+    def dense_graph(self, tmp_path):
+        return write_graph(tmp_path, replay(random_oat(120, 0)))
+
+    def test_one_thread_by_default(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        argv = ["recognize", self.dense_graph(tmp_path)]
+        code, _, loaded, threads, setting = run_child(argv, env=env)
+        assert (code, loaded, setting) == (0, True, "1")
+        assert threads in (1, None)
+
+    def test_the_callers_setting_wins(self, tmp_path):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+        argv = ["recognize", self.dense_graph(tmp_path)]
+        code, _, loaded, threads, setting = run_child(argv, env=env)
+        assert (code, loaded, setting) == (0, True, "2")
+        # OpenBLAS caps the count at the CPUs it sees, so the reference is
+        # what it reports with numpy imported before the command.
+        *_, reference, _ = run_child(["gen", "path", "2"], numpy_first=True, env=env)
+        assert threads == reference

@@ -1,6 +1,8 @@
 import gc
 import itertools
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -21,7 +23,8 @@ from oatgraph import (
 )
 from oatgraph.buildtree import replay
 from oatgraph.generators import classic, p4_sparse_third_op, random_oat
-from oatgraph.graph import _check_dense_budget, _parse_general, _parse_plain
+from oatgraph.graph import _PLAIN_TEXT, _check_dense_budget
+from oatgraph.graph import _parse_general, _parse_ints, _parse_plain
 
 from conftest import random_graph
 from edge_list_cases import ACCEPTED, MALFORMED
@@ -172,6 +175,59 @@ PLAIN_BYTE_FAULTS = [
     *((f"sign_{token}", f"3 1\n0 {token}\n") for token in ["1-2", "+-1", "-", "+", "1+"]),
     ("sign_as_edge_count", "3 -\n"),
 ]
+
+
+@st.composite
+def plain_edge_lists(draw):
+    """format_graph output respelled inside the plain format, then mostly
+    given one fault: blank lines, tabs, leading zeros and \\n, \\r\\n or
+    \\r line ends; then a field of 18 or 19 digits, an edge with u >= v or
+    v >= n, a repeated edge, a wrong edge count, n over the dense budget,
+    a non-ASCII digit, or \\x0b or \\x0c, which str.split takes as blanks
+    and str.splitlines as line breaks."""
+    g = draw(graphs(max_n=9))
+    rows = [line.split() for line in format_graph(g).splitlines()]
+    fault = draw(
+        st.sampled_from(
+            ["none", "digits", "order", "range", "repeat", "count", "budget", "unicode", "vt_ff"]
+        )
+    )
+    edge = draw(st.integers(1, len(rows) - 1)) if len(rows) > 1 else None
+    if fault == "digits":
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, 1))
+        rows[i][j] = rows[i][j].zfill(draw(st.sampled_from([17, 18, 19])))
+    elif fault == "order" and edge:
+        u, v = rows[edge]
+        rows[edge] = draw(st.sampled_from([[v, u], [u, u], [v, v]]))
+    elif fault == "range" and edge:
+        rows[edge][1] = str(g.n + draw(st.integers(0, 2)))
+    elif fault == "repeat" and edge:
+        rows.insert(draw(st.integers(1, len(rows))), rows[edge])
+        rows[0][1] = str(len(rows) - 1)
+    elif fault == "count":
+        rows[0][1] = str(len(rows) - 1 + draw(st.sampled_from([-1, 1])))
+    elif fault == "budget":
+        rows[0][0] = draw(st.sampled_from(["1000000", "9" * 18, "9" * 19]))
+    pad = st.sampled_from(["", " ", "\t", "  ", " \t "])
+    zeros = st.sampled_from(["", "", "0", "00"])
+    lines = []
+    for fields in rows:
+        for _ in range(draw(st.integers(0, 1))):
+            lines.append(draw(pad))  # a blank line
+        fields = [draw(zeros) + f if len(f) < 17 else f for f in fields]
+        gap = draw(pad) or " "
+        lines.append(draw(pad) + gap.join(fields) + draw(pad))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if not draw(st.integers(0, 4)):
+        text = text.rstrip("\r\n")
+    if fault in ("unicode", "vt_ff") and text:
+        at = draw(st.integers(0, len(text) - 1))
+        new = "\u0663" if fault == "unicode" else draw(st.sampled_from(["\x0b", "\x0c"]))
+        if fault == "unicode" or text[at] in " \t\r\n":
+            text = text[:at] + new + text[at + 1 :]
+    return text
 
 
 def per_reader(cases):
@@ -409,8 +465,10 @@ class TestParsing:
         text = format_graph(g)
         fast = _parse_plain(text)
         assert isinstance(fast, Graph)
-        assert fast == _parse_general(text) == g
+        assert fast == _parse_general(text) == _parse_ints(text) == g
         assert _parse_plain(text.replace("\n", "\r\n")) == g
+        assert _parse_ints(text.replace("\n", "\r\n")) == g
+        assert _parse_ints(text.replace("\n", "\r").replace(" ", "\t")) == g
 
     @pytest.mark.parametrize(
         "text",
@@ -424,10 +482,12 @@ class TestParsing:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _parse_plain(text) is None
+        assert _parse_ints(text) is None
 
     def test_plain_reader_takes_fields_of_at_most_18_digits(self):
-        assert _parse_plain("3 1\n0 " + "0" * 17 + "1\n") == Graph(3, [(0, 1)])
-        assert _parse_plain("3 1\n0 " + "0" * 18 + "1\n") is None
+        for parse in (_parse_plain, _parse_ints):
+            assert parse("3 1\n0 " + "0" * 17 + "1\n") == Graph(3, [(0, 1)])
+            assert parse("3 1\n0 " + "0" * 18 + "1\n") is None
 
     @given(mutated_edge_lists())
     @settings(max_examples=400)
@@ -437,6 +497,7 @@ class TestParsing:
             warnings.simplefilter("error")
             fast = _parse_plain(text)
         assert fast is None or fast == outcome(_parse_general, text)
+        assert _parse_ints(text) == fast
 
     def test_allocates_no_container_per_edge(self):
         # Per-edge tuples would trigger (and lengthen) cyclic-GC passes that
@@ -474,6 +535,47 @@ class TestParsing:
             gc.callbacks.remove(count)
         assert g.edge_count > 5000
         assert len(passes) <= 1
+
+
+class TestIntReader:
+    """_parse_ints, the reader parse_graph uses on small plain texts while
+    numpy is not imported, against _parse_plain and the general reader."""
+
+    @given(plain_edge_lists())
+    @settings(max_examples=600)
+    def test_agrees_with_plain_and_general_readers(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _parse_plain(text)
+        assert _parse_ints(text) == fast
+        general = outcome(_parse_general, text)
+        if fast is not None:
+            assert fast == general
+        assert outcome(parse_graph, text) == general
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            " " * 200_000 + "x",
+            "1 2" + " \t" * 100_000 + "x",
+            "0 1\r\n" * 40_000 + "x",
+            "\r\n" * 100_000 + "\r\r\n x",
+            "\r" * 200_000 + "x",
+        ],
+        ids=["blanks", "trailing_blanks", "crlf_lines", "crlf_blank_lines", "cr_lines"],
+    )
+    def test_format_check_stays_linear(self, text):
+        # Each text is 200 kB and fails at its last character.  The match
+        # takes milliseconds (a few tens per text on a 2-vCPU VM); one that
+        # backtracked quadratically in a run of blanks, or tried both
+        # readings of each \r\n, would not end within the timeout.  It runs
+        # in a child process, since a match in progress cannot be stopped.
+        child = (
+            "import sys; from oatgraph.graph import _PLAIN_TEXT;"
+            "sys.exit(_PLAIN_TEXT.fullmatch(sys.stdin.buffer.read().decode()) is not None)"
+        )
+        run = subprocess.run([sys.executable, "-c", child], input=text.encode(), timeout=30)
+        assert run.returncode == 0
 
 
 class TestComponents:
