@@ -2,8 +2,8 @@
 
 A graph is its vertex count n and one neighbourhood bitmask per vertex: an
 int with bit u set for each neighbour u of v.  Components, pendant cliques,
-properness and replay work on those bitmasks alone; the scans that want
-arrays (A@A, ``edges``, ``induced``, ``format_graph`` and the read-only
+properness, replay and ``edges`` work on those bitmasks alone; the scans
+that want arrays (A@A, ``induced``, ``format_graph`` and the read-only
 ``Graph.adj``) unpack them when they run.  This module alone converts
 between bitmasks and arrays (``_pack``, ``_unpack``, ``_labels``,
 ``_indicator``, ``_mask``).  numpy is imported inside the functions that
@@ -12,17 +12,16 @@ loads none: a command that needs no array never pays for the import.
 
 ``Graph(n, edges)`` and the plain edge-list reader take their edges as a
 whole, as two int64 endpoint arrays checked with array operations, so no
-Python bytecode runs per edge unless an edge is faulty.  They and the
-general reader hand their endpoint arrays to one fill (``_fill``): two
-fancy-index stores into a boolean matrix, packed into the bitmasks and
-dropped.  A plain edge list (ASCII digits, blanks, ``\\r`` and ``\\n``
-only, two short unsigned integers per line) is read so, in one C-level
-pass over its bytes, once numpy is loaded or when the text is long.  A
-short plain text read while numpy is not yet imported is checked by one
-regular-expression match instead, its fields read by ``int`` and each
-edge end set by one big-int OR, with no array at all.  Every other text,
-and every faulty one, goes through the general reader, one line at a
-time; it is the only reader that raises.
+Python bytecode runs per edge unless an edge is faulty.  Both hand their
+endpoint arrays to one fill (``_fill``): two fancy-index stores into a
+boolean matrix, packed into the bitmasks and dropped.  An edge-list text
+has two readers.  A plain one (ASCII digits, blanks, ``\\r`` and ``\\n`` only, two
+short unsigned integers per line) is read so, in one C-level pass over
+its bytes, once numpy is loaded or when the text is long.  Every other
+text, and every faulty one, goes through the general reader, one line at
+a time: ``str.split`` and ``int`` read each line, and each edge end sets its
+bit by one big-int OR, with no array at all.  It is the only reader that
+words a format error.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import functools
 import itertools
 import operator
 import os
-import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
@@ -112,10 +110,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending lexicographic."""
-        import numpy as np
-
-        us, vs = np.nonzero(np.triu(self.adj))
-        return [(int(u), int(v)) for u, v in zip(us, vs)]
+        return [(u, v) for u, m in enumerate(self._masks) for v in iter_bits(m >> u << u)]
 
     def _vertex(self, v: int) -> int:
         """v as a plain int; a vertex outside 0..n-1 is refused."""
@@ -365,7 +360,7 @@ def _endpoints(edges: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[np.nd
 
 
 def _fill(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
-    """n vertices' bitmasks with each chunk's checked edges: the readers' one n x n fill."""
+    """n vertices' bitmasks with each chunk's checked edges: the one n x n fill."""
     import numpy as np
 
     adj = np.zeros((n, n), dtype=bool)
@@ -380,23 +375,15 @@ _OTHER, _BREAK, _BLANK, _DIGIT = range(4)
 # Digits a plain field may have: 18 never reach int64's limit.
 _PLAIN_DIGITS = 18
 
-# A plain text, as one regular expression: lines of blanks, or of two
-# fields of 1-18 digits between blanks, each line ended by \r\n, a lone \r
-# or \n.  Every text has at most one parse under it (blanks, digits and
-# breaks each run until the next class begins, and a lone \r is one not
-# followed by \n), so a failed match gives back at most its line's blanks
-# and digits: the match stays linear in the text.
-_PLAIN_LINE = r"[ \t]*(?:[0-9]{1,%d}[ \t]+[0-9]{1,%d}[ \t]*)?" % (_PLAIN_DIGITS, _PLAIN_DIGITS)
-_PLAIN_TEXT = re.compile(r"%s(?:(?:\r\n|\r(?!\n)|\n)%s)*" % (_PLAIN_LINE, _PLAIN_LINE))
-
-# parse_graph reads a plain text of at most this many characters with
-# _parse_ints while numpy is not yet imported: it then costs less than the
-# import it spares.  At this cap, on a 2-vCPU x86 VM (minimum of 9 runs, a
-# range over separate runs), _parse_ints read P_6775 (65,533 characters)
-# in 6-11 ms and random_oat(171, 0) (52,357) in 4.5-8.7 ms, against 60-70
-# ms for importing numpy; with numpy loaded, _parse_plain read them in
-# 21-34 ms (its n x n fill) and 0.8-1.5 ms.
-_INT_READ_CAP = 1 << 16
+# parse_graph reads a text of at most this many characters with the
+# general reader while numpy is not yet imported: it then costs less than
+# the import it spares.  At this cap, on a 2-vCPU x86 VM (minimum of 15
+# runs, a range over separate runs), the general reader read P_6775
+# (65,533 characters) in 5.5-12 ms and random_oat(171, 0) (52,357) in
+# 5.7-12 ms, against 66-103 ms for importing numpy (-X importtime); with
+# numpy loaded, _parse_plain read them in 20-37 ms (its n x n fill) and
+# 0.9-1.6 ms.
+_LINE_READ_CAP = 1 << 16
 
 
 @functools.cache
@@ -411,46 +398,6 @@ def _byte_class() -> np.ndarray:
     return table
 
 
-def _header_fits(n: int, m: int, found: int) -> bool:
-    """Whether a plain text's header 'n m' has a vertex, promises the found
-    edge lines and names a graph the dense budget admits."""
-    if n < 1 or m != found:
-        return False
-    try:
-        _check_dense_budget(n)
-    except SizeBudgetError:
-        return False
-    return True
-
-
-def _parse_ints(text: str) -> Graph | None:
-    """_parse_plain without numpy: the same graph on the same texts, else None.
-
-    The format is one match of _PLAIN_TEXT, a C-level scan; on a plain text
-    ``str.split`` gives exactly the fields, and ``int`` reads them.  Each
-    edge end then sets its bit by one big-int OR.  It runs the same header,
-    budget, range, order and duplicate checks as _parse_plain, and any
-    fault gives None, so that the general reader words the error.
-    """
-    if _PLAIN_TEXT.fullmatch(text) is None:
-        return None
-    values = list(map(int, text.split()))
-    if len(values) < 2:
-        return None
-    n, m = values[0], values[1]
-    us, vs = values[2::2], values[3::2]
-    if not _header_fits(n, m, len(us)):
-        return None
-    if m and not (all(map(operator.lt, us, vs)) and max(vs) < n):
-        return None
-    masks = [0] * n
-    for u, v in zip(us, vs):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    g = Graph._from_masks(masks)
-    return g if g.edge_count == m else None  # else a duplicate edge
-
-
 def _parse_plain(text: str) -> Graph | None:
     """The graph of a plain, fault-free edge list, else None.
 
@@ -463,7 +410,8 @@ def _parse_plain(text: str) -> Graph | None:
     shifted compares of a token mask, and a line break between two tokens
     from one ``logical_or.reduceat`` over the gaps.  Any doubt, and any
     fault, gives None, so that the general reader decides and words the
-    error.
+    error; a vertex count beyond the dense budget raises the general
+    reader's SizeBudgetError.
     """
     import numpy as np
 
@@ -493,8 +441,9 @@ def _parse_plain(text: str) -> Graph | None:
         return None
     n, m = int(values[0]), int(values[1])
     us, vs = values[2::2], values[3::2]
-    if not _header_fits(n, m, len(us)):
+    if n < 1 or m != len(us):
         return None
+    _check_dense_budget(n)  # the general reader raises the same here
     if m and not ((us < vs).all() and (vs < n).all()):
         return None
     g = Graph._from_masks(_fill(n, [(us, vs)]))
@@ -507,27 +456,27 @@ def parse_graph(text: str) -> Graph:
     Lines are those of ``str.splitlines`` and fields those of ``str.split``;
     blank lines are skipped and each field is read by ``int``.
 
-    A plain text, ASCII digits, blanks, ``\\r`` and ``\\n`` with two fields
-    of at most 18 digits on every non-blank line, is read by one of two
-    readers that give up on any fault.  While numpy is not yet imported, a
-    text of at most _INT_READ_CAP characters is read by ``int`` over its
-    fields (``_parse_ints``), so that a small graph is read without
-    importing numpy; any other is read in one C-level pass over its bytes
-    (``_parse_plain``).  Every other text, and every plain text with a
-    fault, goes through the general reader (``_parse_general``), which
-    reads one line at a time and is the only source of errors.  All three
-    give the same graph for any text they accept.
+    There are two readers, which give the same graph for any text both
+    accept.  Once numpy is imported, or when the text is longer than
+    _LINE_READ_CAP characters, a plain text (ASCII digits, blanks, ``\\r``
+    and ``\\n``, with two fields of at most 18 digits on every non-blank
+    line) is read in one C-level pass over its bytes (``_parse_plain``),
+    which gives up on any fault.  Every other text, and every plain text
+    with a fault, goes through the general reader (``_parse_general``),
+    which reads one line at a time with no array, so that a small graph is
+    read without importing numpy.  It words every error; the plain reader
+    raises only the general one's SizeBudgetError, at the same step.
 
     The header and the count of non-blank lines after it are checked
     first.  Then errors name the first faulty edge line, and within one
     line the faults rank: field count, integers, range, order, duplicate.
     A duplicate repeats an earlier line's edge.
     """
-    if len(text) <= _INT_READ_CAP and "numpy" not in sys.modules:
-        g = _parse_ints(text)
-    else:
+    if len(text) > _LINE_READ_CAP or "numpy" in sys.modules:
         g = _parse_plain(text)
-    return g if g is not None else _parse_general(text)
+        if g is not None:
+            return g
+    return _parse_general(text)
 
 
 def _parse_general(text: str) -> Graph:
@@ -535,12 +484,11 @@ def _parse_general(text: str) -> Graph:
 
     Each edge line is read on its own, by ``str.split`` and ``int``, and
     checked for range, the order u < v and a repeat before the next line
-    is read, so the first faulty line is the one named.  Seen edges are
-    kept as ints u*n + v: no container per edge outlives its line's split,
-    so the cyclic garbage collector has none to count and traverse.
+    is read, so the first faulty line is the one named.  Each edge end
+    sets its bit in the bitmasks by one big-int OR, and a repeat is an edge
+    whose bit is already set: no container per edge outlives its line's
+    split, so the cyclic garbage collector has none to count and traverse.
     """
-    import numpy as np
-
     lines = text.splitlines()
     for lineno, header in enumerate(lines, 1):
         header = header.strip()
@@ -564,7 +512,7 @@ def _parse_general(text: str) -> Graph:
     found = sum(1 for line in body if line.strip())
     if found != m:
         raise GraphFormatError(f"header promises {m} edges, found {found} edge lines")
-    seen: set[int] = set()
+    masks = [0] * n
     for lineno, line in enumerate(body, lineno + 1):
         fields = line.split()
         if not fields:
@@ -581,11 +529,11 @@ def _parse_general(text: str) -> Graph:
             raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}", lineno)
         if u >= v:
             raise GraphFormatError(f"edge must satisfy u < v, got ({u}, {v})", lineno)
-        if u * n + v in seen:
+        if masks[u] >> v & 1:
             raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-        seen.add(u * n + v)
-    us, vs = np.divmod(np.fromiter(seen, dtype=np.int64, count=len(seen)), n)
-    return Graph._from_masks(_fill(n, [(us, vs)]))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph._from_masks(masks)
 
 
 def format_graph(g: Graph) -> str:

@@ -696,7 +696,8 @@ sys.exit(code)
 
 def run_child(argv, numpy_first=False, env=None):
     """(exit code, stdout, whether numpy was loaded, OpenBLAS threads or
-    None, OPENBLAS_NUM_THREADS at the end) of one command in a new process."""
+    None, OPENBLAS_NUM_THREADS at the end, the command's own stderr) of one
+    command in a new process."""
     first = "numpy-first" if numpy_first else "plain"
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, first, *argv],
@@ -704,9 +705,10 @@ def run_child(argv, numpy_first=False, env=None):
         text=True,
         env=env,
     )
-    loaded, threads, setting = proc.stderr.splitlines()[-1].split()
+    *stderr, report = proc.stderr.splitlines(keepends=True)
+    loaded, threads, setting = report.split()
     threads = None if threads == "None" else int(threads)
-    return proc.returncode, proc.stdout, loaded == "True", threads, setting
+    return proc.returncode, proc.stdout, loaded == "True", threads, setting, "".join(stderr)
 
 
 class TestStartWithoutNumpy:
@@ -735,7 +737,7 @@ class TestStartWithoutNumpy:
             recoloured = run_child(["recolor", gp, "--from", a, "--to", b], numpy_first)
             walk.write_text(recoloured[1])
             verified = run_child(["verify", gp, str(walk)], numpy_first)
-            for code, out, loaded, _, _ in (recognized, recoloured, verified):
+            for code, out, loaded, *_ in (recognized, recoloured, verified):
                 assert (code, loaded) == (0, numpy_first)
                 assert out.startswith('{"format_version": 1')
             runs.append((recognized[1], recoloured[1], verified[1], tree.read_bytes()))
@@ -758,6 +760,32 @@ class TestStartWithoutNumpy:
         assert runs[0] == runs[1]
         assert runs[0][0][0] == 0 and runs[0][0][2] is True
 
+    @pytest.mark.parametrize(
+        "text, argv, code",
+        [
+            # one field written +2: not plain, so the general reader takes it
+            ("8 7\n0 1\n1 +2\n2 3\n3 4\n4 5\n5 6\n6 7\n", ["recognize", "--json"], 0),
+            ("4 3\n0 1\n1 2\n1 2\n", ["recognize"], 2),
+            (format_graph(classic("path", 8)), ["oracle", "--k", "3"], 0),
+            (format_graph(classic("path", 8)), ["oracle", "--k", "3", "--frozen"], 0),
+        ],
+        ids=["plus_sign", "duplicate_edge", "oracle", "oracle_frozen"],
+    )
+    def test_small_commands_import_no_numpy_and_write_the_same_bytes(
+        self, tmp_path, text, argv, code
+    ):
+        gp = tmp_path / "g.graph"
+        gp.write_text(text)
+        command = [argv[0], str(gp), *argv[1:]]
+        runs = []
+        for numpy_first in (False, True):
+            got, out, loaded, _, _, err = run_child(command, numpy_first)
+            assert (got, loaded) == (code, numpy_first), err
+            runs.append((out, err))
+        assert runs[0] == runs[1]
+        if code == 2:
+            assert runs[0] == ("", "error: line 4: duplicate edge (1, 2)\n")
+
 
 class TestBlasThreads:
     """The CLI runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS says otherwise."""
@@ -768,16 +796,16 @@ class TestBlasThreads:
     def test_one_thread_by_default(self, tmp_path):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         argv = ["recognize", self.dense_graph(tmp_path)]
-        code, _, loaded, threads, setting = run_child(argv, env=env)
+        code, _, loaded, threads, setting, _ = run_child(argv, env=env)
         assert (code, loaded, setting) == (0, True, "1")
         assert threads in (1, None)
 
     def test_the_callers_setting_wins(self, tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
         argv = ["recognize", self.dense_graph(tmp_path)]
-        code, _, loaded, threads, setting = run_child(argv, env=env)
+        code, _, loaded, threads, setting, _ = run_child(argv, env=env)
         assert (code, loaded, setting) == (0, True, "2")
         # OpenBLAS caps the count at the CPUs it sees, so the reference is
         # what it reports with numpy imported before the command.
-        *_, reference, _ = run_child(["gen", "path", "2"], numpy_first=True, env=env)
+        *_, reference, _, _ = run_child(["gen", "path", "2"], numpy_first=True, env=env)
         assert threads == reference

@@ -23,8 +23,8 @@ from oatgraph import (
 )
 from oatgraph.buildtree import replay
 from oatgraph.generators import classic, p4_sparse_third_op, random_oat
-from oatgraph.graph import _PLAIN_TEXT, _check_dense_budget
-from oatgraph.graph import _parse_general, _parse_ints, _parse_plain
+from oatgraph.graph import _LINE_READ_CAP, _check_dense_budget
+from oatgraph.graph import _parse_general, _parse_plain
 
 from conftest import random_graph
 from edge_list_cases import ACCEPTED, MALFORMED
@@ -465,10 +465,8 @@ class TestParsing:
         text = format_graph(g)
         fast = _parse_plain(text)
         assert isinstance(fast, Graph)
-        assert fast == _parse_general(text) == _parse_ints(text) == g
+        assert fast == _parse_general(text) == g
         assert _parse_plain(text.replace("\n", "\r\n")) == g
-        assert _parse_ints(text.replace("\n", "\r\n")) == g
-        assert _parse_ints(text.replace("\n", "\r").replace(" ", "\t")) == g
 
     @pytest.mark.parametrize(
         "text",
@@ -482,12 +480,10 @@ class TestParsing:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _parse_plain(text) is None
-        assert _parse_ints(text) is None
 
     def test_plain_reader_takes_fields_of_at_most_18_digits(self):
-        for parse in (_parse_plain, _parse_ints):
-            assert parse("3 1\n0 " + "0" * 17 + "1\n") == Graph(3, [(0, 1)])
-            assert parse("3 1\n0 " + "0" * 18 + "1\n") is None
+        assert _parse_plain("3 1\n0 " + "0" * 17 + "1\n") == Graph(3, [(0, 1)])
+        assert _parse_plain("3 1\n0 " + "0" * 18 + "1\n") is None
 
     @given(mutated_edge_lists())
     @settings(max_examples=400)
@@ -495,9 +491,8 @@ class TestParsing:
         # An error here means np.fromstring met a token it could not read.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = _parse_plain(text)
+            fast = outcome(_parse_plain, text)
         assert fast is None or fast == outcome(_parse_general, text)
-        assert _parse_ints(text) == fast
 
     def test_allocates_no_container_per_edge(self):
         # Per-edge tuples would trigger (and lengthen) cyclic-GC passes that
@@ -538,44 +533,59 @@ class TestParsing:
 
 
 class TestIntReader:
-    """_parse_ints, the reader parse_graph uses on small plain texts while
-    numpy is not imported, against _parse_plain and the general reader."""
+    """parse_graph's two readers on plain texts: the general one, which
+    reads fields by int and takes short texts while numpy is not imported,
+    and the plain one, which must agree with it wherever it does not give
+    up."""
 
     @given(plain_edge_lists())
     @settings(max_examples=600)
     def test_agrees_with_plain_and_general_readers(self, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = _parse_plain(text)
-        assert _parse_ints(text) == fast
+            fast = outcome(_parse_plain, text)
         general = outcome(_parse_general, text)
         if fast is not None:
             assert fast == general
         assert outcome(parse_graph, text) == general
 
     @pytest.mark.parametrize(
-        "text",
+        "make, size",
         [
-            " " * 200_000 + "x",
-            "1 2" + " \t" * 100_000 + "x",
-            "0 1\r\n" * 40_000 + "x",
-            "\r\n" * 100_000 + "\r\r\n x",
-            "\r" * 200_000 + "x",
+            pytest.param(make, size, id=name + suffix)
+            for size, suffix in [(200_000, ""), (60_000, "-below_cap")]
+            for name, make in [
+                ("blanks", lambda size: " " * size + "x"),
+                ("trailing_blanks", lambda size: "1 2" + " \t" * (size // 2) + "x"),
+                ("crlf_lines", lambda size: "0 1\r\n" * (size // 5) + "x"),
+                ("crlf_blank_lines", lambda size: "\r\n" * (size // 2) + "\r\r\n x"),
+                ("cr_lines", lambda size: "\r" * size + "x"),
+            ]
         ],
-        ids=["blanks", "trailing_blanks", "crlf_lines", "crlf_blank_lines", "cr_lines"],
     )
-    def test_format_check_stays_linear(self, text):
-        # Each text is 200 kB and fails at its last character.  The match
-        # takes milliseconds (a few tens per text on a 2-vCPU VM); one that
-        # backtracked quadratically in a run of blanks, or tried both
-        # readings of each \r\n, would not end within the timeout.  It runs
-        # in a child process, since a match in progress cannot be stopped.
+    def test_format_check_stays_linear(self, make, size):
+        # Each text is plain but for its last character.  At 200 kB the
+        # plain reader sees it, then the general one; at 60 kB, below the
+        # cap, only the general one, without numpy.  Each parse takes
+        # milliseconds; one that rescanned a run of blanks or line breaks
+        # from every position in it would not end within the timeout.  It
+        # runs in a child process, since a parse in progress cannot be
+        # stopped.
+        text = make(size)
+        assert (len(text) > _LINE_READ_CAP) == (size > 100_000)
         child = (
-            "import sys; from oatgraph.graph import _PLAIN_TEXT;"
-            "sys.exit(_PLAIN_TEXT.fullmatch(sys.stdin.buffer.read().decode()) is not None)"
+            "import sys\n"
+            "from oatgraph import GraphFormatError, parse_graph\n"
+            "try:\n"
+            "    parse_graph(sys.stdin.buffer.read().decode())\n"
+            "except GraphFormatError:\n"
+            "    print('numpy' in sys.modules)\n"
         )
-        run = subprocess.run([sys.executable, "-c", child], input=text.encode(), timeout=30)
-        assert run.returncode == 0
+        run = subprocess.run(
+            [sys.executable, "-c", child], input=text.encode(), capture_output=True, timeout=30
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == f"{len(text) > _LINE_READ_CAP}\n".encode()
 
 
 class TestComponents:
