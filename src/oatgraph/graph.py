@@ -15,12 +15,13 @@ whole, as two int64 endpoint arrays checked with array operations, so no
 Python bytecode runs per edge unless an edge is faulty.  Both hand their
 endpoint arrays to one fill (``_fill``): two fancy-index stores into a
 boolean matrix, packed into the bitmasks and dropped.  An edge-list text
-has two readers.  A plain one (ASCII digits, blanks, ``\\r`` and ``\\n`` only, two
-short unsigned integers per line) is read so, in one C-level pass over
-its bytes, once numpy is loaded or when the text is long.  Every other
-text, and every faulty one, goes through the general reader, one line at
-a time: ``str.split`` and ``int`` read each line, and each edge end sets its
-bit by one big-int OR, with no array at all.  It is the only reader that
+has two readers.  A text in the writer's form (ASCII lines ``u v`` of
+digits and one space, every line ended by ``\\n`` or ``\\r\\n``) is read
+by one digit deletion and one ``np.fromstring`` over its bytes, once
+numpy is loaded or when the text is long.  Every other text, and every
+faulty one, goes through the general reader, one line at a time:
+``str.split`` and ``int`` read each line, and each edge end sets its bit
+by one big-int OR, with no array at all.  It is the only reader that
 words a format error.
 """
 
@@ -46,9 +47,10 @@ if TYPE_CHECKING:
 # bytes: building A@A holds two n x n four-byte matrices (the float32
 # adjacency and its product, then the product and its int32 copy), and a
 # refresh holds A@A, its stale rows and their gathered columns.  Reading a
-# dense member's plain edge list peaks at 14-25 n^2 bytes, since its byte
-# arrays grow with the text.  At 4 the budget sits well above both peaks;
-# a lower factor would admit larger graphs, a change to the budget itself.
+# dense member's edge list in the writer's form peaks at 6-10 n^2 bytes:
+# the text's bytes, its endpoint values and _fill's n x n boolean matrix.
+# At 4 the budget sits well above both peaks; a lower factor would admit
+# larger graphs, a change to the budget itself.
 _DENSE_FOOTPRINT_FACTOR = 4
 
 # Graph(n, edges) takes its edges this many at a time, so that a lazy edge
@@ -370,74 +372,49 @@ def _fill(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
     return _pack(adj)
 
 
-# Byte classes of a plain edge list; every byte outside them is _OTHER.
-_OTHER, _BREAK, _BLANK, _DIGIT = range(4)
-# Digits a plain field may have: 18 never reach int64's limit.
-_PLAIN_DIGITS = 18
-
 # parse_graph reads a text of at most this many characters with the
 # general reader while numpy is not yet imported: it then costs less than
 # the import it spares.  At this cap, on a 2-vCPU x86 VM (minimum of 15
 # runs, a range over separate runs), the general reader read P_6775
 # (65,533 characters) in 5.5-12 ms and random_oat(171, 0) (52,357) in
 # 5.7-12 ms, against 66-103 ms for importing numpy (-X importtime); with
-# numpy loaded, _parse_plain read them in 20-37 ms (its n x n fill) and
-# 0.9-1.6 ms.
+# numpy loaded, _parse_plain read them in 15-18 ms (its n x n fill) and
+# 0.52-0.53 ms.
 _LINE_READ_CAP = 1 << 16
 
 
-@functools.cache
-def _byte_class() -> np.ndarray:
-    """_parse_plain's table from each byte to its class, built on first use."""
-    import numpy as np
-
-    table = np.full(256, _OTHER, dtype=np.uint8)
-    table[list(b"\r\n")] = _BREAK
-    table[list(b" \t")] = _BLANK
-    table[list(b"0123456789")] = _DIGIT
-    return table
-
-
 def _parse_plain(text: str) -> Graph | None:
-    """The graph of a plain, fault-free edge list, else None.
+    """The graph of a fault-free edge list in format_graph's form, else None.
 
-    A plain text is ASCII with no bytes but digits, blanks (space, tab) and
-    line breaks (``\\r``, ``\\n``), and every non-blank line in it has two
-    fields ``[0-9]{1,18}``.  On such a text ``str.split``,
-    ``str.splitlines`` and ``int`` see exactly the fields and lines that
-    the byte arrays below see, ``np.fromstring`` reads every field as
-    ``int`` does, and no value overflows int64.  Token bounds come from
-    shifted compares of a token mask, and a line break between two tokens
-    from one ``logical_or.reduceat`` over the gaps.  Any doubt, and any
-    fault, gives None, so that the general reader decides and words the
-    error; a vertex count beyond the dense budget raises the general
-    reader's SizeBudgetError.
+    That form is ASCII lines of two digit runs joined by one space, every
+    line ended by ``\\n`` or ``\\r\\n``, the last included.  It is checked
+    with no array per byte: with ``\\r\\n`` made ``\\n`` and the digits
+    deleted, only ``" \\n"`` pairs may be left, and the text must end in
+    ``\\n``.  Every line is then ``D D`` with each D a run of zero or
+    more digits and one space between.  ``np.fromstring`` finding two
+    values per line means that no run is empty; the final ``\\n`` is
+    needed for that, since a run after the last break would make up for
+    an empty field.  On such a text ``str.splitlines``, ``str.split`` and
+    ``int`` see exactly the fields that ``np.fromstring`` reads, and
+    ``int`` reads each as it does below int64's maximum, where
+    ``np.fromstring`` saturates.  Any other text, and any fault, gives
+    None, so that the general reader decides and words the error; a vertex
+    count beyond the dense budget raises the general reader's
+    SizeBudgetError.
     """
     import numpy as np
 
     if not text.isascii():
         return None
     raw = text.encode("ascii")
-    cls = _byte_class().take(np.frombuffer(raw, dtype=np.uint8))
-    if not cls.all():
-        return None
-    # A token starts where the zero-padded token mask rises and ends
-    # (exclusive) where it falls.
-    tok = np.zeros(len(cls) + 2, dtype=bool)
-    np.equal(cls, _DIGIT, out=tok[1:-1])
-    starts = np.flatnonzero(tok[1:-1] > tok[:-2])
-    ends = np.flatnonzero(tok[:-1] > tok[1:])
-    if len(starts) < 2 or len(starts) % 2:
-        return None
-    if (ends - starts).max() > _PLAIN_DIGITS:
-        return None
-    # gap[i]: a line break between token i and token i+1.  Tokens pair up
-    # as lines: a break after every odd token and none after an even one.
-    gap = np.logical_or.reduceat(cls[: ends[-1]] == _BREAK, ends[:-1])
-    if gap[0::2].any() or not gap[1::2].all():
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    skel = raw.translate(None, b"0123456789")
+    lines = skel.count(b" \n")
+    if not lines or 2 * lines != len(skel) or not raw.endswith(b"\n"):
         return None
     values = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if len(values) != len(starts):
+    if len(values) != 2 * lines or values.max() == np.iinfo(np.int64).max:
         return None
     n, m = int(values[0]), int(values[1])
     us, vs = values[2::2], values[3::2]
@@ -458,14 +435,15 @@ def parse_graph(text: str) -> Graph:
 
     There are two readers, which give the same graph for any text both
     accept.  Once numpy is imported, or when the text is longer than
-    _LINE_READ_CAP characters, a plain text (ASCII digits, blanks, ``\\r``
-    and ``\\n``, with two fields of at most 18 digits on every non-blank
-    line) is read in one C-level pass over its bytes (``_parse_plain``),
-    which gives up on any fault.  Every other text, and every plain text
-    with a fault, goes through the general reader (``_parse_general``),
-    which reads one line at a time with no array, so that a small graph is
-    read without importing numpy.  It words every error; the plain reader
-    raises only the general one's SizeBudgetError, at the same step.
+    _LINE_READ_CAP characters, a text in format_graph's form (ASCII lines
+    of two digit runs and one space, each ended by ``\\n`` or ``\\r\\n``)
+    is read by deleting its digits, checking the skeleton left and one
+    ``np.fromstring`` (``_parse_plain``), which gives up on any other text
+    and on any fault.  Every other text, and every one it gives up on,
+    goes through the general reader (``_parse_general``), which reads one
+    line at a time with no array, so that a small graph is read without
+    importing numpy.  It words every error; the fast reader raises only
+    the general one's SizeBudgetError, at the same step.
 
     The header and the count of non-blank lines after it are checked
     first.  Then errors name the first faulty edge line, and within one

@@ -3,6 +3,7 @@ import itertools
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,12 +113,13 @@ def outcome(parse, text):
 
 
 # Tokens int() rejects, spellings it accepts, and values beyond any range;
-# then tokens a byte-level reader could misread: signs inside or alone, zero
-# padding, the most digits the plain reader takes, the first value beyond
-# int64, and a vertical tab, a line break to str.splitlines.
+# then tokens np.fromstring could misread: signs inside or alone, zero
+# padding, 18 digits, int64's maximum, where np.fromstring saturates, and
+# the first value beyond it, and a vertical tab, a line break to
+# str.splitlines.
 JUNK_TOKENS = ["x", "1.0", "-1", "+1", "1_0", "\u0663", "99999999999999999999", "7", "0", "\xa0"]
 JUNK_TOKENS += ["1-2", "+-1", "-", "+", "1+", "-0", "007", "999999999999999999"]
-JUNK_TOKENS += ["9223372036854775808", "\x0b"]
+JUNK_TOKENS += ["9223372036854775807", "9223372036854775808", "\x0b"]
 
 
 @st.composite
@@ -161,11 +163,14 @@ def mutated_edge_lists(draw):
     return ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
-# Faulty texts made of plain bytes only: an odd field count, tokens that
-# still pair up (an edge's fields on two lines, two edges on one line, the
-# header and an edge on one line), a negative vertex that numpy indexing
-# would wrap round, then signs inside a token or alone: np.fromstring reads
-# a lone sign as 0.
+# Faulty texts of digits, spaces, signs and line breaks: an odd field
+# count, tokens that still pair up (an edge's fields on two lines, two
+# edges on one line, the header and an edge on one line), a negative vertex
+# that numpy indexing would wrap round, signs inside a token or alone
+# (np.fromstring reads a lone sign as 0), then texts whose skeleton, with
+# the digits deleted, is one " \n" per line while their fields are not two
+# digit runs a line: a run after the last break making up for an empty
+# field, an empty first field, and a run after a complete text.
 PLAIN_BYTE_FAULTS = [
     ("odd_field_count", "3 2\n0 2\n1\n"),
     ("edge_over_two_lines", "3 2\n0\n1\n1 2\n"),
@@ -174,17 +179,22 @@ PLAIN_BYTE_FAULTS = [
     ("negative_vertex_wraps", "3 2\n-1 0\n1 2\n"),
     *((f"sign_{token}", f"3 1\n0 {token}\n") for token in ["1-2", "+-1", "-", "+", "1+"]),
     ("sign_as_edge_count", "3 -\n"),
+    ("run_after_last_break_fills_empty_field", "1 \n0"),
+    ("empty_first_field", "3 1\n 1\n"),
+    ("run_after_complete_text", "3 1\n0 1\n2"),
 ]
 
 
 @st.composite
 def plain_edge_lists(draw):
-    """format_graph output respelled inside the plain format, then mostly
-    given one fault: blank lines, tabs, leading zeros and \\n, \\r\\n or
-    \\r line ends; then a field of 18 or 19 digits, an edge with u >= v or
-    v >= n, a repeated edge, a wrong edge count, n over the dense budget,
-    a non-ASCII digit, or \\x0b or \\x0c, which str.split takes as blanks
-    and str.splitlines as line breaks."""
+    """format_graph output respelled with leading zeros, in half the
+    texts also with blank lines, tabs, repeated blanks, \\r line ends and
+    no final line end, in the others kept in the writer's form with \\n
+    or \\r\\n line ends; then mostly given one fault: a field zero-padded
+    to 17-19 digits, an edge with u >= v or v >= n, a repeated edge, a
+    wrong edge count, n over the dense budget, a non-ASCII digit, or \\x0b
+    or \\x0c, which str.split takes as blanks and str.splitlines as line
+    breaks."""
     g = draw(graphs(max_n=9))
     rows = [line.split() for line in format_graph(g).splitlines()]
     fault = draw(
@@ -209,18 +219,20 @@ def plain_edge_lists(draw):
         rows[0][1] = str(len(rows) - 1 + draw(st.sampled_from([-1, 1])))
     elif fault == "budget":
         rows[0][0] = draw(st.sampled_from(["1000000", "9" * 18, "9" * 19]))
-    pad = st.sampled_from(["", " ", "\t", "  ", " \t "])
+    spaced = draw(st.booleans())
+    pad = st.sampled_from(["", " ", "\t", "  ", " \t "]) if spaced else st.just("")
     zeros = st.sampled_from(["", "", "0", "00"])
     lines = []
     for fields in rows:
-        for _ in range(draw(st.integers(0, 1))):
+        for _ in range(draw(st.integers(0, int(spaced)))):
             lines.append(draw(pad))  # a blank line
         fields = [draw(zeros) + f if len(f) < 17 else f for f in fields]
         gap = draw(pad) or " "
         lines.append(draw(pad) + gap.join(fields) + draw(pad))
-    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    breaks = ["\n", "\r\n", "\r"] if spaced else ["\n", "\r\n"]
+    ends = [draw(st.sampled_from(breaks)) for _ in lines]
     text = "".join(line + end for line, end in zip(lines, ends))
-    if not draw(st.integers(0, 4)):
+    if spaced and not draw(st.integers(0, 4)):
         text = text.rstrip("\r\n")
     if fault in ("unicode", "vt_ff") and text:
         at = draw(st.integers(0, len(text) - 1))
@@ -481,9 +493,40 @@ class TestParsing:
             warnings.simplefilter("error")
             assert _parse_plain(text) is None
 
-    def test_plain_reader_takes_fields_of_at_most_18_digits(self):
-        assert _parse_plain("3 1\n0 " + "0" * 17 + "1\n") == Graph(3, [(0, 1)])
-        assert _parse_plain("3 1\n0 " + "0" * 18 + "1\n") is None
+    def test_plain_reader_takes_fields_below_int64_maximum(self):
+        text = "3 1\n0 " + "0" * 18 + "1\n"
+        assert _parse_plain(text) == _parse_general(text) == Graph(3, [(0, 1)])
+        # np.fromstring saturates at int64's maximum, so a field there or
+        # beyond is left to the general reader, which words its error.
+        for field in ["9223372036854775807", "1" + "0" * 19]:
+            edge, header = f"3 1\n0 {field}\n", f"{field} 0\n"
+            assert _parse_plain(edge) is None and _parse_plain(header) is None
+            with pytest.raises(GraphFormatError, match=f"edge \\(0, {field}\\) out of range"):
+                parse_graph(edge)
+            with pytest.raises(SizeBudgetError, match=f"n = {field} needs"):
+                parse_graph(header)
+
+    @given(graphs())
+    @settings(max_examples=100)
+    def test_plain_reader_takes_the_writers_form(self, g):
+        # Without this, a plain reader that always gave up would pass every
+        # agreement test.
+        text = format_graph(g)
+        assert _parse_plain(text) == g
+        assert _parse_plain(text.replace("\n", "\r\n")) == g
+
+    def test_plain_reader_peak_on_a_dense_member(self):
+        # The text's bytes, its endpoint values and _fill's n x n boolean
+        # matrix: 9.7 n^2 bytes on this member.
+        g = replay(random_oat(500, 11))
+        text = format_graph(g)
+        tracemalloc.start()
+        try:
+            assert parse_graph(text) == g
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * g.n**2
 
     @given(mutated_edge_lists())
     @settings(max_examples=400)
