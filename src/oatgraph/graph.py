@@ -395,9 +395,12 @@ def _parse_plain(text: str) -> Graph | None:
     values per line means that no run is empty; the final ``\\n`` is
     needed for that, since a run after the last break would make up for
     an empty field.  On such a text ``str.splitlines``, ``str.split`` and
-    ``int`` see exactly the fields that ``np.fromstring`` reads, and
-    ``int`` reads each as it does below int64's maximum, where
-    ``np.fromstring`` saturates.  Any other text, and any fault, gives
+    ``int`` see exactly the fields that ``np.fromstring`` reads.  Below
+    int64's maximum, where ``np.fromstring`` saturates, ``int`` reads each
+    the same unless the field has more digits than
+    ``sys.get_int_max_str_digits()`` allows, at least 640 when set; such a
+    field holds a run of 20 zeros, which the writer never writes, so a
+    text holding one is given up.  Any other text, and any fault, gives
     None, so that the general reader decides and words the error; a vertex
     count beyond the dense budget raises the general reader's
     SizeBudgetError.
@@ -409,6 +412,8 @@ def _parse_plain(text: str) -> Graph | None:
     raw = text.encode("ascii")
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")
+    if b"0" * 20 in raw:  # a field int may refuse for its length
+        return None
     skel = raw.translate(None, b"0123456789")
     lines = skel.count(b" \n")
     if not lines or 2 * lines != len(skel) or not raw.endswith(b"\n"):
@@ -436,10 +441,10 @@ def parse_graph(text: str) -> Graph:
     There are two readers, which give the same graph for any text both
     accept.  Once numpy is imported, or when the text is longer than
     _LINE_READ_CAP characters, a text in format_graph's form (ASCII lines
-    of two digit runs and one space, each ended by ``\\n`` or ``\\r\\n``)
-    is read by deleting its digits, checking the skeleton left and one
-    ``np.fromstring`` (``_parse_plain``), which gives up on any other text
-    and on any fault.  Every other text, and every one it gives up on,
+    of two digit runs and one space, each ended by ``\\n`` or ``\\r\\n``,
+    with no run of 20 zeros) is read by deleting its digits, checking the
+    skeleton left and one ``np.fromstring`` (``_parse_plain``), which gives
+    up on any other text and on any fault.  Every other text, and every one it gives up on,
     goes through the general reader (``_parse_general``), which reads one
     line at a time with no array, so that a small graph is read without
     importing numpy.  It words every error; the fast reader raises only

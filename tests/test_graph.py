@@ -170,7 +170,8 @@ def mutated_edge_lists(draw):
 # (np.fromstring reads a lone sign as 0), then texts whose skeleton, with
 # the digits deleted, is one " \n" per line while their fields are not two
 # digit runs a line: a run after the last break making up for an empty
-# field, an empty first field, and a run after a complete text.
+# field, an empty first field, and a run after a complete text; last, a
+# field below int64's maximum zero-padded past int's default digit limit.
 PLAIN_BYTE_FAULTS = [
     ("odd_field_count", "3 2\n0 2\n1\n"),
     ("edge_over_two_lines", "3 2\n0\n1\n1 2\n"),
@@ -182,6 +183,7 @@ PLAIN_BYTE_FAULTS = [
     ("run_after_last_break_fills_empty_field", "1 \n0"),
     ("empty_first_field", "3 1\n 1\n"),
     ("run_after_complete_text", "3 1\n0 1\n2"),
+    ("field_past_int_digit_limit", "3 1\n0 " + "0" * 4300 + "1\n"),
 ]
 
 
@@ -505,6 +507,15 @@ class TestParsing:
                 parse_graph(edge)
             with pytest.raises(SizeBudgetError, match=f"n = {field} needs"):
                 parse_graph(header)
+        # A run of 20 zeros is left to the general reader too: int reads a
+        # field of 20-odd digits, and refuses one past its digit limit.
+        assert "numpy" in sys.modules
+        text = "3 1\n0 " + "0" * 20 + "1\n"
+        assert _parse_plain(text) is None and parse_graph(text) == Graph(3, [(0, 1)])
+        text = "3 1\n0 " + "0" * 4300 + "1\n"
+        assert _parse_plain(text) is None
+        with pytest.raises(GraphFormatError, match="edge line must be two integers"):
+            parse_graph(text)
 
     @given(graphs())
     @settings(max_examples=100)
