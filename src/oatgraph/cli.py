@@ -43,9 +43,10 @@ def _path(path: str) -> Path:
     return Path(path)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, newline: str | None = None) -> str:
     try:
-        return _path(path).read_text()
+        with _path(path).open(newline=newline) as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}")
 
@@ -58,7 +59,9 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_graph(path: str) -> Graph:
-    return parse_graph(_read_text(path))
+    # Line ends as written: parse_graph reads \r\n itself, and universal
+    # newlines would copy a CRLF text once more to make them \n.
+    return parse_graph(_read_text(path, newline=""))
 
 
 def _read_json(path: str) -> Any:

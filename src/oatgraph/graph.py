@@ -3,12 +3,16 @@
 A graph is its vertex count n and one neighbourhood bitmask per vertex: an
 int with bit u set for each neighbour u of v.  Components, pendant cliques,
 properness, replay and ``edges`` work on those bitmasks alone; the scans
-that want arrays (A@A, ``induced``, ``format_graph`` and the read-only
-``Graph.adj``) unpack them when they run.  This module alone converts
-between bitmasks and arrays (``_pack``, ``_unpack``, ``_labels``,
-``_indicator``, ``_mask``).  numpy is imported inside the functions that
-build arrays, when they first run, so importing this module, or oatgraph,
-loads none: a command that needs no array never pays for the import.
+that want arrays (A@A, ``format_graph`` and the read-only ``Graph.adj``)
+unpack them when they run.  Recognition and ``induced`` can work either
+way, and one rule, ``_on_masks``, picks the side: the bitmasks for a graph
+of mean degree below 8, and, while numpy is not yet imported, for one of
+at most 4,096 edges, whose arrays would save less than the import costs;
+arrays otherwise.  This module alone converts between bitmasks and arrays
+(``_pack``, ``_unpack``, ``_labels``, ``_indicator``, ``_mask``).  numpy
+is imported inside the functions that build arrays, when they first run,
+so importing this module, or oatgraph, loads none: a command that needs no
+array never pays for the import.
 
 ``Graph(n, edges)`` and the plain edge-list reader take their edges as a
 whole, as two int64 endpoint arrays checked with array operations, so no
@@ -52,6 +56,49 @@ if TYPE_CHECKING:
 # At 4 the budget sits well above both peaks; a lower factor would admit
 # larger graphs, a change to the budget itself.
 _DENSE_FOOTPRINT_FACTOR = 4
+
+# A graph whose mean degree is below this is worked on its bitmasks alone:
+# recognition builds no A@A and reads its whole index off the masks, and
+# induced builds the subgraph's masks directly.  A mask read costs one
+# big-int AND per neighbour, so that side grows with the degree, while A@A
+# is one BLAS product up front and one row compare per refresh.
+# Recognising relabelled graphs with masks alone, against A@A, on a 2-vCPU
+# x86 VM with one BLAS thread (minimum of 5-7 runs), took 0.41-0.75 of the
+# time on the benchmark's paths and sparse chains (mean degree 2.0-2.9),
+# and 0.61-0.76 on unions of small random_oat members (n = 300) and on
+# p4_sparse members of mean degree 3.3-7.8.  From 8 to 25 it took
+# 0.54-1.35, depending on the shape, and from 28.5 up 0.95-5.8 (1.27-5.8 on
+# the benchmark's random_oat members).  So below 8 the masks were faster on
+# every shape measured, and they hold no n x n matrix: relabelled P_2000
+# peaks at 1.5 MiB under tracemalloc against 61 MiB with A@A.  P_2000's
+# induced subgraph on all its vertices took 2.6 ms on masks, against
+# 19.7 ms on arrays (minimum of 7).
+_SPARSE_DEGREE = 8
+
+# While numpy is not yet imported, a graph of at most this many edges is
+# worked on its bitmasks whatever its degree: the arrays would save less
+# than importing numpy costs, 66-103 ms (-X importtime).  On a 2-vCPU x86
+# VM with one BLAS thread (in-process, minimum of 5 runs), recognition on
+# masks took 0.6-33 ms on the graphs of at most 4,096 edges tried, against
+# 0.4-5.5 ms on A@A: random_oat(n, s) for n = 80-190 and s < 4, p4_sparse
+# members with 20 and 40 pendant vertices, K_90 and G(n, p) for
+# (100, .5), (128, .5), (100, .8) and (180, .25).  The slowest,
+# random_oat(100, 1), took 32.7 ms against 5.5 ms, so the masks led A@A
+# and the import by 38 ms or more.  From 4,100 to 8,400 edges the masks
+# took up to 61 ms (random_oat(170, 2), 8.6 ms on A@A), a lead of 14 ms
+# at the import's fastest, so the cap stays at 4,096.
+_MASK_EDGE_CAP = 1 << 12
+
+
+def _on_masks(n: int, ends: int, sparse_degree: int = _SPARSE_DEGREE) -> bool:
+    """Whether a graph of n vertices and ``ends`` edge ends, twice its edge
+    count, is worked on its bitmasks rather than on arrays: when its mean
+    degree is below sparse_degree, or when numpy is not yet imported and
+    the graph has at most _MASK_EDGE_CAP edges."""
+    if ends < sparse_degree * n:
+        return True
+    return "numpy" not in sys.modules and ends <= 2 * _MASK_EDGE_CAP
+
 
 # Graph(n, edges) takes its edges this many at a time, so that a lazy edge
 # stream is never held whole: as tuples it would take several times the
@@ -132,14 +179,28 @@ class Graph:
         return tuple(iter_bits(self._masks[self._vertex(v)]))
 
     def induced(self, verts: Iterable[int]) -> Graph:
-        """Induced subgraph on the given vertices, relabelled by their sort order."""
-        idx = sorted(set(verts))
+        """Induced subgraph on the given vertices, relabelled by their sort order.
+
+        Each kept row is ANDed with the kept vertices' mask, and _on_masks
+        decides on the subgraph's own size and edge ends.  On the masks
+        side each row's bits move to their new labels one at a time, with
+        no array, so a sparse or small subgraph is built without numpy;
+        otherwise the rows are unpacked, their kept columns gathered and
+        packed again, which on a dense subgraph of a hundred or more
+        vertices is the faster (random_oat(300, 0) on all its vertices:
+        0.49 ms, against 5.5 ms on masks).
+        """
+        idx = sorted(set(map(operator.index, verts)))
         if not idx:
             raise ValueError("induced subgraph needs at least one vertex")
         if idx[0] < 0 or idx[-1] >= self.n:
             raise ValueError(f"vertices {idx} out of range for n={self.n}")
-        rows = _unpack([self._masks[v] for v in idx], self.n)
-        return Graph._from_masks(_pack(rows[:, idx]))
+        keep = sum(1 << v for v in idx)
+        rows = [self._masks[v] & keep for v in idx]
+        if not _on_masks(len(idx), sum(map(int.bit_count, rows))):
+            return Graph._from_masks(_pack(_unpack(rows, self.n)[:, idx]))
+        new = {v: 1 << i for i, v in enumerate(idx)}
+        return Graph._from_masks([sum(map(new.__getitem__, iter_bits(r))) for r in rows])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -18,9 +18,11 @@ and a Union or Join entry below each later part, so the first part is
 explored first and the parts fold left-associatively as they finish.
 
 Whether common neighbours are counted at all is chosen once per graph,
-from its mean degree.  A dense graph counts them in one n x n int32 A@A
-for the whole run, indexed by original label.  Tasks on the stack have
-disjoint vertex sets, so each owns the block of its labels, and each tail
+by graph._on_masks: a graph of mean degree below 8, or one of at most
+4,096 edges while numpy is not yet imported, is worked on its masks, and
+every other graph, a dense one, on A@A.  A dense graph counts them in one
+n x n int32 A@A for the whole run, indexed by original label.  Tasks on
+the stack have disjoint vertex sets, so each owns the block of its labels, and each tail
 move patches that block in place, at the move, instead of paying an extra
 factor n to recompute it.  A comparable move takes 1 off every pair in
 N(u) x N(u).  When N(u) is wide, more than n / _WIDE_MOVE labels, it
@@ -32,8 +34,9 @@ parts share no neighbours; a join's other parts are common neighbours of
 every pair in a part, so a join leaves the part's block one constant too
 high, the task's shift, summed over the joins above it.  Every dominance
 test compares a row's entries with its diagonal inside one block, so the
-shift changes no pick; only verify_a2 subtracts it.  A sparse graph
-builds no A@A and patches nothing: it reads every dominator off the masks.
+shift changes no pick; only verify_a2 subtracts it.  On the masks side a
+graph builds no A@A and patches nothing: it reads every dominator off the
+masks.
 dom[u] indexes the comparable moves: the smallest v != u in u's task with
 N(u) a subset of N(v), or -1, in a Python list; has_dom is the bitmask of
 the labels with dom[u] >= 0, and dominated[v] that of the labels w with
@@ -47,20 +50,23 @@ can point at a label, and refreshes only the rows it patched and the rows
 whose dominator it removed, read off dominated.  (A clique move
 comes only when no vertex of the task has a dominator, so it refreshes
 its anchor's row alone.)  Each regime refreshes by one rule, and the two
-rules give the same dominators.  A sparse graph reads each stale row w off
-the masks: the task's labels other than w, ANDed with the neighbourhood of
-every neighbour of w, leave exactly the v with N(w) a subset of N(v), and
-the lowest is the dominator, for one big-int AND per neighbour.  It reads
-its initial index so too; a refresh's rows have fewer than 2m < 8n
-neighbours between them, so each of the at most n moves costs O(n^2) word
-operations.  A dense graph compares the stale rows of A@A with their
+rules give the same dominators.  On the masks side each stale row w is
+read off the masks: the task's labels other than w, ANDed with the
+neighbourhood of every neighbour of w, leave exactly the v with N(w) a
+subset of N(v), and the lowest is the dominator, for one big-int AND per
+neighbour.  The initial index is read so too; a refresh's rows have at
+most 2m neighbours between them, fewer than 8n on a sparse graph and at
+most 8,192 on a small one, so each of the at most n moves costs O(n^2)
+word operations.  A dense graph compares the stale rows of A@A with their
 diagonals over the task's labels, the rows gathered whole and their
 columns compressed by the task's 0/1 indicator for that compare only; the
 move has patched the matrix just before, so the compare reads current
 counts.  Memory is that one A@A, the index and the rows refreshed by one
 move, O(n^2), on a dense graph, and the masks, n^2 bits, and the index on
-a sparse one.  numpy is imported only by the A@A regime and verify_a2, so
-a sparse graph is recognised without it.  verify_a2 checks the first
+the masks side.  numpy is imported only by the A@A regime, verify_a2 and
+an induced subgraph built on arrays, so a graph on the masks side is
+recognised without it, and so is its stuck subgraph unless that has mean
+degree 8 or more and over 4,096 edges.  verify_a2 checks the first
 task's index before any move, then every new task's block, less its
 shift, where there is a matrix, and every dominator of its labels and
 every index pick, against a fresh recomputation, the reference, and every
@@ -82,23 +88,8 @@ from dataclasses import dataclass
 from ._util import iter_bits
 from .buildtree import BuildTree, CliqueAttach, Comparable, Join, Leaf, Union, _fold
 from .errors import StepConsistencyError
-from .graph import Graph, _dominators, _indicator, _labels, _mask, adjacency_square
-from .graph import find_comparable_pair, mask_components, pendant_clique
-
-# A graph whose mean degree is below this builds no A@A: its whole index is
-# read off the masks.  A mask read costs one big-int AND per neighbour, so
-# that side grows with the degree, while A@A is one BLAS product up front
-# and one row compare per refresh.  Recognising relabelled graphs
-# with masks alone, against A@A, on a 2-vCPU x86 VM with one BLAS thread
-# (minimum of 5-7 runs), took 0.41-0.75 of the time on the benchmark's
-# paths and sparse chains (mean degree 2.0-2.9), and 0.61-0.76 on unions
-# of small random_oat members (n = 300) and on p4_sparse members of mean
-# degree 3.3-7.8.  From 8 to 25 it took 0.54-1.35, depending on the shape,
-# and from 28.5 up 0.95-5.8 (1.27-5.8 on the benchmark's random_oat
-# members).  So below 8 the masks were faster on every shape measured, and
-# they hold no n x n matrix: relabelled P_2000 peaks at 1.5 MiB under
-# tracemalloc against 61 MiB with A@A.
-_SPARSE_DEGREE = 8
+from .graph import Graph, _dominators, _indicator, _labels, _mask, _on_masks, adjacency_square
+from .graph import _SPARSE_DEGREE, find_comparable_pair, mask_components, pendant_clique
 
 # A comparable move patches A@A with one whole-matrix subtract of N(u)'s
 # outer product when _WIDE_MOVE |N(u)| > n, else with a fancy-indexed
@@ -164,8 +155,10 @@ def recognize(g: Graph, *, verify_a2: bool = False) -> RecognitionOutcome:
     masks = g.neighbour_masks
     checks = 0
     full = (1 << g.n) - 1
-    m = None  # no A@A on a sparse graph: every dominator comes off the masks
-    if sum(map(int.bit_count, masks)) < _SPARSE_DEGREE * g.n:
+    m = None  # no A@A on the masks side: every dominator comes off the masks
+    # _SPARSE_DEGREE is passed from this module's globals, so that setting
+    # it here moves recognition's regime and not induced's.
+    if _on_masks(g.n, sum(map(int.bit_count, masks)), _SPARSE_DEGREE):
         first = [_mask_dominator(masks, full, w) for w in range(g.n)]
     else:
         import numpy as np

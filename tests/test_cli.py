@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,8 +26,12 @@ from oatgraph import (
     tree_to_json,
     verify_sequence,
 )
-from oatgraph import cli
+from oatgraph import canonical_colouring, chi_omega, p4_sparse_third_op
+from oatgraph import cli, graph
 from oatgraph.cli import main
+from oatgraph.graph import _MASK_EDGE_CAP
+
+from edge_list_cases import ACCEPTED, MALFORMED
 
 
 def write_graph(tmp_path, g, name="g.graph"):
@@ -694,6 +699,12 @@ sys.exit(code)
 """
 
 
+def cycle_with_tail(n):
+    """C5 on 0..4 with a path of n - 5 vertices hung off 0: stuck on the C5."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    return Graph(n, edges + [(0, 5)] + [(i, i + 1) for i in range(5, n - 1)])
+
+
 def run_child(argv, numpy_first=False, env=None):
     """(exit code, stdout, whether numpy was loaded, OpenBLAS threads or
     None, OPENBLAS_NUM_THREADS at the end, the command's own stderr) of one
@@ -744,10 +755,11 @@ class TestStartWithoutNumpy:
         assert runs[0] == runs[1]
 
     def test_dense_member_gives_the_same_bytes_either_way(self, tmp_path):
-        # Mean degree above 8: recognition imports numpy for A@A, after the
-        # text was read without it.
-        g = replay(random_oat(120, 0))
-        assert 2 * g.edge_count >= 8 * g.n
+        # Mean degree above 8 and more edges than the masks take while
+        # numpy is unloaded: recognition imports numpy for A@A, after the
+        # text (45.7 kB) was read without it.
+        g = replay(random_oat(150, 0))
+        assert 2 * g.edge_count >= 8 * g.n and g.edge_count > _MASK_EDGE_CAP
         gp = write_graph(tmp_path, g)
         runs = []
         for numpy_first in (False, True):
@@ -759,6 +771,62 @@ class TestStartWithoutNumpy:
             runs.append((recognized[:3], canonical[:3], tree.read_bytes()))
         assert runs[0] == runs[1]
         assert runs[0][0][0] == 0 and runs[0][0][2] is True
+
+    @pytest.mark.parametrize(
+        "make, loads",
+        [
+            (lambda: replay(random_oat(120, 0)), False),
+            (lambda: p4_sparse_third_op(12, replay(random_oat(6, 0)), "pendant"), False),
+            (lambda: classic("cycle", 40), False),
+            (lambda: cycle_with_tail(40), False),
+            (lambda: replay(random_oat(109, 108)), False),  # 4,096 edges, the cap
+            (lambda: replay(random_oat(127, 16)), True),  # 4,097 edges
+        ],
+        ids=[
+            "random_oat_120",
+            "p4_sparse_pendant_12_6",
+            "cycle_40",
+            "cycle_with_tail_40",
+            "at_the_edge_cap",
+            "past_the_edge_cap",
+        ],
+    )
+    def test_small_dense_and_stuck_graphs_on_masks(self, tmp_path, make, loads):
+        # recognize, recolor and canonical work on the masks, importing no
+        # numpy, on a member of mean degree 8 or more and at most
+        # _MASK_EDGE_CAP edges, and on a non-member with its stuck
+        # subgraph; one edge more and A@A is built.  Either way no byte of
+        # any output depends on whether numpy was imported first.
+        g = make()
+        assert (g.edge_count > _MASK_EDGE_CAP) == loads
+        out = recognize(g)
+        gp = write_graph(tmp_path, g)
+        if out.is_oat:
+            S = Palette.default(chi_omega(out.tree)[0])
+            first = canonical_colouring(out.tree, S).assignment
+            swapped = tuple({1: 2, 2: 1}.get(c, c) for c in first)
+        else:
+            S, first, swapped = Palette.default(2), (1,) * g.n, (2,) * g.n
+        a = write_colouring(tmp_path, first, S, "a.json")
+        b = write_colouring(tmp_path, swapped, S, "b.json")
+        runs = []
+        for numpy_first in (False, True):
+            tree = tmp_path / f"tree-{numpy_first}.json"
+            commands = [
+                ["recognize", gp, "--json", "--tree-out", str(tree)],
+                ["recolor", gp, "--from", a, "--to", b],
+                ["canonical", gp],
+            ]
+            results = []
+            for argv in commands:
+                code, stdout, loaded, _, _, err = run_child(argv, numpy_first)
+                assert (code, loaded) == (0 if out.is_oat else 1, numpy_first or loads), err
+                results.append((stdout, err))
+            runs.append((results, tree.read_bytes() if out.is_oat else tree.exists()))
+        assert runs[0] == runs[1]
+        if not out.is_oat:
+            stuck = json.loads(runs[0][0][0][0])["stuck_vertices"]
+            assert stuck == list(out.stuck_vertices)
 
     @pytest.mark.parametrize(
         "text, argv, code",
@@ -791,7 +859,8 @@ class TestBlasThreads:
     """The CLI runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS says otherwise."""
 
     def dense_graph(self, tmp_path):
-        return write_graph(tmp_path, replay(random_oat(120, 0)))
+        # more edges than the masks take while numpy is unloaded: A@A is built
+        return write_graph(tmp_path, replay(random_oat(150, 0)))
 
     def test_one_thread_by_default(self, tmp_path):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -809,3 +878,44 @@ class TestBlasThreads:
         # what it reports with numpy imported before the command.
         *_, reference, _, _ = run_child(["gen", "path", "2"], numpy_first=True, env=env)
         assert threads == reference
+
+
+def _crlf_cases():
+    cases = [(name, text) for name, text, *_ in MALFORMED + ACCEPTED]
+    members = {
+        "path_60": classic("path", 60),
+        "random_oat_80": replay(random_oat(80, 0)),
+        "p4_sparse_pendant_12_6": p4_sparse_third_op(12, replay(random_oat(6, 0)), "pendant"),
+        "cycle_with_tail_40": cycle_with_tail(40),
+    }
+    cases += [(name, format_graph(g)) for name, g in members.items()]
+    return [pytest.param(text, id=name) for name, text in cases]
+
+
+class TestLineEnds:
+    """A graph file is read with its line ends as written: a command answers
+    a text with \\r\\n or lone \\r ends as it answers the same text with \\n
+    ends, which is how universal newlines would have handed it on."""
+
+    @pytest.mark.parametrize("text", _crlf_cases())
+    def test_crlf_copy_answers_as_lf(self, tmp_path, capsys, text):
+        crlf = re.sub(r"\r?\n", "\r\n", text)  # a lone \r stays one
+        runs = []
+        for body in (crlf, re.sub(r"\r\n?", "\n", crlf)):
+            gp = tmp_path / "g.graph"
+            gp.write_bytes(body.encode("utf-8"))
+            code = main(["recognize", str(gp), "--json"])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+
+    def test_crlf_text_reaches_the_plain_reader(self, tmp_path, monkeypatch):
+        # numpy is loaded here, so parse_graph tries the plain reader first,
+        # and it reads the \r\n ends as written.
+        g = replay(random_oat(30, 0))
+        gp = tmp_path / "g.graph"
+        gp.write_bytes(format_graph(g).replace("\n", "\r\n").encode("ascii"))
+        read, seen = graph._parse_plain, []
+        monkeypatch.setattr(graph, "_parse_plain", lambda text: seen.append(text) or read(text))
+        monkeypatch.setattr(graph, "_parse_general", None)  # never called
+        assert cli._read_graph(str(gp)) == g
+        assert seen == [gp.read_bytes().decode("ascii")]

@@ -24,7 +24,8 @@ from oatgraph import (
 )
 from oatgraph.buildtree import replay
 from oatgraph.generators import classic, p4_sparse_third_op, random_oat
-from oatgraph.graph import _LINE_READ_CAP, _check_dense_budget
+from oatgraph import graph
+from oatgraph.graph import _LINE_READ_CAP, _MASK_EDGE_CAP, _check_dense_budget, _on_masks
 from oatgraph.graph import _parse_general, _parse_plain
 
 from conftest import random_graph
@@ -393,6 +394,59 @@ class TestMasksOnly:
             rng.shuffle(edges)
             check_against_matrix(Graph(n, edges), n, edges, rng)
             check_against_matrix(parse_graph(format_graph(Graph(n, edges))), n, edges, rng)
+
+
+def induced_both_ways(g, verts):
+    """g.induced(verts) built on the masks side, then on the arrays side."""
+    got = []
+    for side in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_on_masks", lambda n, ends: side)
+            got.append(g.induced(verts))
+    return got
+
+
+def induced_reference(g, verts):
+    idx = sorted(set(verts))
+    pairs = itertools.combinations(range(len(idx)), 2)
+    return Graph(len(idx), [(i, j) for i, j in pairs if g.has_edge(idx[i], idx[j])])
+
+
+class TestInducedSides:
+    """induced builds the same subgraph on the masks as on arrays."""
+
+    @given(
+        st.integers(1, 90),
+        st.sampled_from([0.03, 0.2, 0.5, 0.8, 1.0]),
+        st.integers(0, 10**6),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sides_agree_on_random_subsets(self, n, p, seed, data):
+        g = random_graph(n, p, seed)
+        # up to 2n draws: duplicates, a single vertex, and k >= n/2 all come up
+        verts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        on_masks, on_arrays = induced_both_ways(g, verts)
+        assert on_masks == on_arrays == induced_reference(g, verts)
+
+    @pytest.mark.parametrize("k", [1, 60, 90, 120])
+    def test_sides_agree_on_a_dense_graph(self, k):
+        g = random_graph(120, 0.7, k)
+        rng = random.Random(k)
+        verts = rng.sample(range(120), k)
+        verts += verts[: k // 2]  # duplicates
+        rng.shuffle(verts)
+        on_masks, on_arrays = induced_both_ways(g, verts)
+        assert on_masks == on_arrays == induced_reference(g, verts)
+
+    def test_rule_counts_the_numpy_import(self, monkeypatch):
+        cap = 2 * _MASK_EDGE_CAP  # edge ends
+        # numpy loaded: the mean degree alone decides
+        assert _on_masks(100, 799) and not _on_masks(100, 800)
+        assert not _on_masks(100, cap)
+        monkeypatch.delitem(sys.modules, "numpy")
+        assert _on_masks(100, cap) and not _on_masks(100, cap + 2)
+        assert _on_masks(10**4, 7 * 10**4)  # sparse at any size
 
 
 class TestParsing:
