@@ -2,41 +2,40 @@
 
 A graph is its vertex count n and one neighbourhood bitmask per vertex: an
 int with bit u set for each neighbour u of v.  Components, pendant cliques,
-properness, replay and ``edges`` work on those bitmasks alone; the scans
-that want arrays (A@A, ``format_graph`` and the read-only ``Graph.adj``)
-unpack them when they run.  Recognition and ``induced`` can work either
-way, and one rule, ``_on_masks``, picks the side: the bitmasks for a graph
-of mean degree below 8, and, while numpy is not yet imported, for one of
-at most 4,096 edges, whose arrays would save less than the import costs;
-arrays otherwise.  This module alone converts between bitmasks and arrays
-(``_pack``, ``_unpack``, ``_labels``, ``_indicator``, ``_mask``).  numpy
-is imported inside the functions that build arrays, when they first run,
-so importing this module, or oatgraph, loads none: a command that needs no
-array never pays for the import.
+properness, replay, ``Graph(n, edges)``, ``edges`` and ``format_graph``
+work on those bitmasks alone; the scans that want arrays (A@A and the
+read-only ``Graph.adj``) unpack them when they run.  Recognition and
+``induced`` can work either way, and one rule, ``_on_masks``, picks the
+side: the bitmasks for a graph of mean degree below 8, and, while numpy
+is not yet imported, for one of at most 4,096 edges, whose arrays would
+save less than the import costs; arrays otherwise.  This module alone
+converts between bitmasks and arrays (``_pack``, ``_unpack``, ``_labels``,
+``_indicator``, ``_mask``).  numpy is imported inside the functions that
+build arrays, when they first run, so importing this module, or oatgraph,
+loads none: a command that needs no array never pays for the import.
 
-``Graph(n, edges)`` and the plain edge-list reader take their edges as a
-whole, as two int64 endpoint arrays checked with array operations, so no
-Python bytecode runs per edge unless an edge is faulty.  Both hand their
-endpoint arrays to one fill (``_fill``): two fancy-index stores into a
-boolean matrix, packed into the bitmasks and dropped.  An edge-list text
-has two readers.  A text in the writer's form (ASCII lines ``u v`` of
-digits and one space, every line ended by ``\\n`` or ``\\r\\n``) is read
-by one digit deletion and one ``np.fromstring`` over its bytes, once
-numpy is loaded or when the text is long.  Every other text, and every
-faulty one, goes through the general reader, one line at a time:
+``Graph(n, edges)`` takes its edges one at a time, in stream order, so a
+lazy stream is never held whole: each edge is checked and each of its
+ends sets its bit by one big-int OR.  ``format_graph`` writes each
+vertex's higher neighbours straight from its mask.  An edge-list text has
+two readers.  A text in the writer's form (ASCII lines ``u v`` of digits
+and one space, every line ended by ``\\n`` or ``\\r\\n``) is read by one
+digit deletion and one ``np.fromstring`` over its bytes, once numpy is
+loaded or when the text is long; its endpoint arrays fill an n x n boolean
+matrix, packed into the bitmasks and dropped.  Every other text, and
+every faulty one, goes through the general reader, one line at a time:
 ``str.split`` and ``int`` read each line, and each edge end sets its bit
-by one big-int OR, with no array at all.  It is the only reader that
-words a format error.
+by one big-int OR, as in ``Graph(n, edges)``, with no array at all.  It
+is the only reader that words a format error.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from ._util import iter_bits
@@ -52,9 +51,9 @@ if TYPE_CHECKING:
 # adjacency and its product, then the product and its int32 copy), and a
 # refresh holds A@A, its stale rows and their gathered columns.  Reading a
 # dense member's edge list in the writer's form peaks at 6-10 n^2 bytes:
-# the text's bytes, its endpoint values and _fill's n x n boolean matrix.
-# At 4 the budget sits well above both peaks; a lower factor would admit
-# larger graphs, a change to the budget itself.
+# the text's bytes, its endpoint values and the n x n boolean matrix they
+# fill.  At 4 the budget sits well above both peaks; a lower factor would
+# admit larger graphs, a change to the budget itself.
 _DENSE_FOOTPRINT_FACTOR = 4
 
 # A graph whose mean degree is below this is worked on its bitmasks alone:
@@ -100,12 +99,6 @@ def _on_masks(n: int, ends: int, sparse_degree: int = _SPARSE_DEGREE) -> bool:
     return "numpy" not in sys.modules and ends <= 2 * _MASK_EDGE_CAP
 
 
-# Graph(n, edges) takes its edges this many at a time, so that a lazy edge
-# stream is never held whole: as tuples it would take several times the
-# memory of the adjacency matrix.
-_EDGE_CHUNK = 1 << 16
-
-
 class Graph:
     """Undirected graph on vertices 0..n-1, held as its neighbourhood bitmasks."""
 
@@ -115,8 +108,21 @@ class Graph:
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         _check_dense_budget(n)
+        n = operator.index(n)
+        masks = [0] * n
+        for e in edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a (u, v) pair")
+            u, v = e
+            a, b = operator.index(u), operator.index(v)
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if a == b:
+                raise ValueError(f"self-loop at vertex {u}")
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
         self.n: int = n
-        self._masks: list[int] = _fill(n, _endpoints(edges, n))
+        self._masks: list[int] = masks
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> Graph:
@@ -398,41 +404,6 @@ def _check_dense_budget(n: int) -> None:
         )
 
 
-def _endpoints(edges: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Graph(n, edges)'s edges as checked endpoint arrays, _EDGE_CHUNK at a time."""
-    import numpy as np
-
-    stream = iter(edges)
-    while chunk := list(itertools.islice(stream, _EDGE_CHUNK)):
-        if set(map(len, chunk)) != {2}:
-            item = next(e for e in chunk if len(e) != 2)
-            raise ValueError(f"edge {item!r} is not a (u, v) pair")
-        flat = list(map(operator.index, itertools.chain.from_iterable(chunk)))
-        try:
-            ends = np.array(flat, dtype=np.int64)
-        except OverflowError:  # beyond int64 is out of range for any n: clip it, keeping its side
-            ends = np.array(flat, dtype=object).clip(-1, n).astype(np.int64)
-        us, vs = ends[0::2], ends[1::2]
-        wrong = np.flatnonzero((us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs))
-        if len(wrong):
-            u, v = chunk[wrong[0]]
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            raise ValueError(f"self-loop at vertex {u}")
-        yield us, vs
-
-
-def _fill(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
-    """n vertices' bitmasks with each chunk's checked edges: the one n x n fill."""
-    import numpy as np
-
-    adj = np.zeros((n, n), dtype=bool)
-    for us, vs in chunks:
-        adj[us, vs] = True
-        adj[vs, us] = True
-    return _pack(adj)
-
-
 # parse_graph reads a text of at most this many characters with the
 # general reader while numpy is not yet imported: it then costs less than
 # the import it spares.  At this cap, on a 2-vCPU x86 VM (minimum of 15
@@ -465,6 +436,10 @@ def _parse_plain(text: str) -> Graph | None:
     None, so that the general reader decides and words the error; a vertex
     count beyond the dense budget raises the general reader's
     SizeBudgetError.
+
+    The endpoints fill an n x n boolean matrix by two fancy-index stores,
+    which is packed into the bitmasks and dropped: the module's one n x n
+    fill, which pays on a dense text and costs n^2 bytes on a sparse one.
     """
     import numpy as np
 
@@ -489,7 +464,10 @@ def _parse_plain(text: str) -> Graph | None:
     _check_dense_budget(n)  # the general reader raises the same here
     if m and not ((us < vs).all() and (vs < n).all()):
         return None
-    g = Graph._from_masks(_fill(n, [(us, vs)]))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[us, vs] = True
+    adj[vs, us] = True
+    g = Graph._from_masks(_pack(adj))
     return g if g.edge_count == m else None  # else a duplicate edge
 
 
@@ -582,8 +560,9 @@ def _parse_general(text: str) -> Graph:
 
 def format_graph(g: Graph) -> str:
     """Serialise to the plain edge-list format, edges ascending."""
-    import numpy as np
-
-    us, vs = np.nonzero(np.triu(g.adj))
-    lines = [f"{g.n} {len(us)}", *map("{} {}".format, us.tolist(), vs.tolist())]
-    return "\n".join(lines) + "\n"
+    rows = [f"{g.n} {g.edge_count}"]
+    for u, m in enumerate(g.neighbour_masks):
+        if above := m >> u << u:
+            head = f"{u} "
+            rows.append(head + ("\n" + head).join(map(str, iter_bits(above))))
+    return "\n".join(rows) + "\n"

@@ -732,6 +732,38 @@ class TestStartWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_graph_built_and_written_loads_no_numpy(self):
+        code = (
+            "import itertools, sys\n"
+            "from oatgraph.graph import Graph, format_graph\n"
+            "text = format_graph(Graph(100, itertools.combinations(range(100), 2)))\n"
+            "print(len(text.splitlines()), [m for m in sys.modules if m.startswith('numpy')])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "4951 []\n"
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["path", "2000"], 2000),
+            (["random_oat", "300", "--tree-out"], 300),
+            (["p4_sparse", "12", "--case", "anti"], 26),
+            (["complete", "40"], 40),
+        ],
+        ids=["path_2000", "random_oat_300", "p4_sparse_anti_12", "complete_40"],
+    )
+    def test_gen_imports_no_numpy_and_writes_the_same_bytes(self, tmp_path, argv, n):
+        runs = []
+        for numpy_first in (False, True):
+            tree = tmp_path / f"tree-{numpy_first}.json"
+            extra = [str(tree)] if argv[-1] == "--tree-out" else []
+            code, out, loaded, _, _, err = run_child(["gen", *argv, *extra], numpy_first)
+            assert (code, loaded) == (0, numpy_first), err
+            runs.append((out, err, tree.read_bytes() if extra else None))
+        assert runs[0] == runs[1]
+        assert parse_graph(runs[0][0]).n == n
+
     def test_path_commands_import_no_numpy_and_write_the_same_bytes(self, tmp_path):
         n = 60
         gp = write_graph(tmp_path, classic("path", n))

@@ -44,7 +44,8 @@ def graphs(max_n=8):
 
 
 def reference_graph(n, edges):
-    """The per-edge construction loop that Graph(n, edges) replaced."""
+    """A per-edge construction through a boolean matrix, written apart from
+    Graph(n, edges), kept as the reference that it must agree with."""
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -301,6 +302,13 @@ class TestConstruction:
         with pytest.raises(ValueError) as exc:
             Graph(3, [(2**70, 1), (0, 1)])
         assert str(exc.value) == f"edge ({2**70}, 1) out of range for n=3"
+        # Edges are checked in stream order, whatever the fault's kind.
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [(0, 5), (1,)])
+        assert str(exc.value) == "edge (0, 5) out of range for n=3"
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [(0, 1), (1,), (0, 5)])
+        assert str(exc.value) == "edge (1,) is not a (u, v) pair"
 
     @pytest.mark.parametrize("items", [[(0, 1, 2)], [(0,)], [()], [(0, 1), (1,)], [5], [(0, 1.5)]])
     def test_refuses_items_that_are_not_pairs_of_integers(self, items):
@@ -308,8 +316,8 @@ class TestConstruction:
             Graph(3, items)
 
     def test_takes_a_lazy_stream_longer_than_a_chunk(self):
-        # 400 * 399 / 2 = 79,800 edges, more than one chunk; the fault is
-        # in the second.
+        # 400 * 399 / 2 = 79,800 edges from a generator, read once; the
+        # fault comes after all of them.
         n = 400
         assert Graph(n, itertools.combinations(range(n), 2)) == Graph.from_adjacency(
             ~np.eye(n, dtype=bool)
@@ -581,8 +589,8 @@ class TestParsing:
         assert _parse_plain(text.replace("\n", "\r\n")) == g
 
     def test_plain_reader_peak_on_a_dense_member(self):
-        # The text's bytes, its endpoint values and _fill's n x n boolean
-        # matrix: 9.7 n^2 bytes on this member.
+        # The text's bytes, its endpoint values and the n x n boolean
+        # matrix they fill: 9.7 n^2 bytes on this member.
         g = replay(random_oat(500, 11))
         text = format_graph(g)
         tracemalloc.start()
